@@ -22,11 +22,15 @@ Two families live here so `purity` and `frame` cannot drift apart:
   without the cache a full ``python -m repro.analysis`` run re-parses
   the same bytes per pass. :func:`ast_cache_stats` feeds the CLI's
   timing line so a regression shows up in CI output.
+- **locating what to analyse** — :func:`spec_module_path` and
+  :func:`pkvm_root` find installed sources, and :func:`iter_functions`
+  enumerates a module's functions at any depth.
 """
 
 from __future__ import annotations
 
 import ast
+import importlib.util
 import io
 import re
 import threading
@@ -96,6 +100,41 @@ def clear_ast_cache() -> None:
         _AST_CACHE.clear()
         _CACHE_STATS["parses"] = 0
         _CACHE_STATS["hits"] = 0
+
+
+# ---------------------------------------------------------------------------
+# Locating what to analyse
+# ---------------------------------------------------------------------------
+
+
+def spec_module_path(module: str = "repro.ghost.spec") -> Path:
+    """Source file of an installed module (default: the spec module)."""
+    spec = importlib.util.find_spec(module)
+    if spec is None or spec.origin is None:
+        raise FileNotFoundError(f"cannot locate module {module!r}")
+    return Path(spec.origin)
+
+
+def pkvm_root() -> Path:
+    """The installed ``repro.pkvm`` package directory."""
+    return spec_module_path("repro.pkvm").parent
+
+
+def iter_functions(tree: ast.Module):
+    """Yield (function node, enclosing class name) pairs, at any depth."""
+
+    def visit(node: ast.AST, class_name: str | None):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                yield from visit(child, child.name)
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield child, class_name
+                yield from visit(child, class_name)
+            else:
+                yield from visit(child, class_name)
+
+    yield from visit(tree, None)
+
 
 #: Method names that mutate their receiver (shared by purity's read-only
 #: enforcement and frame's write-footprint inference).

@@ -11,8 +11,7 @@ Examples::
     python -m repro.analysis --json             # machine-readable report
     python -m repro.analysis --sarif out.sarif  # GitHub-annotatable log
     python -m repro.analysis lockset --lockset-scenario unlocked-init-read
-    python -m repro.analysis --ownership-differential   # static vs. oracle
-    python -m repro.analysis --refinement-differential  # pass 7 vs. oracle
+    python -m repro.analysis --differential     # every bug: statics vs. oracle
 
 The static passes default to the installed ``repro.ghost.spec`` module,
 ``repro.pkvm`` package, and ``repro.arch.pte`` codec;
@@ -40,6 +39,14 @@ so the hit count shows the re-parses the cache saved; the same numbers
 are in the ``--json`` payload under ``timings``/``ast_cache``, and
 ``benchmarks/bench_analysis.py`` (E12/E16) tracks the full-suite wall
 time.
+
+``--differential`` runs the differential matrix instead of the passes
+(``repro.analysis.differential``): one fixed-width row per synthetic bug
+and check, the ownership and refinement passes with the bug's flag
+assumed on against its replay through the dynamic oracle. Two flags
+modify it and are rejected without it: ``--differential-static-only``
+skips the replays, and ``--refinement-corpus DIR`` exports the
+concretized counterexample traces for a campaign's ``--seed-corpus``.
 """
 
 from __future__ import annotations
@@ -179,48 +186,30 @@ def build_parser() -> argparse.ArgumentParser:
         help="seed for the frame pass's random campaign (default: 0)",
     )
     parser.add_argument(
-        "--ownership-differential",
+        "--differential",
         action="store_true",
-        help="instead of running passes, run the ownership differential "
-        "eval: re-run the static pass once per synthetic ownership/"
-        "error-path bug (flag assumed true) and replay each bug through "
-        "the dynamic oracle; exit 1 unless both sides agree on every "
-        "bug and the clean tree is spotless",
-    )
-    parser.add_argument(
-        "--refinement-differential",
-        action="store_true",
-        help="instead of running passes, run the refinement differential "
-        "eval: re-run the refinement pass once per synthetic bug, "
-        "concretize every finding to a hypercall trace, and replay each "
-        "trace through the dynamic ghost oracle (CONFIRMED findings "
-        "carry the ghost diff); exit 1 unless every bug is flagged with "
-        "its designed rule, every trace confirms, and the clean tree is "
-        "spotless",
-    )
-    parser.add_argument(
-        "--iommu-differential",
-        action="store_true",
-        help="instead of running passes, run the IOMMU differential eval: "
-        "check the clean tree is statically spotless over both registered "
-        "subsystems, assert the seeded domain-refcount bug has a stance "
-        "(statically flagged or documented dynamic-only), and replay the "
-        "concrete alloc_domain/attach_dev/map_pages trace under the ghost "
-        "oracle and bare; exit 1 unless every row agrees",
+        help="instead of running passes, run the differential matrix: for "
+        "every synthetic bug, re-run the ownership and refinement passes "
+        "with its flag assumed true and replay it through the dynamic "
+        "oracle (its detection scenario, or the refinement pass's "
+        "concretized counterexample traces); exit 1 unless every pass "
+        "raises the bug's designed rule (or, for a documented "
+        "dynamic-only bug, stays silent), every replay gives the expected "
+        "oracle verdict, and the clean tree is spotless",
     )
     parser.add_argument(
         "--refinement-corpus",
         metavar="DIR",
         default=None,
-        help="with --refinement-differential: also export every "
-        "concretized counterexample trace into DIR as *.trace files, "
+        help="with --differential: also export every concretized "
+        "refinement counterexample trace into DIR as *.trace files, "
         "ingestible by the campaign engine's --seed-corpus",
     )
     parser.add_argument(
         "--differential-static-only",
         action="store_true",
-        help="with --ownership-differential or --refinement-differential: "
-        "skip the dynamic oracle replays and check only the static side",
+        help="with --differential: skip the dynamic oracle replays and "
+        "check only the static side of every row",
     )
     return parser
 
@@ -228,49 +217,17 @@ def build_parser() -> argparse.ArgumentParser:
 def _run_differential(args) -> int:
     from repro.analysis.differential import (
         differential_ok,
-        format_differential,
-        run_differential,
+        format_matrix,
+        run_matrix,
     )
 
-    results = run_differential(dynamic=not args.differential_static_only)
-    print(format_differential(results))
-    ok = differential_ok(results)
-    print(f"repro.analysis: ownership-differential: {'ok' if ok else 'FAILED'}")
-    return 0 if ok else 1
-
-
-def _run_refinement_differential(args) -> int:
-    from repro.analysis.differential import (
-        format_refinement_differential,
-        refinement_differential_ok,
-        run_refinement_differential,
-    )
-
-    results = run_refinement_differential(
+    rows = run_matrix(
         dynamic=not args.differential_static_only,
         corpus_dir=args.refinement_corpus,
     )
-    print(format_refinement_differential(results))
-    ok = refinement_differential_ok(results)
-    print(
-        f"repro.analysis: refinement-differential: {'ok' if ok else 'FAILED'}"
-    )
-    return 0 if ok else 1
-
-
-def _run_iommu_differential(args) -> int:
-    from repro.analysis.differential import (
-        format_iommu_differential,
-        iommu_differential_ok,
-        run_iommu_differential,
-    )
-
-    results = run_iommu_differential(
-        dynamic=not args.differential_static_only
-    )
-    print(format_iommu_differential(results))
-    ok = iommu_differential_ok(results)
-    print(f"repro.analysis: iommu-differential: {'ok' if ok else 'FAILED'}")
+    print(format_matrix(rows))
+    ok = differential_ok(rows)
+    print(f"repro.analysis: differential: {'ok' if ok else 'FAILED'}")
     return 0 if ok else 1
 
 
@@ -301,12 +258,15 @@ def _pass_thunks(args) -> dict:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.ownership_differential:
+    if not args.differential and (
+        args.refinement_corpus is not None or args.differential_static_only
+    ):
+        parser.error(
+            "--refinement-corpus and --differential-static-only need "
+            "--differential"
+        )
+    if args.differential:
         return _run_differential(args)
-    if args.refinement_differential:
-        return _run_refinement_differential(args)
-    if args.iommu_differential:
-        return _run_iommu_differential(args)
     unknown = [p for p in args.passes if p not in PASSES]
     if unknown:
         parser.error(

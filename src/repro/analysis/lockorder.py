@@ -13,97 +13,41 @@ Two properties, checked per function over the AST of every module in
 - **global order** — nested acquisitions follow one global order, the one
   the implementation actually uses::
 
-      vm_table < vm < host_mmu < pkvm_pgd < hyp_pool
+      vm_table < vm < host_mmu < pkvm_pgd < iommu < hyp_pool
 
-  (``vm_table`` before any per-VM lock in teardown/reclaim; the per-VM
-  lock before ``host_mmu`` in the guest share/map paths; ``host_mmu``
-  before ``pkvm_pgd`` in every host/hyp transition, matching pKVM's
-  ``host_lock_component``/``hyp_lock_component`` nesting; the allocator
-  lock innermost, taken during table allocation under the page-table
-  locks). Any acquisition against this order is a potential ABBA
-  deadlock.
+  (:data:`repro.analysis.symexec.LOCK_ORDER`). Any acquisition against
+  this order is a potential ABBA deadlock.
 
-The checker is a path-sensitive interpreter over a deliberately small
-statement language (if/loops/with/try), tracking the stack of locks the
-function itself has acquired. It does not model exceptions thrown *by
-callees* — pervasive in Python and overwhelmingly handled by the same
-``try/finally`` this checker does interpret — only explicit control flow.
-Lock operations are recognised by call shape: ``*.lock.acquire(...)``,
-``*.host_lock/pkvm_lock.acquire(...)``, and the four
-``host/hyp_(un)lock_component`` wrappers from ``mem_protect.py``. The
-wrapper functions themselves (single-statement bodies whose whole job is
-one lock op) are exempt from the balance rule.
+The rules run on the shared path interpreter
+(:class:`repro.analysis.symexec.PathInterp`), which enumerates a
+function's explicit control-flow paths (if/loops/with/try) and keeps the
+stack of locks the function itself has acquired (entry state: none
+held). Unlike the ownership and refinement passes, this rule set resolves
+no ``self.bugs.<flag>`` gate: both arms of every gate must keep the lock
+discipline, since a seeded bug that deadlocks would hide the divergence
+it seeds. It does not model exceptions thrown *by callees* — pervasive in
+Python and overwhelmingly handled by the same ``try/finally`` this
+checker does interpret — only explicit control flow. Lock operations are
+recognised by call shape (:func:`repro.analysis.symexec.classify_lock_op`):
+``*.lock.acquire(...)``, ``*.host_lock/pkvm_lock.acquire(...)``, and the
+``host/hyp/iommu_(un)lock_component`` wrappers from ``mem_protect.py``.
+The wrapper functions themselves (single-statement bodies whose whole job
+is one lock op) are exempt from the balance rule.
 """
 
 from __future__ import annotations
 
 import ast
-import importlib.util
 from pathlib import Path
 
-from repro.analysis.astutil import apply_pragmas, load_module_ast
+from repro.analysis.astutil import apply_pragmas, iter_functions, load_module_ast
 from repro.analysis.report import Finding
-
-#: The global acquisition order (outermost first). The iommu lock nests
-#: inside the host lock (map/unmap flip host page states) and outside the
-#: pool lock (shadow table pages come from the hyp pool).
-LOCK_ORDER = ("vm_table", "vm", "host_mmu", "pkvm_pgd", "iommu", "hyp_pool")
-
-_RANK = {name: i for i, name in enumerate(LOCK_ORDER)}
-
-#: mem_protect.py wrapper methods, usable as lock ops at call sites.
-_COMPONENT_OPS = {
-    "host_lock_component": ("acquire", "host_mmu"),
-    "host_unlock_component": ("release", "host_mmu"),
-    "hyp_lock_component": ("acquire", "pkvm_pgd"),
-    "hyp_unlock_component": ("release", "pkvm_pgd"),
-    "iommu_lock_component": ("acquire", "iommu"),
-    "iommu_unlock_component": ("release", "iommu"),
-}
-
-#: Attribute names that denote a specific lock object.
-_LOCK_ATTRS = {
-    "host_lock": "host_mmu",
-    "pkvm_lock": "pkvm_pgd",
-    "iommu_lock": "iommu",
-}
-
-#: Cap on simultaneously tracked path states per function; beyond this
-#: the function is skipped rather than analysed imprecisely.
-_MAX_STATES = 256
-
-
-def classify_lock_op(
-    call: ast.Call, class_name: str | None
-) -> tuple[str, str] | None:
-    """(op, lock name) if ``call`` is a recognised lock operation."""
-    func = call.func
-    if not isinstance(func, ast.Attribute):
-        return None
-    if func.attr in _COMPONENT_OPS:
-        return _COMPONENT_OPS[func.attr]
-    if func.attr not in ("acquire", "release"):
-        return None
-    recv = func.value
-    if isinstance(recv, ast.Attribute):
-        if recv.attr in _LOCK_ATTRS:
-            return func.attr, _LOCK_ATTRS[recv.attr]
-        if recv.attr == "lock":
-            owner = ast.unparse(recv.value)
-            if "vm_table" in owner:
-                return func.attr, "vm_table"
-            if owner == "self" and class_name == "HypPool":
-                return func.attr, "hyp_pool"
-            return func.attr, "vm"
-    if isinstance(recv, ast.Name) and recv.id in _RANK:
-        return func.attr, recv.id
-    return None
-
-
-def pkvm_root() -> Path:
-    spec = importlib.util.find_spec("repro.pkvm")
-    assert spec is not None and spec.origin is not None
-    return Path(spec.origin).parent
+from repro.analysis.symexec import (
+    LOCK_ORDER,
+    PathInterp,
+    PathState,
+    classify_lock_op,
+)
 
 
 def check_lock_discipline(root: str | Path | None = None) -> list[Finding]:
@@ -126,32 +70,16 @@ def check_lock_discipline(root: str | Path | None = None) -> list[Finding]:
 def check_file(path: Path) -> list[Finding]:
     module = load_module_ast(path)
     findings: list[Finding] = []
-    for fn, class_name in _functions(module.tree):
+    for fn, class_name in iter_functions(module.tree):
         if _is_lock_wrapper(fn, class_name):
             continue
-        interp = _PathInterp(module.path, fn, class_name)
+        interp = _LockRules(module.path, fn, class_name)
         interp.run()
         findings.extend(interp.findings)
-    # Re-interpreting finally bodies at each exit can re-derive the same
-    # violation; findings are value objects, so dedupe structurally.
+    # Paths re-derive the same violation; findings are value objects, so
+    # dedupe structurally.
     deduped = sorted(set(findings), key=Finding.sort_key)
     return apply_pragmas(deduped, module.path, module.source)
-
-
-def _functions(tree: ast.Module):
-    """Yield (function node, enclosing class name) pairs, at any depth."""
-
-    def visit(node: ast.AST, class_name: str | None):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.ClassDef):
-                yield from visit(child, child.name)
-            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                yield child, class_name
-                yield from visit(child, class_name)
-            else:
-                yield from visit(child, class_name)
-
-    yield from visit(tree, None)
 
 
 def _is_lock_wrapper(fn: ast.FunctionDef, class_name: str | None) -> bool:
@@ -166,171 +94,70 @@ def _is_lock_wrapper(fn: ast.FunctionDef, class_name: str | None) -> bool:
     return isinstance(call, ast.Call) and classify_lock_op(call, class_name) is not None
 
 
-class _PathInterp:
-    """Enumerate a function's explicit control-flow paths, tracking the
-    stack of locks it has acquired itself (entry state: none held)."""
+class _LockRules(PathInterp):
+    """The lock-discipline rules over one function's paths. Findings are
+    line-granular (no column), and every bug-gate arm is live."""
+
+    analysis = "lock-discipline"
+    columns = False
 
     def __init__(self, filename: str, fn: ast.FunctionDef, class_name: str | None):
-        self.filename = filename
-        self.fn = fn
-        self.class_name = class_name
-        self.findings: list[Finding] = []
-        self.finally_stack: list[list[ast.stmt]] = []
-        self.bailed = False
+        super().__init__(filename, fn, class_name, assume=None)
 
-    def run(self) -> None:
-        exits = self.exec_block(self.fn.body, ((),))
-        if self.bailed:
-            self.findings.clear()
-            return
-        for held in exits:
-            if held:
-                self._report(
-                    "fallthrough-holding",
-                    f"function may exit still holding {self._fmt(held)}",
-                    self.fn,
-                )
+    def on_bail(self) -> None:
+        self.findings.clear()
 
-    # -- reporting ---------------------------------------------------------
-
-    def _report(self, rule: str, message: str, node: ast.AST) -> None:
-        self.findings.append(
-            Finding(
-                analysis="lock-discipline",
-                rule=rule,
-                message=message,
-                file=self.filename,
-                line=getattr(node, "lineno", 0),
-                function=self.fn.name,
-            )
-        )
-
-    @staticmethod
-    def _fmt(held: tuple[str, ...]) -> str:
-        return ", ".join(held)
-
-    # -- interpreter -------------------------------------------------------
-
-    def exec_block(
-        self, stmts: list[ast.stmt], states: tuple[tuple[str, ...], ...]
-    ) -> tuple[tuple[str, ...], ...]:
-        current = set(states)
-        for stmt in stmts:
-            nxt: set[tuple[str, ...]] = set()
-            for state in current:
-                nxt.update(self.exec_stmt(stmt, state))
-            if len(nxt) > _MAX_STATES:
-                self.bailed = True
-                return ()
-            current = nxt
-            if not current:
-                break  # every path returned/raised
-        return tuple(current)
-
-    def exec_stmt(
-        self, stmt: ast.stmt, held: tuple[str, ...]
-    ) -> tuple[tuple[str, ...], ...]:
-        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            return (held,)  # analysed separately; defining isn't executing
-        if isinstance(stmt, ast.Expr) and isinstance(stmt.value, ast.Call):
-            return (self._lock_op(stmt.value, held),)
-        if isinstance(stmt, ast.Return):
-            self._exit(stmt, held, "early-return-holding", "return")
-            return ()
-        if isinstance(stmt, ast.Raise):
-            self._exit(stmt, held, "raise-holding", "raise")
-            return ()
-        if isinstance(stmt, ast.If):
-            outs = set(self.exec_block(stmt.body, (held,)))
-            outs.update(self.exec_block(stmt.orelse, (held,)))
-            return tuple(outs)
-        if isinstance(stmt, (ast.For, ast.While)):
-            # Zero or one iterations covers lock balance: a body that
-            # changes the held set changes it identically per iteration.
-            outs = {held}
-            outs.update(self.exec_block(stmt.body, (held,)))
-            base = tuple(outs)
-            if stmt.orelse:
-                return self.exec_block(stmt.orelse, base)
-            return base
-        if isinstance(stmt, ast.With):
-            return self.exec_block(stmt.body, (held,))
-        if isinstance(stmt, ast.Try):
-            return self.exec_try(stmt, held)
-        if isinstance(stmt, (ast.Break, ast.Continue)):
-            return (held,)  # approximate: falls through to after the loop
-        return (held,)
-
-    def exec_try(
-        self, stmt: ast.Try, held: tuple[str, ...]
-    ) -> tuple[tuple[str, ...], ...]:
-        self.finally_stack.append(stmt.finalbody)
-        outs = set(self.exec_block(stmt.body, (held,)))
-        if stmt.orelse:
-            outs = set(self.exec_block(stmt.orelse, tuple(outs)))
-        for handler in stmt.handlers:
-            # Handlers run from the state at try entry — exceptions from
-            # callees, before the body's own lock ops took effect, are the
-            # dominant case; modelling every intermediate point would
-            # drown real findings in noise.
-            outs.update(self.exec_block(handler.body, (held,)))
-        self.finally_stack.pop()
-        final_outs: set[tuple[str, ...]] = set()
-        for state in outs:
-            final_outs.update(self.exec_block(stmt.finalbody, (state,)))
-        return tuple(final_outs)
-
-    def _exit(
-        self, stmt: ast.stmt, held: tuple[str, ...], rule: str, verb: str
+    def on_lock_op(
+        self, kind: str, name: str, node: ast.Call, path: PathState
     ) -> None:
-        # Pending finally bodies run innermost-first before the frame exits.
-        states = (held,)
-        for finalbody in reversed(self.finally_stack):
-            states = self.exec_block(finalbody, states)
-        for state in states:
-            if state:
+        held = path.held
+        if kind == "release":
+            if name not in held:
                 self._report(
-                    rule,
-                    f"{verb} while still holding {self._fmt(state)} "
-                    "(release is skipped on this path)",
-                    stmt,
+                    "unbalanced-release",
+                    f"releasing {name!r}, which this function did not "
+                    "acquire on this path",
+                    node,
                 )
-
-    def _lock_op(
-        self, call: ast.Call, held: tuple[str, ...]
-    ) -> tuple[str, ...]:
-        op = classify_lock_op(call, self.class_name)
-        if op is None:
-            return held
-        kind, name = op
-        if kind == "acquire":
-            if name in held:
-                self._report(
-                    "double-acquire",
-                    f"acquiring {name!r} already held by this function",
-                    call,
-                )
-                return held
-            rank = _RANK.get(name)
-            if rank is not None:
-                for other in held:
-                    other_rank = _RANK.get(other)
-                    if other_rank is not None and other_rank >= rank:
-                        self._report(
-                            "lock-order-inversion",
-                            f"acquiring {name!r} while holding {other!r} "
-                            f"violates the global order "
-                            f"{' < '.join(LOCK_ORDER)}",
-                            call,
-                        )
-            return held + (name,)
-        if name not in held:
+        elif name in held:
             self._report(
-                "unbalanced-release",
-                f"releasing {name!r}, which this function did not acquire "
-                "on this path",
-                call,
+                "double-acquire",
+                f"acquiring {name!r} already held by this function",
+                node,
             )
-            return held
-        idx = len(held) - 1 - held[::-1].index(name)
-        return held[:idx] + held[idx + 1 :]
+        else:
+            rank = LOCK_ORDER.index(name)
+            for other in held:
+                if LOCK_ORDER.index(other) >= rank:
+                    self._report(
+                        "lock-order-inversion",
+                        f"acquiring {name!r} while holding {other!r} "
+                        f"violates the global order {' < '.join(LOCK_ORDER)}",
+                        node,
+                    )
+
+    def on_exit(self, node: ast.AST, path: PathState, outcome: str) -> None:
+        if not path.held:
+            return
+        if node is self.fn:
+            self._report(
+                "fallthrough-holding",
+                f"function may exit still holding {', '.join(path.held)}",
+                node,
+            )
+        else:
+            self._holding("early-return-holding", "return", node, path)
+
+    def on_raise(self, node: ast.Raise, path: PathState) -> None:
+        if path.held:
+            self._holding("raise-holding", "raise", node, path)
+
+    def _holding(
+        self, rule: str, verb: str, node: ast.AST, path: PathState
+    ) -> None:
+        self._report(
+            rule,
+            f"{verb} while still holding {', '.join(path.held)} "
+            "(release is skipped on this path)",
+            node,
+        )

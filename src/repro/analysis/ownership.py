@@ -32,9 +32,10 @@ Rules (SARIF ids ``ownership/<rule>``):
   ``# analysis: allow[unmanifested-write]`` pragmas);
 - ``manifest-parse`` — ``OWNERSHIP_EDGES`` hygiene.
 
-Like the lock-discipline pass, the interpreter covers explicit control
-flow only (if/loops/try-finally, loop bodies 0-or-1 times) and bails on
-path explosion rather than analyse imprecisely.
+Like the lock-discipline pass, which runs on the same interpreter, it
+covers explicit control flow only (if/loops/try-finally, loop bodies
+0-or-1 times) and bails on path explosion rather than analyse
+imprecisely.
 """
 
 from __future__ import annotations
@@ -43,22 +44,9 @@ import ast
 from dataclasses import dataclass
 from pathlib import Path
 
-from repro.analysis.astutil import apply_pragmas, load_module_ast
-from repro.analysis.lockorder import _functions, pkvm_root
-from repro.analysis.purity import spec_module_path
+from repro.analysis.astutil import apply_pragmas, iter_functions, load_module_ast
 from repro.analysis.report import Finding
-from repro.analysis.symexec import (  # noqa: F401 — re-exported API
-    ATTR_CTORS,
-    CHECK_CALL,
-    PARAM_OWNERS,
-    PARAM_TABLES,
-    TABLE_ATTRS,
-    WRITE_CALLS,
-    PathInterp,
-    PathState,
-    Write,
-    resolve_condition,
-)
+from repro.analysis.symexec import PathInterp, PathState, pass_targets
 
 
 # ---------------------------------------------------------------------------
@@ -347,18 +335,6 @@ class _FnInterp(PathInterp):
 # ---------------------------------------------------------------------------
 
 
-def _analysis_targets(root: Path) -> list[Path]:
-    """The handler modules the pass covers (the two the transition system
-    describes), or the single file it was pointed at."""
-    if root.is_file():
-        return [root]
-    return [
-        path
-        for path in (root / "mem_protect.py", root / "hyp.py")
-        if path.exists()
-    ]
-
-
 def check_ownership(
     pkvm_root_path: str | Path | None = None,
     spec_path: str | Path | None = None,
@@ -373,36 +349,16 @@ def check_ownership(
     manifest is parsed from the same file, so self-contained fixtures
     (and unmerged handler modules) can be vetted without importing them.
     ``assume_bugs`` names the ``Bugs`` flags taken as true when
-    resolving gate conditions — the differential harness's lever.
+    resolving gate conditions — the differential matrix's lever.
 
     With no explicit paths, every registered subsystem is analysed: its
     handler modules against its own spec module's manifest.
     """
     assume = frozenset(assume_bugs)
-    if pkvm_root_path is None and spec_path is None:
-        from repro.ghost.registry import (
-            SUBSYSTEMS,
-            handler_module_paths,
-            spec_module_paths,
-        )
-
-        findings: list[Finding] = []
-        for sub, manifest_file in zip(SUBSYSTEMS, spec_module_paths()):
-            findings.extend(
-                _check_ownership_files(
-                    handler_module_paths(sub), manifest_file, assume
-                )
-            )
-        return findings
-    base = Path(pkvm_root_path) if pkvm_root_path else pkvm_root()
-    files = _analysis_targets(base)
-    if spec_path is not None:
-        manifest_file = Path(spec_path)
-    elif base.is_file():
-        manifest_file = base
-    else:
-        manifest_file = spec_module_path()
-    return _check_ownership_files(files, manifest_file, assume)
+    findings: list[Finding] = []
+    for files, manifest_file in pass_targets(pkvm_root_path, spec_path):
+        findings.extend(_check_ownership_files(files, manifest_file, assume))
+    return findings
 
 
 def _check_ownership_files(
@@ -415,7 +371,7 @@ def _check_ownership_files(
     for file_path in files:
         module = load_module_ast(file_path)
         module_findings: list[Finding] = []
-        for fn, class_name in _functions(module.tree):
+        for fn, class_name in iter_functions(module.tree):
             interp = _FnInterp(module.path, fn, class_name, rules, assume)
             interp.run()
             module_findings.extend(interp.findings)

@@ -36,7 +36,6 @@ fail every seeded violation; it is a linter, not a proof.
 from __future__ import annotations
 
 import ast
-import importlib.util
 from pathlib import Path
 
 from repro.analysis.astutil import (
@@ -125,13 +124,6 @@ def _module_is_forbidden(module: str) -> bool:
 def _module_is_impure(module: str) -> bool:
     root = module.split(".")[0]
     return root in IMPURE_MODULES
-
-
-def spec_module_path(module: str = "repro.ghost.spec") -> Path:
-    spec = importlib.util.find_spec(module)
-    if spec is None or spec.origin is None:
-        raise FileNotFoundError(f"cannot locate module {module!r}")
-    return Path(spec.origin)
 
 
 def check_spec_purity(

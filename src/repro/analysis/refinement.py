@@ -37,8 +37,8 @@ anchors its own soundness: for every ``PageState`` the concrete codec's
 
 Findings are *concretized* by :func:`concretize_findings`: each flagged
 handler's path condition is solved to a concrete hypercall
-:class:`~repro.testing.trace.Trace` the differential harness replays
-through the dynamic ghost oracle (CONFIRMED vs PLAUSIBLE), and which
+:class:`~repro.testing.trace.Trace` the differential matrix replays
+through the dynamic ghost oracle to confirm the finding, and which
 campaigns ingest as a seed corpus.
 
 All rules honour ``# analysis: allow[rule] reason`` pragmas.
@@ -49,15 +49,19 @@ from __future__ import annotations
 import ast
 from pathlib import Path
 
-from repro.analysis.astutil import access_path, apply_pragmas, load_module_ast
-from repro.analysis.lockorder import _functions, pkvm_root
-from repro.analysis.purity import spec_module_path
+from repro.analysis.astutil import (
+    access_path,
+    apply_pragmas,
+    iter_functions,
+    load_module_ast,
+)
 from repro.analysis.report import Finding
 from repro.analysis.symexec import (
     WRITE_CALLS,
     BitVec,
     PathInterp,
     PathState,
+    pass_targets,
     resolve_condition,
     symbolic_decode,
 )
@@ -412,16 +416,6 @@ def _handler_effects(writes) -> frozenset[tuple[str, str, str | None]]:
 # ---------------------------------------------------------------------------
 
 
-def _analysis_targets(root: Path) -> list[Path]:
-    if root.is_file():
-        return [root]
-    return [
-        path
-        for path in (root / "mem_protect.py", root / "hyp.py")
-        if path.exists()
-    ]
-
-
 def _finding(rule, message, file, line, function, column=0) -> Finding:
     return Finding(
         analysis="refinement",
@@ -622,36 +616,15 @@ def check_refinement(
     if stats is None:
         stats = {}
     stats.update({"functions": 0, "paths_explored": 0, "timeouts": 0})
-    if pkvm_root_path is None and spec_path is None:
-        # Registry mode: every subsystem's handlers against its own spec
-        # module's REFINEMENT_SPECS manifest.
-        from repro.ghost.registry import (
-            SUBSYSTEMS,
-            handler_module_paths,
-            spec_module_paths,
+    findings: list[Finding] = []
+    for files, manifest_file in pass_targets(pkvm_root_path, spec_path):
+        findings.extend(
+            _check_refinement_files(files, manifest_file, assume, stats)
         )
-
-        findings: list[Finding] = []
-        for sub, manifest_file in zip(SUBSYSTEMS, spec_module_paths()):
-            findings.extend(
-                _check_refinement_files(
-                    handler_module_paths(sub), manifest_file, assume, stats
-                )
-            )
+    if pkvm_root_path is None or not Path(pkvm_root_path).is_file():
+        # A single fixture file brings no codec; the installed one is
+        # not at issue there.
         findings.extend(_check_codec_agreement())
-        return findings
-    base = Path(pkvm_root_path) if pkvm_root_path else pkvm_root()
-    files = _analysis_targets(base)
-    if spec_path is not None:
-        manifest_file = Path(spec_path)
-    elif base.is_file():
-        manifest_file = base
-    else:
-        manifest_file = spec_module_path()
-    findings = _check_refinement_files(files, manifest_file, assume, stats)
-    if base.is_file():
-        return findings  # fixture mode: the installed codec is not at issue
-    findings.extend(_check_codec_agreement())
     return findings
 
 
@@ -666,7 +639,7 @@ def _check_refinement_files(
         manifest_module.tree, manifest_module.path
     )
     oom_names = _parse_oom_permitted(manifest_module.tree)
-    spec_fns = {fn.name: fn for fn, _ in _functions(manifest_module.tree)}
+    spec_fns = {fn.name: fn for fn, _ in iter_functions(manifest_module.tree)}
     spec_labeler = _ReturnLabeler(spec_fns, assume)
 
     findings: list[Finding] = []
@@ -675,7 +648,7 @@ def _check_refinement_files(
         module = load_module_ast(file_path)
         handler_fns = {
             fn.name: (fn, class_name)
-            for fn, class_name in _functions(module.tree)
+            for fn, class_name in iter_functions(module.tree)
         }
         handler_labeler = _ReturnLabeler(
             {name: fn for name, (fn, _cls) in handler_fns.items()}, assume

@@ -1,15 +1,18 @@
 """Shared bounded symbolic-execution machinery for the analysis passes.
 
-Two passes walk handler ASTs path-by-path — the ownership-transition
-pass (:mod:`repro.analysis.ownership`) and the spec-refinement pass
-(:mod:`repro.analysis.refinement`) — and both need the same core: a
+Three passes walk hypervisor ASTs path-by-path — lock discipline
+(:mod:`repro.analysis.lockorder`), ownership transitions
+(:mod:`repro.analysis.ownership`) and spec refinement
+(:mod:`repro.analysis.refinement`) — and all need the same core: a
 path-sensitive abstract interpreter over explicit control flow
-(if/loops/try-finally, loop bodies 0-or-1 times, panic paths exempt)
-that tracks page-table write effects, permission checks, held locks,
-and the return-code write-back, resolving ``self.bugs.<flag>``
-conditions against an ``assume_bugs`` set. This module is that core,
-hoisted out of the ownership pass; subclasses hook path exits, op call
-sites, unmanifested writes, and path-explosion bails.
+(if/loops/try-finally, loop bodies 0-or-1 times) that tracks page-table
+write effects, permission checks, the stack of held locks, and the
+return-code write-back, resolving ``self.bugs.<flag>`` conditions
+against an ``assume_bugs`` set. This module is that core; each pass is a
+rule set that hooks path exits, ``raise`` exits, lock operations, op
+call sites, unmanifested writes, and path-explosion bails. The global
+lock order and the lock-operation recogniser live here too, since the
+interpreter maintains the held-lock stack every rule set reads.
 
 It also hosts the **bitvector domain** the refinement pass evaluates
 PTE words in: :class:`BitVec` is a 64-bit word with per-bit knowledge
@@ -26,9 +29,9 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, replace
+from pathlib import Path
 
-from repro.analysis.astutil import access_path
-from repro.analysis.lockorder import classify_lock_op
+from repro.analysis.astutil import access_path, pkvm_root, spec_module_path
 from repro.analysis.report import Finding
 from repro.arch.defs import U64_MASK
 
@@ -64,12 +67,69 @@ TABLE_ATTRS = {"host_mmu": "host_mmu", "pkvm_pgd": "pkvm_pgd", "s2": "iommu"}
 PARAM_TABLES = {"guest_pgt": "guest"}
 PARAM_OWNERS = {"guest_owner": "caller"}
 
-#: Path-state cap per function, as in the lock-discipline pass.
+#: Path-state cap per function; past it a pass bails on the function
+#: rather than analyse it imprecisely.
 MAX_STATES = 256
 
 # Abstract value tags (values are small tuples; None means unknown).
 ZERO = ("zero",)
 ERR = ("err",)
+
+#: The global lock acquisition order (outermost first), the one the
+#: implementation uses: ``vm_table`` before any per-VM lock in
+#: teardown/reclaim; the per-VM lock before ``host_mmu`` in the guest
+#: share/map paths; ``host_mmu`` before ``pkvm_pgd`` in every host/hyp
+#: transition (pKVM's ``host_lock_component``/``hyp_lock_component``
+#: nesting). The iommu lock nests inside the host lock (map/unmap flip
+#: host page states) and outside the pool lock (shadow table pages come
+#: from the hyp pool), which is innermost.
+LOCK_ORDER = ("vm_table", "vm", "host_mmu", "pkvm_pgd", "iommu", "hyp_pool")
+
+#: mem_protect.py wrapper methods, usable as lock ops at call sites.
+_COMPONENT_OPS = {
+    "host_lock_component": ("acquire", "host_mmu"),
+    "host_unlock_component": ("release", "host_mmu"),
+    "hyp_lock_component": ("acquire", "pkvm_pgd"),
+    "hyp_unlock_component": ("release", "pkvm_pgd"),
+    "iommu_lock_component": ("acquire", "iommu"),
+    "iommu_unlock_component": ("release", "iommu"),
+}
+
+#: Attribute names that denote a specific lock object.
+_LOCK_ATTRS = {
+    "host_lock": "host_mmu",
+    "pkvm_lock": "pkvm_pgd",
+    "iommu_lock": "iommu",
+}
+
+
+def classify_lock_op(
+    call: ast.Call, class_name: str | None
+) -> tuple[str, str] | None:
+    """(op, lock name) if ``call`` is a recognised lock operation:
+    ``*.lock.acquire/release(...)``, ``*.host_lock/pkvm_lock/iommu_lock``
+    ops, a bare lock name's ops, or a ``*_(un)lock_component`` wrapper."""
+    func = call.func
+    if not isinstance(func, ast.Attribute):
+        return None
+    if func.attr in _COMPONENT_OPS:
+        return _COMPONENT_OPS[func.attr]
+    if func.attr not in ("acquire", "release"):
+        return None
+    recv = func.value
+    if isinstance(recv, ast.Attribute):
+        if recv.attr in _LOCK_ATTRS:
+            return func.attr, _LOCK_ATTRS[recv.attr]
+        if recv.attr == "lock":
+            owner = ast.unparse(recv.value)
+            if "vm_table" in owner:
+                return func.attr, "vm_table"
+            if owner == "self" and class_name == "HypPool":
+                return func.attr, "hyp_pool"
+            return func.attr, "vm"
+    if isinstance(recv, ast.Name) and recv.id in LOCK_ORDER:
+        return func.attr, recv.id
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -90,7 +150,9 @@ def flag_of(node: ast.expr) -> str | None:
     return None
 
 
-def resolve_condition(test: ast.expr, assume: frozenset) -> bool | None:
+def resolve_condition(
+    test: ast.expr, assume: frozenset | None
+) -> bool | None:
     """Evaluate a condition made of bug flags to True/False, else None.
 
     ``self.bugs.<flag>`` is True iff the flag is in ``assume`` — the
@@ -98,7 +160,10 @@ def resolve_condition(test: ast.expr, assume: frozenset) -> bool | None:
     and ``or`` propagate with short-circuit semantics, so a partially
     resolved ``flag and <unknown>`` collapses to False when the flag is
     off and stays unknown (fork both arms) when it is assumed on.
+    ``assume=None`` resolves nothing: every arm of every gate is live.
     """
+    if assume is None:
+        return None
     if isinstance(test, ast.UnaryOp) and isinstance(test.op, ast.Not):
         inner = resolve_condition(test.operand, assume)
         return None if inner is None else (not inner)
@@ -121,6 +186,50 @@ def resolve_condition(test: ast.expr, assume: frozenset) -> bool | None:
     if isinstance(test, ast.Constant):
         return bool(test.value)
     return None
+
+
+# ---------------------------------------------------------------------------
+# What the handler-vs-spec passes analyse
+# ---------------------------------------------------------------------------
+
+
+def pass_targets(
+    pkvm_root_path: str | Path | None, spec_path: str | Path | None
+) -> list[tuple[list[Path], Path]]:
+    """(handler files, manifest file) pairs for the ownership and
+    refinement passes.
+
+    With no explicit paths, one pair per registered subsystem: its
+    handler modules against its own spec module's manifests. Otherwise
+    the two modules the mem_protect manifests describe, under
+    ``pkvm_root_path`` (default: the installed ``repro.pkvm``), or the
+    single file it names. ``spec_path`` names the manifest file; by
+    default a single file is its own manifest (so self-contained
+    fixtures are vetted without being imported) and a package is judged
+    against the installed ``repro.ghost.spec``.
+    """
+    if pkvm_root_path is None and spec_path is None:
+        from repro.ghost.registry import (
+            SUBSYSTEMS,
+            handler_module_paths,
+            spec_module_paths,
+        )
+
+        return [
+            (handler_module_paths(sub), manifest)
+            for sub, manifest in zip(SUBSYSTEMS, spec_module_paths())
+        ]
+    base = Path(pkvm_root_path) if pkvm_root_path else pkvm_root()
+    if base.is_file():
+        files, manifest = [base], base
+    else:
+        files = [
+            path
+            for path in (base / "mem_protect.py", base / "hyp.py")
+            if path.exists()
+        ]
+        manifest = spec_module_path()
+    return [(files, Path(spec_path) if spec_path is not None else manifest)]
 
 
 # ---------------------------------------------------------------------------
@@ -396,25 +505,31 @@ class PathInterp:
     (env bindings, dominating checks, write effects, held locks, the
     return-register write-back). Hook points:
 
-    - ``analysis`` — the pass name stamped on findings;
+    - ``analysis`` — the pass name stamped on findings, and ``columns``
+      — whether findings carry a source column (0 when False);
     - ``self.rules`` / ``self.rule`` — the op manifest (if any): calls
       to names in ``rules`` trigger :meth:`on_op_call`, and a write in a
       function with ``rule is None`` triggers
       :meth:`on_unmanifested_write` instead of being recorded;
-    - :meth:`on_exit` — called once per non-panic path exit with the
-      classified outcome (``success``/``error``/``maybe``);
+    - :meth:`on_lock_op` — called at each lock operation, before the
+      held-lock stack is updated;
+    - :meth:`on_exit` — called once per ``return`` or fall-through path
+      exit with the classified outcome (``success``/``error``/``maybe``),
+      and :meth:`on_raise` once per ``raise`` exit (a panic path, which
+      asserts no outcome), both after pending ``finally`` bodies ran;
     - :meth:`on_bail` — called when the path count exceeds
       :data:`MAX_STATES` (the symbolic budget).
     """
 
     analysis = "symexec"
+    columns = True
 
     def __init__(
         self,
         filename: str,
         fn: ast.FunctionDef,
         class_name: str | None,
-        assume: frozenset,
+        assume: frozenset | None,
     ):
         self.filename = filename
         self.fn = fn
@@ -434,7 +549,7 @@ class PathInterp:
             self.on_bail()
             return
         for path in fallthrough:
-            self._classify_exit(self.fn, path, value=None, implicit=True)
+            self._classify_exit(self.fn, path, value=None)
 
     # -- hooks -------------------------------------------------------------
 
@@ -448,6 +563,14 @@ class PathInterp:
 
     def on_exit(self, node: ast.AST, path: PathState, outcome: str) -> None:
         """One non-panic path reached an exit with ``outcome``."""
+
+    def on_raise(self, node: ast.Raise, path: PathState) -> None:
+        """One path left the function through ``raise`` at ``node``."""
+
+    def on_lock_op(
+        self, kind: str, name: str, node: ast.Call, path: PathState
+    ) -> None:
+        """``path`` is about to ``acquire``/``release`` lock ``name``."""
 
     def on_bail(self) -> None:
         """The function exceeded the path budget."""
@@ -468,6 +591,8 @@ class PathInterp:
         else:
             line = getattr(node, "lineno", 0)
             column = getattr(node, "col_offset", -1) + 1
+        if not self.columns:
+            column = 0
         self.findings.append(
             Finding(
                 analysis=self.analysis,
@@ -679,11 +804,13 @@ class PathInterp:
         lock_op = classify_lock_op(node, self.class_name)
         if lock_op is not None:
             kind, name = lock_op
-            if kind == "acquire":
+            self.on_lock_op(kind, name, node, path)
+            # Locks are not recursive: a re-acquire or an unheld release
+            # leaves the stack as it was.
+            if kind == "release":
+                path.held = tuple(lock for lock in path.held if lock != name)
+            elif name not in path.held:
                 path.held = path.held + (name,)
-            elif name in path.held:
-                index = len(path.held) - 1 - path.held[::-1].index(name)
-                path.held = path.held[:index] + path.held[index + 1 :]
             return None
         name = self._call_name(node)
         arg_values = [self.eval(arg, path) for arg in node.args]
@@ -790,8 +917,9 @@ class PathInterp:
             paths = self.exec_block(finalbody, paths)
         for out in paths:
             if panic:
-                continue  # a panicking path asserts nothing
-            self._classify_exit(stmt, out, value=value, returned=returned)
+                self.on_raise(stmt, out)  # asserts no outcome
+            else:
+                self._classify_exit(stmt, out, value=value, returned=returned)
 
     def _classify_exit(
         self,
@@ -800,7 +928,6 @@ class PathInterp:
         *,
         value: ast.expr | None,
         returned: tuple | None = None,
-        implicit: bool = False,
     ) -> None:
         if returned is None and value is not None:
             returned = path.env.get(value.id) if isinstance(value, ast.Name) else None
@@ -811,7 +938,6 @@ class PathInterp:
         else:
             outcome = "maybe"
         self.on_exit(node, path, outcome)
-        del implicit
 
     def _bind(
         self, target: ast.expr, value: tuple | None, path: PathState

@@ -189,24 +189,34 @@ SCENARIOS: dict[str, tuple[str, Callable[[HypProxy], None], dict]] = {
 }
 
 
-def _run_scenario(bug: str | None, name: str) -> tuple[bool, str]:
-    """Run one scenario; returns (detected, how)."""
-    kind, scenario, opts = SCENARIOS[name]
-    opts = dict(opts)
-    ghost = opts.pop("ghost", True)
-    bugs = Bugs.single(bug) if bug else Bugs()
+def oracle_verdict(run: Callable[[], Machine]) -> str:
+    """What became of ``run``, which builds a machine, drives it and
+    returns it: ``clean``, ``hyp-panic``, ``host-crash``, or
+    ``spec-violation:<kind>`` when the oracle raised or recorded one."""
     try:
-        machine = Machine(ghost=ghost, bugs=bugs, **opts)
-        scenario(HypProxy(machine))
-        if ghost and machine.checker is not None and machine.checker.violations:
-            return True, "spec-violation"
+        machine = run()
     except SpecViolation as exc:
-        return True, f"spec-violation:{exc.kind}"
+        return f"spec-violation:{exc.kind}"
     except HypervisorPanic:
-        return True, "hyp-panic"
+        return "hyp-panic"
     except HostCrash:
-        return True, "host-crash"
-    return False, "clean"
+        return "host-crash"
+    checker = machine.checker
+    violations = checker.violations if checker is not None else []
+    return f"spec-violation:{violations[0].kind}" if violations else "clean"
+
+
+def _run_scenario(bug: str | None, name: str) -> tuple[bool, str]:
+    """Run one scenario; returns (detected, verdict)."""
+    _kind, scenario, opts = SCENARIOS[name]
+
+    def run() -> Machine:
+        machine = Machine(bugs=Bugs.single(bug) if bug else Bugs(), **opts)
+        scenario(HypProxy(machine))
+        return machine
+
+    verdict = oracle_verdict(run)
+    return verdict != "clean", verdict
 
 
 def run_detection_matrix() -> list[DetectionResult]:

@@ -3,6 +3,8 @@
 import json
 from pathlib import Path
 
+import pytest
+
 from repro.analysis.cli import main
 
 FIXTURES = Path(__file__).parent.parent / "fixtures" / "analysis"
@@ -271,12 +273,26 @@ class TestSarifOutput:
 
 class TestOwnershipDifferential:
     def test_static_only_differential_is_green(self, capsys):
-        rc = main(["--ownership-differential", "--differential-static-only"])
+        rc = main(["--differential", "--differential-static-only"])
         assert rc == 0
         out = capsys.readouterr().out
         assert "<clean>" in out
         assert "synth_missing_ret_write" in out
-        assert "ownership-differential: ok" in out
+        assert "differential: ok" in out
+
+    def test_static_only_flag_needs_differential(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["purity", "--differential-static-only"])
+        assert exc.value.code == 2
+        assert "need --differential" in capsys.readouterr().err
+
+    def test_corpus_flag_needs_differential(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus"
+        with pytest.raises(SystemExit) as exc:
+            main(["purity", "--refinement-corpus", str(corpus)])
+        assert exc.value.code == 2
+        assert "need --differential" in capsys.readouterr().err
+        assert not corpus.exists()
 
 
 class TestRefinementPass:
@@ -297,17 +313,17 @@ class TestRefinementPass:
         assert "[suppression/bad-pragma]" in out
 
     def test_static_only_refinement_differential_is_green(self, capsys):
-        rc = main(["--refinement-differential", "--differential-static-only"])
+        rc = main(["--differential", "--differential-static-only"])
         assert rc == 0
         out = capsys.readouterr().out
-        assert "<clean>" in out and "PLAUSIBLE" in out
-        assert "refinement-differential: ok" in out
+        assert "spec-path-unreachable" in out and "skipped" in out
+        assert "differential: ok" in out
 
     def test_refinement_corpus_export_flag(self, tmp_path, capsys):
         corpus = tmp_path / "corpus"
         rc = main(
             [
-                "--refinement-differential",
+                "--differential",
                 "--differential-static-only",
                 "--refinement-corpus",
                 str(corpus),

@@ -1,128 +1,177 @@
-"""Tests for the static-vs-dynamic differential eval
-(repro.analysis.differential). The unit tier runs the static side only;
-the dynamic replays are covered by the detection-matrix integration
-tests and the CI ``--ownership-differential`` /
-``--refinement-differential`` steps."""
+"""Tests for the differential matrix (repro.analysis.differential): the
+static passes vs. the dynamic oracle, one row per synthetic bug and
+check. The whole matrix, oracle replays included, runs here too."""
 
+import pytest
+
+from repro.analysis import differential
 from repro.analysis.differential import (
-    DESIGNED_RULES,
-    DYNAMIC_ONLY,
+    CLEAN,
     IOMMU_BUG,
-    OWNERSHIP_BUGS,
-    REFINEMENT_BUGS,
-    IommuDifferentialResult,
-    RefinementResult,
+    MATRIX,
+    POST_MISMATCH,
+    Row,
     differential_ok,
-    format_differential,
-    format_iommu_differential,
-    format_refinement_differential,
+    format_matrix,
     iommu_differential_ok,
+    plan,
     refinement_differential_ok,
     run_differential,
     run_iommu_differential,
+    run_matrix,
     run_refinement_differential,
 )
+from repro.pkvm.bugs import Bugs
+
+PATH_SHAPED = [bug for bug, stance in MATRIX.items() if not stance.dynamic_only]
+
+
+def row(**overrides):
+    base = dict(
+        bug="synth_unshare_leak",
+        check="refinement",
+        rules=("post-mismatch",),
+        expected="post-mismatch",
+        replays=((POST_MISMATCH, POST_MISMATCH),),
+    )
+    base.update(overrides)
+    return Row(**base)
+
+
+class TestWholeMatrix:
+    """Every row, with the oracle replays: the contract CI gates on."""
+
+    @pytest.fixture(scope="class")
+    def rows(self):
+        return run_matrix()
+
+    def test_every_row_agrees(self, rows):
+        assert differential_ok(rows), format_matrix(rows)
+        assert [(r.bug, r.check) for r in rows] == plan()
+
+    def test_path_shaped_rows_confirm_as_post_mismatch(self, rows):
+        replayed = [r for r in rows if r.bug in PATH_SHAPED]
+        assert len(replayed) == 12
+        for r in replayed:
+            assert [got for _want, got in r.replays] == [POST_MISMATCH], r
+
+    def test_iommu_bug_confirms_under_the_oracle_and_bare(self, rows):
+        (r,) = [r for r in rows if r.bug == IOMMU_BUG]
+        assert [got for _want, got in r.replays] == [POST_MISMATCH, "hyp-panic"]
+
+    def test_formatter_prints_one_fixed_width_line_per_row(self, rows):
+        lines = format_matrix(rows).splitlines()
+        assert len(lines) == len(rows) + 1
+        assert len({line.rindex(" ") for line in lines}) == 1
 
 
 class TestStaticSide:
     def test_matrix_is_green(self):
         results = run_differential(dynamic=False)
-        assert differential_ok(results), format_differential(results)
+        assert differential_ok(results), format_matrix(results)
 
     def test_clean_row_comes_first_and_is_clean(self):
         results = run_differential(dynamic=False)
-        assert results[0].bug == "<clean>"
-        assert not results[0].static_flagged
-        assert results[0].static_rules == ()
+        assert results[0].bug == CLEAN
+        assert results[0].rules == ()
+        assert results[0].agree
 
     def test_every_ownership_bug_is_statically_flagged(self):
         results = {r.bug: r for r in run_differential(dynamic=False)}
-        for bug in OWNERSHIP_BUGS:
-            assert results[bug].static_flagged, bug
-            assert results[bug].static_rules, bug
+        assert set(results) == {CLEAN, *PATH_SHAPED}
+        for bug in PATH_SHAPED:
+            assert MATRIX[bug].ownership in results[bug].rules, bug
 
     def test_registry_coverage_is_complete(self):
-        """Every synthetic bug in the registry is either in the static
-        matrix or documented as dynamic-only — a new synth_* flag must
-        take a stance."""
-        from repro.pkvm.bugs import Bugs
-        import dataclasses
-
-        synth = {
-            f.name
-            for f in dataclasses.fields(Bugs)
-            if f.name.startswith("synth_")
-        }
-        assert synth == set(OWNERSHIP_BUGS) | set(DYNAMIC_ONLY)
+        """Every synthetic bug in the registry has an entry: a designed
+        rule for some pass, or a written dynamic-only reason (never
+        both) — a new synth_* flag must take a stance."""
+        assert set(MATRIX) == set(Bugs.synthetic_bug_names())
+        for bug, stance in MATRIX.items():
+            assert stance.checks, bug
+            rules = stance.ownership or stance.refinement
+            assert bool(rules) != bool(stance.dynamic_only.strip()), bug
 
     def test_iommu_bug_is_documented_dynamic_only(self):
         """The jetson-pkvm refcount/init-ordering bug is a missing data
         write, invisible to the transition-focused static passes — its
-        stance must be an explicit dynamic-only entry with a rationale."""
-        assert IOMMU_BUG in DYNAMIC_ONLY
-        assert "init" in DYNAMIC_ONLY[IOMMU_BUG]
+        stance must be an explicit dynamic-only entry with a rationale,
+        confirmed by the real panic on a bare machine."""
+        stance = MATRIX[IOMMU_BUG]
+        assert "init" in stance.dynamic_only
+        assert stance.bare == "hyp-panic"
 
     def test_formatting_marks_agreement(self):
-        results = run_differential(dynamic=False)
-        text = format_differential(results)
+        text = format_matrix(run_differential(dynamic=False))
         assert "<clean>" in text and "YES" in text
         assert "synth_share_skip_check" in text
 
 
 class TestDisagreementDetection:
     def test_a_missed_bug_fails_the_matrix(self):
-        from repro.analysis.differential import DifferentialResult
-
-        missed = DifferentialResult(
+        missed = row(
             bug="synth_share_skip_check",
-            static_flagged=False,
-            static_rules=(),
-            dynamic_detected=True,
-            dynamic_how="spec-violation",
+            check="ownership",
+            rules=(),
+            expected="unchecked-transition",
         )
         assert not missed.agree
         assert not differential_ok([missed])
 
     def test_a_polluted_clean_tree_fails_the_matrix(self):
-        from repro.analysis.differential import DifferentialResult
-
-        polluted = DifferentialResult(
-            bug="<clean>",
-            static_flagged=True,
-            static_rules=("wrong-transition",),
-            dynamic_detected=None,
-            dynamic_how="n/a",
+        polluted = row(
+            bug=CLEAN, rules=("wrong-transition",), expected=None, replays=()
         )
         assert not polluted.agree
+
+    def test_a_flagged_dynamic_only_bug_fails_the_matrix(self):
+        """A pass that starts seeing a dynamic-only bug makes its stance
+        stale: the entry must then name the designed rule."""
+        assert not row(check="dynamic-only", expected=None).agree
+
+    def test_a_wrong_oracle_verdict_fails_the_matrix(self):
+        assert not row(replays=((POST_MISMATCH, "host-crash"),)).agree
+
+
+class TestVacuousConfirmation:
+    def test_a_row_that_replays_nothing_fails(self):
+        assert not row(replays=()).agree
+
+    def test_empty_concretization_fails_the_refinement_rows(self, monkeypatch):
+        """With no trace to replay, every flagged refinement row must
+        fail: an empty replay set confirms nothing."""
+        monkeypatch.setattr(
+            differential, "concretize_findings", lambda *_a, **_k: []
+        )
+        results = run_refinement_differential(dynamic=True)
+        assert not refinement_differential_ok(results)
+        assert [r.bug for r in results if not r.agree] == PATH_SHAPED
 
 
 class TestRefinementStaticSide:
     def test_matrix_is_green(self):
         results = run_refinement_differential(dynamic=False)
-        assert refinement_differential_ok(
-            results
-        ), format_refinement_differential(results)
+        assert refinement_differential_ok(results), format_matrix(results)
 
     def test_every_bug_is_flagged_with_its_designed_rule(self):
         results = {
             r.bug: r for r in run_refinement_differential(dynamic=False)
         }
-        for bug in REFINEMENT_BUGS:
-            assert results[bug].static_flagged, bug
-            assert DESIGNED_RULES[bug] in results[bug].static_rules, bug
+        for bug in PATH_SHAPED:
+            assert MATRIX[bug].refinement in results[bug].rules, bug
 
     def test_static_only_results_stay_plausible(self):
+        """Without replays a row rests on its static side alone."""
         results = run_refinement_differential(dynamic=False)
         for result in results[1:]:
-            assert result.confirmed is None
-            assert result.verdict == "PLAUSIBLE"
+            assert result.replays is None and result.agree
 
     def test_corpus_export_writes_one_trace_per_handler(self, tmp_path):
         from repro.testing.trace import Trace
 
         run_refinement_differential(dynamic=False, corpus_dir=tmp_path)
         files = sorted(tmp_path.glob("*.trace"))
-        assert len(files) == len(REFINEMENT_BUGS)
+        assert len(files) == len(PATH_SHAPED)
         for path in files:
             bug, _, function = path.stem.partition("__")
             trace = Trace.loads(path.read_text())
@@ -130,75 +179,52 @@ class TestRefinementStaticSide:
             assert trace.meta["refinement"]["function"] == function
 
     def test_formatting_carries_verdicts(self):
-        text = format_refinement_differential(
-            run_refinement_differential(dynamic=False)
-        )
-        assert "<clean>" in text and "PLAUSIBLE" in text
+        text = format_matrix(run_refinement_differential(dynamic=False))
+        assert "<clean>" in text and "skipped" in text
         assert "synth_share_skip_check" in text
 
 
 class TestIommuStaticSide:
-    """Static side of the IOMMU differential; the ghost-oracle replay
-    and bare-machine panic are pinned by the detection-matrix tests and
-    the CI ``--iommu-differential`` step."""
+    """Static side of the IOMMU rows; the oracle replay and bare-machine
+    panic run in TestWholeMatrix."""
 
     def test_matrix_is_green(self):
         results = run_iommu_differential(dynamic=False)
-        assert iommu_differential_ok(results), format_iommu_differential(
-            results
-        )
+        assert iommu_differential_ok(results), format_matrix(results)
 
     def test_clean_row_is_spotless(self):
         results = run_iommu_differential(dynamic=False)
-        assert results[0].bug == "<clean>"
-        assert not results[0].static_flagged
-        assert results[0].static_rules == ()
+        assert [r.bug for r in results] == [CLEAN, IOMMU_BUG]
+        assert results[0].rules == ()
 
     def test_refcount_bug_has_a_stance(self):
         results = {r.bug: r for r in run_iommu_differential(dynamic=False)}
-        row = results[IOMMU_BUG]
-        assert row.static_flagged or row.documented_dynamic_only
+        assert results[IOMMU_BUG].check == "dynamic-only"
+        assert results[IOMMU_BUG].rules == ()
 
     def test_formatting_names_the_bug(self):
-        text = format_iommu_differential(run_iommu_differential(dynamic=False))
+        text = format_matrix(run_iommu_differential(dynamic=False))
         assert IOMMU_BUG in text and "<clean>" in text
 
     def test_unconfirmed_replay_fails_the_matrix(self):
-        row = IommuDifferentialResult(
+        unconfirmed = row(
             bug=IOMMU_BUG,
-            static_flagged=False,
-            static_rules=(),
-            documented_dynamic_only=True,
-            confirmed=False,
-            ghost_diff="clean",
+            check="dynamic-only",
+            rules=(),
+            expected=None,
+            replays=((POST_MISMATCH, POST_MISMATCH), ("hyp-panic", "clean")),
         )
-        assert not row.agree
-        assert not iommu_differential_ok([row])
+        assert not unconfirmed.agree
+        assert not iommu_differential_ok([unconfirmed])
 
 
 class TestRefinementDisagreement:
-    def row(self, **overrides):
-        base = dict(
-            bug="synth_unshare_leak",
-            static_flagged=True,
-            static_rules=("post-mismatch",),
-            designed_rule="post-mismatch",
-            confirmed=True,
-            ghost_diff="spec-violation:post-mismatch",
-            trace_count=1,
-        )
-        base.update(overrides)
-        return RefinementResult(**base)
-
     def test_confirmed_row_agrees(self):
-        row = self.row()
-        assert row.verdict == "CONFIRMED" and row.agree
+        assert row().agree
 
     def test_wrong_rule_fails_even_when_flagged(self):
-        row = self.row(static_rules=("symbolic-timeout",))
-        assert not row.agree
+        assert not row(rules=("symbolic-timeout",)).agree
 
     def test_refuted_replay_fails_the_matrix(self):
-        row = self.row(confirmed=False)
-        assert row.verdict == "PLAUSIBLE"
-        assert not refinement_differential_ok([row])
+        refuted = row(replays=((POST_MISMATCH, "clean"),))
+        assert not refinement_differential_ok([refuted])

@@ -11,7 +11,7 @@ from repro.analysis.frame import (
     pretty_path,
     run_frame_pass,
 )
-from repro.analysis.purity import spec_module_path
+from repro.analysis.astutil import spec_module_path
 from repro.ghost.spec import FRAME_MANIFESTS, HYPERCALL_SPECS
 from repro.testing.harness import make_machine
 from repro.testing.proxy import HypProxy

@@ -1,0 +1,109 @@
+"""Static findings pinned to goldens, field for field.
+
+The lock-discipline, ownership and refinement passes share one path
+interpreter; these goldens pin what they report on the tree, on the
+lock fixtures, and with each synthetic bug flag assumed, so a change to
+the interpreter cannot shift a finding's rule, message, line or column
+unnoticed. Paths are stored relative to the checkout.
+
+After an intended change, regenerate with
+``PYTHONPATH=src python tests/unit/test_analysis_goldens.py``.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+from pathlib import Path
+
+import pytest
+
+from repro.analysis.cli import main
+from repro.analysis.lockorder import check_lock_discipline
+from repro.analysis.ownership import check_ownership
+from repro.analysis.refinement import check_refinement
+from repro.pkvm.bugs import Bugs
+
+ROOT = Path(__file__).resolve().parents[2]
+FIXTURES = ROOT / "tests" / "fixtures" / "analysis"
+GOLDENS = FIXTURES / "static_goldens.json"
+
+LOCK_TARGETS = {
+    "tree": None,
+    "bad_locking.py": FIXTURES / "bad_locking.py",
+    "bad_locking_recursive.py": FIXTURES / "bad_locking_recursive.py",
+}
+
+
+def _relative(row: dict) -> dict:
+    if row["file"].startswith("/"):
+        row = row | {"file": Path(row["file"]).relative_to(ROOT).as_posix()}
+    return row
+
+
+def _rows(findings) -> list[dict]:
+    return [_relative(finding.to_dict()) for finding in findings]
+
+
+def _assumptions() -> dict[str, frozenset]:
+    return {"<clean>": frozenset()} | {
+        bug: frozenset({bug}) for bug in Bugs.synthetic_bug_names()
+    }
+
+
+def _cli_json_findings() -> list[dict]:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        main(["--json", "--frame-dynamic", "off"])
+    return [_relative(row) for row in json.loads(out.getvalue())["findings"]]
+
+
+def capture() -> dict:
+    return {
+        "lock-discipline": {
+            name: _rows(check_lock_discipline(target))
+            for name, target in LOCK_TARGETS.items()
+        },
+        "ownership": {
+            name: _rows(check_ownership(assume_bugs=assume))
+            for name, assume in _assumptions().items()
+        },
+        "refinement": {
+            name: _rows(check_refinement(assume_bugs=assume))
+            for name, assume in _assumptions().items()
+        },
+        "cli-json": _cli_json_findings(),
+    }
+
+
+@pytest.fixture(scope="module")
+def goldens() -> dict:
+    return json.loads(GOLDENS.read_text())
+
+
+@pytest.mark.parametrize("target", sorted(LOCK_TARGETS))
+def test_lock_discipline_matches_golden(goldens, target):
+    got = _rows(check_lock_discipline(LOCK_TARGETS[target]))
+    assert got == goldens["lock-discipline"][target]
+    assert all(row["column"] == 0 for row in got)
+
+
+@pytest.mark.parametrize("assumed", sorted(_assumptions()))
+def test_ownership_matches_golden(goldens, assumed):
+    got = _rows(check_ownership(assume_bugs=_assumptions()[assumed]))
+    assert got == goldens["ownership"][assumed]
+
+
+@pytest.mark.parametrize("assumed", sorted(_assumptions()))
+def test_refinement_matches_golden(goldens, assumed):
+    got = _rows(check_refinement(assume_bugs=_assumptions()[assumed]))
+    assert got == goldens["refinement"][assumed]
+
+
+def test_cli_json_findings_match_golden(goldens):
+    assert _cli_json_findings() == goldens["cli-json"]
+
+
+if __name__ == "__main__":
+    GOLDENS.write_text(json.dumps(capture(), indent=1) + "\n")

@@ -4,12 +4,9 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis.lockorder import (
-    LOCK_ORDER,
-    check_file,
-    check_lock_discipline,
-    pkvm_root,
-)
+from repro.analysis.astutil import pkvm_root
+from repro.analysis.lockorder import check_file, check_lock_discipline
+from repro.analysis.symexec import LOCK_ORDER
 
 FIXTURES = Path(__file__).parent.parent / "fixtures" / "analysis"
 
@@ -62,3 +59,25 @@ class TestOnBadFixture:
     def test_messages_name_the_lock(self, findings):
         for f in findings:
             assert any(lock in f.message for lock in LOCK_ORDER), f.message
+
+
+class TestOnGateFixture:
+    """Rules the lock pass applies on the shared interpreter although the
+    ownership and refinement passes do not: they prune bug-gate arms by
+    the assumed flags and treat ``raise`` as a panic that asserts
+    nothing."""
+
+    @pytest.fixture(scope="class")
+    def findings(self):
+        return check_file(FIXTURES / "bad_locking_gates.py")
+
+    def test_bug_gated_return_holding_is_flagged(self, findings):
+        gated = [f for f in findings if f.function == "bug_gate_returns_holding"]
+        assert [f.rule for f in gated] == ["early-return-holding"]
+        assert "host_mmu" in gated[0].message
+
+    def test_raise_holding_is_flagged_unless_a_finally_releases(self, findings):
+        assert {(f.function, f.rule) for f in findings} == {
+            ("bug_gate_returns_holding", "early-return-holding"),
+            ("raise_in_try_skips_release", "raise-holding"),
+        }

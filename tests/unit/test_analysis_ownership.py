@@ -5,11 +5,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis.ownership import (
-    check_ownership,
-    parse_ownership_edges,
-    resolve_condition,
-)
+from repro.analysis.ownership import check_ownership, parse_ownership_edges
+from repro.analysis.symexec import LOCK_ORDER, resolve_condition
 
 FIXTURES = Path(__file__).parent.parent / "fixtures" / "analysis"
 
@@ -310,15 +307,12 @@ class TestManifestParsing:
         assert rule.tables == {"host_mmu"}
 
     def test_real_manifest_parses_clean(self):
-        from repro.analysis.astutil import load_module_ast
-        from repro.analysis.purity import spec_module_path
+        from repro.analysis.astutil import load_module_ast, spec_module_path
 
         module = load_module_ast(spec_module_path())
         rules, findings = parse_ownership_edges(module.tree, module.path)
         assert findings == []
         assert "do_share_hyp" in rules and "do_donate_guest" in rules
         # every declared lock is one the lock model knows about
-        from repro.analysis.lockorder import LOCK_ORDER
-
         for rule in rules.values():
             assert set(rule.locks) <= set(LOCK_ORDER)

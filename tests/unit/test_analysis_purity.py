@@ -4,7 +4,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis.purity import check_spec_purity, spec_module_path
+from repro.analysis.astutil import spec_module_path
+from repro.analysis.purity import check_spec_purity
 
 FIXTURES = Path(__file__).parent.parent / "fixtures" / "analysis"
 

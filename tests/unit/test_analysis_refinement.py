@@ -66,16 +66,16 @@ class TestOnRealTree:
 class TestBugCoverageMatrix:
     def test_every_registry_bug_is_covered_or_documented(self):
         """Every synthetic bug is flagged by at least one static pass
-        (ownership or refinement, flag assumed on) or sits in the
-        explicit DYNAMIC_ONLY set with a written reason — adding a
+        (ownership or refinement, flag assumed on) or has a written
+        dynamic-only reason in the differential matrix — adding a
         synth_* flag forces a coverage stance."""
-        from repro.analysis.differential import DYNAMIC_ONLY
+        from repro.analysis.differential import MATRIX
         from repro.analysis.ownership import check_ownership
         from repro.pkvm.bugs import Bugs
 
         for bug in Bugs.synthetic_bug_names():
-            if bug in DYNAMIC_ONLY:
-                assert DYNAMIC_ONLY[bug].strip(), f"{bug}: reasonless"
+            if MATRIX[bug].dynamic_only:
+                assert MATRIX[bug].dynamic_only.strip(), f"{bug}: reasonless"
                 continue
             flagged = check_ownership(
                 assume_bugs={bug}
@@ -162,8 +162,7 @@ class TestManifestParsing:
         assert "no_such_spec" in msgs and "absent_handler" in msgs
 
     def test_real_manifest_parses_clean(self):
-        from repro.analysis.astutil import load_module_ast
-        from repro.analysis.purity import spec_module_path
+        from repro.analysis.astutil import load_module_ast, spec_module_path
 
         module = load_module_ast(spec_module_path())
         specs, findings = parse_refinement_specs(module.tree, module.path)
