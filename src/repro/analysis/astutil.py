@@ -140,7 +140,7 @@ def iter_functions(tree: ast.Module):
 #: enforcement and frame's write-footprint inference).
 MUTATING_METHODS = frozenset(
     {
-        "insert", "remove", "remove_if_present", "append", "extend",
+        "insert", "remove", "remove_if_present", "splice", "append", "extend",
         "add", "discard", "update", "clear", "pop", "popitem",
         "setdefault", "push", "sort", "reverse", "write", "writelines",
     }

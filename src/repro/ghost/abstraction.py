@@ -26,7 +26,7 @@ from repro.arch.defs import (
 from repro.arch.memory import PhysicalMemory
 from repro.arch.pte import EntryKind, PageState, decode_descriptor
 from repro.arch.cpu import Cpu
-from repro.ghost.maplets import Mapping, MapletTarget
+from repro.ghost.maplets import Maplet, Mapping, MapletTarget
 from repro.obs.trace import active_tracer
 from repro.ghost.state import (
     AbstractPgtable,
@@ -170,40 +170,20 @@ def _interpret_table(
         if raw == 0:
             continue
         va = va_partial | (idx * entry_size)
-        try:
-            pte = decode_descriptor(raw, level, stage)
-        except ValueError as exc:
-            raise AbstractionError(
-                f"malformed descriptor {raw:#x} at {table_pa:#x}[{idx}] "
-                f"(level {level}, {stage.name}): {exc}"
-            ) from exc
+        pte = _decode(raw, table_pa, idx, level, stage)
         if pte.kind is EntryKind.TABLE:
             children[idx] = pte.oa
             child_maplets, child_phys = _interpret_table(
                 mem, pte.oa, level + 1, va, stage, memo, path, dirty_cache
             )
-            dup = phys & child_phys
-            if dup:
-                raise AbstractionError(
-                    f"table page {sorted(dup)[0]:#x} reached twice"
-                )
-            phys |= child_phys
+            _add_footprint(phys, child_phys)
             for m in child_maplets:
                 segment.extend_coalesce(m.va, m.nr_pages, m.target)
-        elif pte.kind is EntryKind.INVALID_ANNOTATED:
+            continue
+        target = _leaf_target(pte)
+        if target is not None:
             # the traversal is in ascending VA order: O(1) extension
-            segment.extend_coalesce(
-                va, nr_pages, MapletTarget.annotated(pte.owner_id)
-            )
-        elif pte.kind.is_leaf:
-            segment.extend_coalesce(
-                va,
-                nr_pages,
-                MapletTarget.mapped(
-                    pte.oa, pte.perms, pte.memtype, pte.page_state
-                ),
-            )
-        # plain invalid entries contribute nothing
+            segment.extend_coalesce(va, nr_pages, target)
     path.discard(table_pa)
     result = (tuple(segment), frozenset(phys))
     if memo is not None:
@@ -216,6 +196,33 @@ def _interpret_table(
             mem.epoch,
         )
     return result
+
+
+def _decode(raw: int, table_pa: int, idx: int, level: int, stage: Stage):
+    try:
+        return decode_descriptor(raw, level, stage)
+    except ValueError as exc:
+        raise AbstractionError(
+            f"malformed descriptor {raw:#x} at {table_pa:#x}[{idx}] "
+            f"(level {level}, {stage.name}): {exc}"
+        ) from exc
+
+
+def _leaf_target(pte) -> MapletTarget | None:
+    """What a non-table entry contributes: an owner annotation, a mapped
+    leaf, or nothing (a plain invalid entry)."""
+    if pte.kind is EntryKind.INVALID_ANNOTATED:
+        return MapletTarget.annotated(pte.owner_id)
+    if pte.kind.is_leaf:
+        return MapletTarget.mapped(pte.oa, pte.perms, pte.memtype, pte.page_state)
+    return None
+
+
+def _add_footprint(phys: set[int], child_phys: frozenset[int]) -> None:
+    dup = phys & child_phys
+    if dup:
+        raise AbstractionError(f"table page {sorted(dup)[0]:#x} reached twice")
+    phys.update(child_phys)
 
 
 def _rescan_table(
@@ -233,10 +240,11 @@ def _rescan_table(
 
     Entries whose raw word is unchanged keep their old contribution to
     the segment (recursing only into child subtrees the journal marks
-    dirty); changed entries have their old input-address span retired and
-    the new descriptor spliced in. Cost is O(changed entries), not
-    O(512), in the common case where the page itself is untouched and
-    only a descendant moved.
+    dirty). A changed entry, or a dirty child, has its input-address
+    span replaced by one :meth:`Mapping.splice`: O(log n + k) for a
+    segment of n maplets and a run of k. So in the common case, where
+    the page itself is untouched and only a descendant moved, a rescan
+    costs one splice per dirty child, not 512 decodes.
     """
     path.add(table_pa)
     entry_size = level_block_size(level)
@@ -247,83 +255,50 @@ def _rescan_table(
     children = dict(entry.children)
     phys = {table_pa}
 
+    def keep_or_splice_child(child_pa: int, va: int) -> None:
+        child_entry = memo.get((child_pa, level + 1, va))
+        if child_entry is not None and _subtree_clean(
+            mem, child_entry, dirty_cache
+        ):
+            _add_footprint(phys, child_entry.phys)
+            return
+        splice_child(child_pa, va)
+
     def splice_child(child_pa: int, va: int) -> None:
         child_maplets, child_phys = _interpret_table(
             mem, child_pa, level + 1, va, stage, memo, path, dirty_cache
         )
-        dup = phys & child_phys
-        if dup:
-            raise AbstractionError(
-                f"table page {sorted(dup)[0]:#x} reached twice"
-            )
-        phys.update(child_phys)
-        seg.remove_if_present(va, nr_pages)
-        for m in child_maplets:
-            seg.insert(m.va, m.nr_pages, m.target)
+        _add_footprint(phys, child_phys)
+        seg.splice(va, va + entry_size, child_maplets)
 
     if words == old_words:
         # The page itself is untouched: only descendants can have moved.
         for idx, child_pa in entry.children.items():
-            va = va_partial | (idx * entry_size)
-            child_entry = memo.get((child_pa, level + 1, va))
-            if child_entry is not None and _subtree_clean(
-                mem, child_entry, dirty_cache
-            ):
-                dup = phys & child_entry.phys
-                if dup:
-                    raise AbstractionError(
-                        f"table page {sorted(dup)[0]:#x} reached twice"
-                    )
-                phys.update(child_entry.phys)
-                continue
-            splice_child(child_pa, va)
+            keep_or_splice_child(child_pa, va_partial | (idx * entry_size))
     else:
         for idx in range(512):
             raw = words[idx]
             va = va_partial | (idx * entry_size)
             if raw == old_words[idx]:
                 child_pa = children.get(idx)
-                if child_pa is None:
-                    continue  # unchanged leaf/invalid: contribution kept
-                child_entry = memo.get((child_pa, level + 1, va))
-                if child_entry is not None and _subtree_clean(
-                    mem, child_entry, dirty_cache
-                ):
-                    dup = phys & child_entry.phys
-                    if dup:
-                        raise AbstractionError(
-                            f"table page {sorted(dup)[0]:#x} reached twice"
-                        )
-                    phys.update(child_entry.phys)
-                    continue
-                splice_child(child_pa, va)
+                if child_pa is not None:
+                    keep_or_splice_child(child_pa, va)
+                # else: unchanged leaf/invalid, contribution kept
                 continue
-            # The word changed: retire the old contribution of this
-            # entry's whole input-address span, then decode anew.
-            seg.remove_if_present(va, nr_pages)
+            # The word changed: replace the old contribution of this
+            # entry's whole input-address span with the new descriptor's.
             children.pop(idx, None)
-            if raw == 0:
-                continue
-            try:
-                pte = decode_descriptor(raw, level, stage)
-            except ValueError as exc:
-                raise AbstractionError(
-                    f"malformed descriptor {raw:#x} at {table_pa:#x}[{idx}] "
-                    f"(level {level}, {stage.name}): {exc}"
-                ) from exc
-            if pte.kind is EntryKind.TABLE:
-                children[idx] = pte.oa
-                splice_child(pte.oa, va)
-            elif pte.kind is EntryKind.INVALID_ANNOTATED:
-                seg.insert(va, nr_pages, MapletTarget.annotated(pte.owner_id))
-            elif pte.kind.is_leaf:
-                seg.insert(
-                    va,
-                    nr_pages,
-                    MapletTarget.mapped(
-                        pte.oa, pte.perms, pte.memtype, pte.page_state
-                    ),
-                )
+            run: tuple = ()
+            if raw:
+                pte = _decode(raw, table_pa, idx, level, stage)
+                if pte.kind is EntryKind.TABLE:
+                    children[idx] = pte.oa
+                    splice_child(pte.oa, va)
+                    continue
+                target = _leaf_target(pte)
+                if target is not None:
+                    run = (Maplet(va, nr_pages, target),)
+            seg.splice(va, va + entry_size, run)
     path.discard(table_pa)
     # Update the entry in place only once the whole subtree succeeded: an
     # AbstractionError above leaves the old (still self-consistent)
@@ -383,10 +358,11 @@ def record_abstraction_host(
 
 
 def record_abstraction_vm_pgt(
-    mem: PhysicalMemory, vm, *, memo: dict | None = None
+    mem: PhysicalMemory, pgt, *, memo: dict | None = None
 ) -> AbstractPgtable:
-    """Abstraction of one guest's stage 2 (protected by that VM's lock)."""
-    return interpret_pgtable(mem, vm.pgt.root, Stage.STAGE2, memo=memo)
+    """Abstraction of one guest's stage 2 ``pgt`` (protected by that VM's
+    lock)."""
+    return interpret_pgtable(mem, pgt.root, Stage.STAGE2, memo=memo)
 
 
 def record_abstraction_iommu(

@@ -10,8 +10,13 @@ per live mapping, plus per-recorded-state overhead.
 
 The byte costs mirror the C structures: a maplet is ~48 bytes (va, count,
 target address, attribute word, list linkage), a ghost state header ~256.
-Accounting is O(1) per operation: a running total adjusted on mapping
-normalisation and reclaimed by a GC finalizer when a mapping dies.
+Accounting is O(1) per operation and balanced: a running total adjusted
+on every mapping mutation and released by a finalizer when the mapping
+dies, plus the pre/post state headers the checker charges at handler
+entry and releases at exit. A dead machine (freed by reference counting,
+see docs/ORACLE.md) leaves nothing behind, and
+:meth:`GhostArena.restart_peak` at each boot makes the peak that
+machine's own.
 """
 
 from __future__ import annotations
@@ -33,7 +38,7 @@ class GhostArena:
         self.peak_bytes = 0
 
     def account_mapping(self, mapping) -> None:
-        """(Re-)account a mapping after construction or normalisation."""
+        """(Re-)account a mapping after construction or mutation."""
         key = id(mapping)
         new = MAPPING_HEADER_BYTES + MAPLET_BYTES * len(mapping._maplets)
         old = self._per_mapping.get(key)
@@ -53,6 +58,11 @@ class GhostArena:
 
     def release_state(self, count: int = 1) -> None:
         self._bytes = max(0, self._bytes - STATE_HEADER_BYTES * count)
+
+    def restart_peak(self) -> None:
+        """Track the peak afresh from the current footprint (a machine
+        boot: machines run one at a time, as at EL2)."""
+        self.peak_bytes = self._bytes
 
     def live_bytes(self) -> int:
         """Current footprint of all live ghost mappings and states."""

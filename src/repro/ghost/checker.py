@@ -24,6 +24,7 @@ check — the same scoping decision the paper makes.
 from __future__ import annotations
 
 import time
+import weakref
 from dataclasses import dataclass, field
 
 from repro.arch.cpu import Cpu
@@ -120,7 +121,10 @@ class GhostChecker:
         oracle_cache: bool = True,
         paranoid: bool = False,
     ):
-        self.machine = machine
+        # Weak: the machine owns its checker (``Machine.checker``,
+        # ``PKvm.ghost``), so a checked machine stays free of reference
+        # cycles and dies by reference counting, like a bare one.
+        self._machine = weakref.ref(machine)
         self.fail_fast = fail_fast
         #: The paper's host-abstraction looseness. False is an ablation:
         #: an over-fitted host abstraction that sees demand mapping.
@@ -153,6 +157,7 @@ class GhostChecker:
         )
         self._m_ghost_bytes = metrics.gauge("ghost_memory_bytes")
         self._m_ghost_peak = metrics.gauge("ghost_memory_peak_bytes")
+        arena.restart_peak()
         self.globals_ = record_globals(machine)
         #: The single shared reference copy of the ghost state used for
         #: the non-interference check (§4.4), per component.
@@ -177,6 +182,10 @@ class GhostChecker:
         #: analysis' dynamic cross-validation) can audit the observed
         #: ghost diffs without re-running the oracle.
         self.frame_hook = None
+
+    @property
+    def machine(self):
+        return self._machine()
 
     # -- legacy attribute view of the registry-backed counters ------------
 
@@ -224,7 +233,7 @@ class GhostChecker:
         self._hook(
             pkvm.vm_table.lock,
             "vms",
-            lambda: record_abstraction_vms(pkvm.vm_table),
+            lambda: record_abstraction_vms(self.machine.pkvm.vm_table),
         )
         self._hook(pkvm.iommu.iommu_lock, "iommu", self._record_iommu)
         # Baseline for non-interference, as if each lock had been released.
@@ -263,12 +272,12 @@ class GhostChecker:
 
         return self.cache.record("pkvm", mp.pkvm_pgd.root, compute)
 
-    def _record_vm_pgt(self, vm):
+    def _record_vm_pgt(self, handle: int, pgt):
         def compute(memo):
-            pgt = record_abstraction_vm_pgt(self.machine.mem, vm, memo=memo)
-            return pgt, pgt.footprint
+            abstract = record_abstraction_vm_pgt(self.machine.mem, pgt, memo=memo)
+            return abstract, abstract.footprint
 
-        return self.cache.record(vm_pgt_key(vm.handle), vm.pgt.root, compute)
+        return self.cache.record(vm_pgt_key(handle), pgt.root, compute)
 
     def _record_iommu(self):
         # The refcounts and device sets are live Python objects (always
@@ -306,8 +315,11 @@ class GhostChecker:
     def on_vm_created(self, vm) -> None:
         """Called (under the vm_table lock) when a VM is inserted: hook its
         stage 2 lock and commit its (empty) baseline abstraction."""
-        key = vm_pgt_key(vm.handle)
-        recorder = lambda: self._record_vm_pgt(vm)  # noqa: E731
+        handle, pgt = vm.handle, vm.pgt
+        key = vm_pgt_key(handle)
+        # The recorder hangs off ``vm.lock``: capturing ``vm`` itself
+        # would make a cycle through the lock's hook list.
+        recorder = lambda: self._record_vm_pgt(handle, pgt)  # noqa: E731
         self._hook(vm.lock, key, recorder)
         snapshot = recorder()
         self.committed[key] = snapshot

@@ -14,8 +14,10 @@ host's stage 2 and both matter to the specification.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
-from typing import Iterator
+from operator import attrgetter
+from typing import Iterator, Sequence
 
 from repro.arch.defs import PAGE_SIZE, MemType, Perms
 from repro.arch.pte import PageState
@@ -103,9 +105,11 @@ class Mapping:
     """An ordered list of disjoint, maximally coalesced maplets.
 
     Supports the finite-map operations the specifications use: empty,
-    insert, remove, lookup, union-compatibility, equality, diff. All
-    operations preserve the normal form (sorted, disjoint, coalesced),
-    which the property-based tests pin down as the class invariant.
+    insert, remove, lookup, union-compatibility, equality, diff. Every
+    mutation but the traversal's in-order ``extend_coalesce`` is one
+    :meth:`splice`. All operations preserve the normal form (sorted,
+    disjoint, coalesced), which the property-based tests pin down as the
+    class invariant.
     """
 
     __slots__ = ("_maplets", "_hash", "_frozen", "_shared", "__weakref__")
@@ -224,14 +228,7 @@ class Mapping:
         cross-component invariant checks use instead of per-page lookups.
         """
         end = va + nr_pages * PAGE_SIZE
-        lo, hi = 0, len(self._maplets)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self._maplets[mid].end <= va:
-                lo = mid + 1
-            else:
-                hi = mid
-        for maplet in self._maplets[lo:]:
+        for maplet in self._maplets[self._first_ending_after(va):]:
             if maplet.va >= end:
                 break
             run_start = max(va, maplet.va)
@@ -243,17 +240,18 @@ class Mapping:
             )
 
     def _find(self, va: int) -> int | None:
-        lo, hi = 0, len(self._maplets)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            m = self._maplets[mid]
-            if va < m.va:
-                hi = mid
-            elif va >= m.end:
-                lo = mid + 1
-            else:
-                return mid
+        idx = self._first_ending_after(va)
+        if idx < len(self._maplets) and self._maplets[idx].va <= va:
+            return idx
         return None
+
+    def _first_ending_after(self, va: int) -> int:
+        """Index of the first maplet whose end is above ``va``."""
+        maplets = self._maplets
+        idx = bisect_right(maplets, va, key=_START)
+        if idx and maplets[idx - 1].end > va:
+            idx -= 1
+        return idx
 
     # -- mutation -----------------------------------------------------------
 
@@ -271,18 +269,16 @@ class Mapping:
             raise MappingError(f"unaligned insert at {va:#x}")
         if nr_pages <= 0:
             raise MappingError(f"empty insert at {va:#x}")
-        self._ensure_private()
         end = va + nr_pages * PAGE_SIZE
-        if overwrite:
-            self.remove_if_present(va, nr_pages)
-        else:
-            for m in self._maplets:
-                if m.va < end and va < m.end:
-                    raise MappingError(
-                        f"insert [{va:#x}, {end:#x}) overlaps {m.describe()}"
-                    )
-        self._maplets.append(Maplet(va, nr_pages, target))
-        self._normalise()
+        if not overwrite:
+            maplets = self._maplets
+            idx = self._first_ending_after(va)
+            if idx < len(maplets) and maplets[idx].va < end:
+                raise MappingError(
+                    f"insert [{va:#x}, {end:#x}) overlaps "
+                    f"{maplets[idx].describe()}"
+                )
+        self.splice(va, end, (Maplet(va, nr_pages, target),))
 
     def extend_coalesce(self, va: int, nr_pages: int, target: MapletTarget) -> None:
         """Append an in-order run, coalescing with the last maplet.
@@ -321,46 +317,66 @@ class Mapping:
         """Remove any pages of ``[va, va+nr_pages*4K)`` that are present."""
         if va % PAGE_SIZE:
             raise MappingError(f"unaligned remove at {va:#x}")
-        self._ensure_private()
-        end = va + nr_pages * PAGE_SIZE
-        out: list[Maplet] = []
-        for m in self._maplets:
-            if m.end <= va or m.va >= end:
-                out.append(m)
-                continue
-            if m.va < va:
-                out.append(Maplet(m.va, (va - m.va) // PAGE_SIZE, m.target))
-            if m.end > end:
-                out.append(
-                    Maplet(
-                        end,
-                        (m.end - end) // PAGE_SIZE,
-                        m.target.at_offset(end - m.va),
-                    )
-                )
-        self._maplets = out
-        self._normalise()
+        self.splice(va, va + nr_pages * PAGE_SIZE, ())
 
-    def _normalise(self) -> None:
-        """Restore the normal form: sorted, disjoint, maximally coalesced."""
-        self._maplets.sort(key=lambda m: m.va)
-        out: list[Maplet] = []
-        for m in self._maplets:
-            if out:
-                prev = out[-1]
-                if m.va < prev.end:
-                    raise MappingError(
-                        f"overlap after update: {prev.describe()} / {m.describe()}"
-                    )
-                if m.va == prev.end and m.target.continues(
-                    prev.target, m.va - prev.va
-                ):
-                    out[-1] = Maplet(
-                        prev.va, prev.nr_pages + m.nr_pages, prev.target
-                    )
-                    continue
-            out.append(m)
-        self._maplets = out
+    def splice(self, va: int, end: int, maplets: Sequence[Maplet]) -> None:
+        """Replace the contents of ``[va, end)`` with ``maplets``.
+
+        The general mutation: insert and remove are splices. ``maplets``
+        must be an ascending, disjoint, coalesced run inside ``[va, end)``
+        — a traversal segment, a single new maplet, or nothing. Maplets
+        straddling either edge are split, the run is coalesced with its
+        neighbours at the two seams only, and the result is written back
+        with one slice assignment: O(log n + k) Python work for a run of
+        k maplets, plus a memmove.
+        """
+        if va % PAGE_SIZE or end % PAGE_SIZE or end < va:
+            raise MappingError(f"bad splice range [{va:#x}, {end:#x})")
+        if maplets and (maplets[0].va < va or maplets[-1].end > end):
+            raise MappingError(
+                f"splice run {maplets[0].describe()} .. "
+                f"{maplets[-1].describe()} leaves [{va:#x}, {end:#x})"
+            )
+        self._ensure_private()
+        current = self._maplets
+        lo = self._first_ending_after(va)
+        hi = bisect_left(current, end, lo, key=_START)
+        # current[lo:hi] overlap [va, end). The run's neighbours are the
+        # outer fragments of the maplets straddling an edge, else the
+        # untouched maplets on either side, pulled into the window so
+        # the seams can coalesce.
+        before = after = None
+        if lo < hi and current[hi - 1].end > end:
+            m = current[hi - 1]
+            after = Maplet(
+                end, (m.end - end) // PAGE_SIZE, m.target.at_offset(end - m.va)
+            )
+        elif hi < len(current):
+            after = current[hi]
+            hi += 1
+        if lo < hi and current[lo].va < va:
+            m = current[lo]
+            before = Maplet(m.va, (va - m.va) // PAGE_SIZE, m.target)
+        elif lo:
+            lo -= 1
+            before = current[lo]
+        run = list(maplets)
+        if before is not None:
+            if run and _joins(before, run[0]):
+                run[0] = Maplet(
+                    before.va, before.nr_pages + run[0].nr_pages, before.target
+                )
+            else:
+                run.insert(0, before)
+        if after is not None:
+            if run and _joins(run[-1], after):
+                last = run[-1]
+                run[-1] = Maplet(
+                    last.va, last.nr_pages + after.nr_pages, last.target
+                )
+            else:
+                run.append(after)
+        current[lo:hi] = run
         arena.account_mapping(self)
 
     # -- set-like operations --------------------------------------------------
@@ -380,6 +396,14 @@ class Mapping:
         removed = _page_difference(self, other)
         added = _page_difference(other, self)
         return removed, added
+
+
+_START = attrgetter("va")
+
+
+def _joins(a: Maplet, b: Maplet) -> bool:
+    """Whether ``b`` starts where ``a`` ends and continues its target."""
+    return a.end == b.va and b.target.continues(a.target, b.va - a.va)
 
 
 def _page_difference(a: Mapping, b: Mapping) -> list[Maplet]:

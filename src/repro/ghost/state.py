@@ -28,7 +28,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.ghost.arena import arena
 from repro.ghost.maplets import Mapping
 
 # Component-key helpers shared by the checker and the spec functions.
@@ -328,9 +327,6 @@ class GhostState:
     iommu: GhostIommu = field(default_factory=GhostIommu)
     globals_: GhostGlobals = field(default_factory=GhostGlobals)
     locals_: dict[int, GhostCpuLocal] = field(default_factory=dict)
-
-    def __post_init__(self):
-        arena.account_state()
 
     @staticmethod
     def blank(globals_: GhostGlobals) -> "GhostState":

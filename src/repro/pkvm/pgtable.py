@@ -609,21 +609,23 @@ def iter_leaves(pgt: KvmPgtable):
     function uses, exposed here for implementation-side bookkeeping like
     teardown reclaim.
     """
+    yield from _iter_leaves(pgt, pgt.root, START_LEVEL, 0)
 
-    def _iter(table_pa: int, level: int, base_va: int):
-        entry_size = level_block_size(level)
-        for index in range(512):
-            raw = pgt.read_slot(table_pa, index)
-            if raw == 0:
-                continue
-            va = base_va + index * entry_size
-            pte = decode_descriptor(raw, level, pgt.stage)
-            if pte.kind is EntryKind.TABLE:
-                yield from _iter(pte.oa, level + 1, va)
-            else:
-                yield va, pte
 
-    yield from _iter(pgt.root, START_LEVEL, 0)
+def _iter_leaves(pgt: KvmPgtable, table_pa: int, level: int, base_va: int):
+    # Module-level, not nested in iter_leaves: a nested recursive
+    # generator closes over itself, a reference cycle on every call.
+    entry_size = level_block_size(level)
+    for index in range(512):
+        raw = pgt.read_slot(table_pa, index)
+        if raw == 0:
+            continue
+        va = base_va + index * entry_size
+        pte = decode_descriptor(raw, level, pgt.stage)
+        if pte.kind is EntryKind.TABLE:
+            yield from _iter_leaves(pgt, pte.oa, level + 1, va)
+        else:
+            yield va, pte
 
 
 def lookup(pgt: KvmPgtable, va: int) -> DecodedPte:

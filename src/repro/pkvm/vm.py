@@ -15,6 +15,7 @@ metadata writes were complete, racing with a concurrent load.
 from __future__ import annotations
 
 import enum
+import weakref
 from dataclasses import dataclass, field
 
 from repro.arch.defs import PAGE_SIZE
@@ -79,7 +80,9 @@ class Vcpu:
     the violation of exactly that."""
 
     def __init__(self, vm: "Vm", index: int):
-        self.vm = vm
+        # Weak: the VM owns its vCPUs (``Vm.vcpus``), and a loaded vCPU's
+        # VM cannot be torn down, so the referent outlives every use.
+        self._vm = weakref.ref(vm)
         self.index = index
         self.initialized = False
         self.memcache: Memcache | None = None
@@ -90,6 +93,10 @@ class Vcpu:
         #: Program position for scripted guest execution (host.py drives).
         self.script_pos: int = 0
         self.script: list = []
+
+    @property
+    def vm(self) -> "Vm":
+        return self._vm()
 
     def finish_init(self) -> None:
         shared_access(self.location_key, write=True)

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.arch.defs import PAGE_SIZE, Perms
 from repro.arch.pte import PageState
-from repro.ghost.maplets import Mapping, MapletTarget, MappingError
+from repro.ghost.maplets import Maplet, Mapping, MapletTarget, MappingError
 
 PAGES = st.integers(min_value=0, max_value=63)
 RUNS = st.integers(min_value=1, max_value=8)
@@ -26,35 +26,65 @@ def target_for(kind: str, oa_page: int, state: PageState, owner: int):
     )
 
 
+KINDS = st.sampled_from(["mapped", "annotated"])
+#: A splice's replacement segment: (gap pages, run pages, target) pieces
+#: laid out in ascending order from the start of the spliced range.
+SEGMENTS = st.lists(
+    st.tuples(st.integers(0, 3), RUNS, KINDS, PAGES, STATES, OWNERS),
+    max_size=4,
+)
+
 ops = st.lists(
     st.tuples(
-        st.sampled_from(["insert", "remove"]),
+        st.sampled_from(["insert", "remove", "splice"]),
         PAGES,
         RUNS,
-        st.sampled_from(["mapped", "annotated"]),
+        KINDS,
         PAGES,
         STATES,
         OWNERS,
+        SEGMENTS,
     ),
     max_size=40,
 )
+
+
+def build_segment(va: int, pieces) -> tuple[Maplet, ...]:
+    """An in-order, coalesced run of maplets starting at or after ``va``,
+    built the way the abstraction traversal builds one."""
+    segment = Mapping()
+    cursor = va
+    for gap, nr, kind, oa_page, state, owner in pieces:
+        cursor += gap * PAGE_SIZE
+        segment.extend_coalesce(cursor, nr, target_for(kind, oa_page, state, owner))
+        cursor += nr * PAGE_SIZE
+    return tuple(segment)
 
 
 def apply_ops(op_list):
     """Apply to both the Mapping and a page-level model dict."""
     mapping = Mapping()
     model: dict[int, MapletTarget] = {}
-    for op, va_page, nr, kind, oa_page, state, owner in op_list:
+    for op, va_page, nr, kind, oa_page, state, owner, pieces in op_list:
         va = va_page * PAGE_SIZE
         target = target_for(kind, oa_page, state, owner)
         if op == "insert":
             mapping.insert(va, nr, target, overwrite=True)
             for i in range(nr):
                 model[va + i * PAGE_SIZE] = target.at_offset(i * PAGE_SIZE)
-        else:
+        elif op == "remove":
             mapping.remove_if_present(va, nr)
             for i in range(nr):
                 model.pop(va + i * PAGE_SIZE, None)
+        else:
+            segment = build_segment(va, pieces)
+            end = max(va + nr * PAGE_SIZE, segment[-1].end if segment else va)
+            mapping.splice(va, end, segment)
+            for page in range(va, end, PAGE_SIZE):
+                model.pop(page, None)
+            for m in segment:
+                for page in range(m.va, m.end, PAGE_SIZE):
+                    model[page] = m.target_at(page)
     return mapping, model
 
 
@@ -62,7 +92,7 @@ def apply_ops(op_list):
 @settings(max_examples=200)
 def test_mapping_agrees_with_model(op_list):
     mapping, model = apply_ops(op_list)
-    domain = {p * PAGE_SIZE for p in range(80)}
+    domain = {p * PAGE_SIZE for p in range(120)}
     for page in domain:
         assert mapping.lookup(page) == model.get(page)
     assert mapping.nr_pages() == len(model)

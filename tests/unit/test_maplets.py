@@ -4,7 +4,7 @@ import pytest
 
 from repro.arch.defs import PAGE_SIZE, MemType, Perms
 from repro.arch.pte import PageState
-from repro.ghost.maplets import Mapping, MapletTarget, MappingError
+from repro.ghost.maplets import Maplet, Mapping, MapletTarget, MappingError
 
 
 def mapped(oa, state=PageState.OWNED, perms=Perms.rwx()):
@@ -12,6 +12,7 @@ def mapped(oa, state=PageState.OWNED, perms=Perms.rwx()):
 
 
 PA = 0x4000_0000
+PB = 0x8000_0000
 
 
 class TestTargets:
@@ -148,6 +149,98 @@ class TestRemove:
         assert not m
 
 
+class TestSplice:
+    def test_straddling_maplets_keep_their_outer_fragments(self):
+        m = Mapping.empty()
+        m.insert(0x1000, 4, mapped(PA))
+        m.insert(0x6000, 4, mapped(PB))
+        m.splice(0x3000, 0x8000, (Maplet(0x4000, 1, MapletTarget.annotated(3)),))
+        assert [(x.va, x.nr_pages, x.target) for x in m] == [
+            (0x1000, 2, mapped(PA)),
+            (0x4000, 1, MapletTarget.annotated(3)),
+            (0x8000, 2, mapped(PB + 2 * PAGE_SIZE)),
+        ]
+
+    def test_run_coalesces_with_straddled_fragments_on_both_seams(self):
+        m = Mapping.singleton(0x1000, 6, mapped(PA))
+        m.splice(0x3000, 0x5000, (Maplet(0x3000, 2, mapped(PA + 0x2000)),))
+        assert list(m) == [Maplet(0x1000, 6, mapped(PA))]
+
+    def test_run_coalesces_with_untouched_neighbours_on_both_seams(self):
+        m = Mapping.empty()
+        m.insert(0x1000, 1, mapped(PA))
+        m.insert(0x4000, 1, mapped(PA + 0x3000))
+        m.splice(0x2000, 0x4000, (Maplet(0x2000, 2, mapped(PA + 0x1000)),))
+        assert list(m) == [Maplet(0x1000, 4, mapped(PA))]
+
+    def test_one_seam_coalesces_and_the_other_does_not(self):
+        m = Mapping.singleton(0x1000, 4, mapped(PA))
+        run = (
+            Maplet(0x2000, 1, mapped(PA + 0x1000)),
+            Maplet(0x3000, 1, mapped(PB)),
+        )
+        m.splice(0x2000, 0x4000, run)
+        assert list(m) == [
+            Maplet(0x1000, 2, mapped(PA)),
+            Maplet(0x3000, 1, mapped(PB)),
+            Maplet(0x4000, 1, mapped(PA + 0x3000)),
+        ]
+
+    def test_empty_splice_cuts_through_one_maplet(self):
+        m = Mapping.singleton(0x1000, 4, mapped(PA))
+        m.splice(0x2000, 0x3000, ())
+        assert list(m) == [
+            Maplet(0x1000, 1, mapped(PA)),
+            Maplet(0x3000, 2, mapped(PA + 0x2000)),
+        ]
+
+    def test_zero_width_empty_splice_leaves_the_maplet_whole(self):
+        m = Mapping.singleton(0x1000, 4, mapped(PA))
+        m.splice(0x2000, 0x2000, ())
+        assert list(m) == [Maplet(0x1000, 4, mapped(PA))]
+
+    def test_splice_replaces_many_maplets(self):
+        m = Mapping.empty()
+        for i in range(8):
+            m.insert(0x1000 + i * 0x2000, 1, MapletTarget.annotated(i + 1))
+        m.splice(0x2000, 0xE000, (Maplet(0x5000, 2, mapped(PB)),))
+        assert list(m) == [
+            Maplet(0x1000, 1, MapletTarget.annotated(1)),
+            Maplet(0x5000, 2, mapped(PB)),
+            Maplet(0xF000, 1, MapletTarget.annotated(8)),
+        ]
+
+    def test_run_outside_the_range_rejected(self):
+        m = Mapping.empty()
+        with pytest.raises(MappingError):
+            m.splice(0x2000, 0x3000, (Maplet(0x1000, 2, mapped(PA)),))
+        with pytest.raises(MappingError):
+            m.splice(0x2000, 0x3000, (Maplet(0x2000, 2, mapped(PA)),))
+        with pytest.raises(MappingError):
+            m.splice(0x2001, 0x3000, ())
+
+    def test_cost_is_independent_of_mapping_size(self, monkeypatch):
+        """Splicing a run of k maplets calls ``continues`` at most k+2
+        times however large the mapping: no scan, no re-sort."""
+        m = Mapping(
+            [Maplet(i * 0x2000, 1, MapletTarget.annotated(1)) for i in range(10_000)]
+        )
+        calls = []
+        original = MapletTarget.continues
+
+        def counting(self, earlier, offset):
+            calls.append(offset)
+            return original(self, earlier, offset)
+
+        monkeypatch.setattr(MapletTarget, "continues", counting)
+        m.insert(5_000 * 0x2000 + 0x1000, 1, mapped(PA))
+        assert len(calls) <= 3
+        calls.clear()
+        m.splice(0x1000, 0x2000, (Maplet(0x1000, 1, MapletTarget.annotated(1)),))
+        assert len(calls) <= 3
+        assert len(m) == 10_000  # coalesced with both neighbours
+
+
 class TestEqualityAndDiff:
     def test_equality_is_extensional(self):
         a = Mapping.empty()
@@ -217,6 +310,8 @@ class TestCopyOnWriteAndFreeze:
             m.remove_if_present(0x1000, 1)
         with pytest.raises(MappingError, match="frozen"):
             m.extend_coalesce(0x3000, 1, mapped(PA + 0x2000))
+        with pytest.raises(MappingError, match="frozen"):
+            m.splice(0x1000, 0x2000, ())
         assert m.lookup(0x1000) == mapped(PA)  # reads unaffected
 
     def test_copy_of_frozen_is_mutable(self):
