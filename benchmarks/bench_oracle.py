@@ -127,16 +127,17 @@ def bench_oracle_campaign_throughput(benchmark):
         tester.run(steps)
         elapsed = time.perf_counter() - start
         calls = tester.stats.hypercalls
-        return calls * 3600.0 / elapsed, machine.checker.stats()
+        return calls * 3600.0 / elapsed, machine.obs.metrics
 
     def measure():
         off, _ = campaign(False)
-        on, stats = campaign(True)
-        return off, on, stats
+        on, metrics = campaign(True)
+        return off, on, metrics
 
-    off, on, stats = benchmark.pedantic(measure, rounds=1, iterations=1)
-    hits = stats["oracle_cache_hits"]
-    misses = stats["oracle_cache_misses"]
+    off, on, metrics = benchmark.pedantic(measure, rounds=1, iterations=1)
+    hits = metrics.value("oracle_cache_hits")
+    misses = metrics.value("oracle_cache_misses")
+    sweeps_skipped = metrics.value("oracle_isolation_sweeps_skipped")
     hit_rate = hits / (hits + misses) if hits + misses else 0.0
     report(
         "E13",
@@ -145,8 +146,8 @@ def bench_oracle_campaign_throughput(benchmark):
         f"{off:,.0f} full-recompute ({on / off:.1f}x); "
         f"cache hit rate {hit_rate:.0%} "
         f"({hits} hits / {misses} misses / "
-        f"{stats['oracle_cache_invalidations']} invalidations, "
-        f"{stats['isolation_sweeps_skipped']} isolation sweeps skipped)",
+        f"{metrics.value('oracle_cache_invalidations')} invalidations, "
+        f"{sweeps_skipped} isolation sweeps skipped)",
     )
     _merge_results(
         {
@@ -154,9 +155,9 @@ def bench_oracle_campaign_throughput(benchmark):
             "campaign_hypercalls_per_hour_cache_on": round(on),
             "campaign_steps": steps,
             "oracle_cache_stats": {
-                k: v for k, v in stats.items() if k.startswith("oracle_")
+                m.name: m.value for m in metrics if m.name.startswith("oracle_cache_")
             },
-            "isolation_sweeps_skipped": stats["isolation_sweeps_skipped"],
+            "isolation_sweeps_skipped": sweeps_skipped,
         }
     )
     assert on > off

@@ -60,9 +60,10 @@ def main() -> None:
     print(f"host -> guest-owned page:      {host_can(guest_page)}")
     print(f"host -> pKVM carveout:         {host_can(machine.pkvm.carveout.base)}")
 
-    stats = machine.checker.stats()
-    print(f"\noracle: {stats['checks_passed']}/{stats['checks_run']} handler "
-          f"checks passed, {stats['violations']} violations")
+    metrics = machine.obs.metrics
+    print(f"\noracle: {metrics.value('oracle_checks_passed')}/"
+          f"{metrics.value('oracle_checks_run')} handler checks passed, "
+          f"{len(machine.checker.violations)} violations")
 
 
 if __name__ == "__main__":

@@ -103,11 +103,12 @@ def main() -> None:
     proxy = HypProxy(machine)
     nonprotected_flow(machine, proxy)
     protected_flow(machine, proxy)
-    stats = machine.checker.stats()
+    metrics = machine.obs.metrics
     print(
-        f"oracle: {stats['checks_passed']}/{stats['checks_run']} checks "
-        f"passed, {stats['violations']} violations, "
-        f"{machine.checker.isolation_checks_run} isolation sweeps"
+        f"oracle: {metrics.value('oracle_checks_passed')}/"
+        f"{metrics.value('oracle_checks_run')} checks passed, "
+        f"{len(machine.checker.violations)} violations, "
+        f"{metrics.value('oracle_isolation_checks_run')} isolation sweeps"
     )
 
 

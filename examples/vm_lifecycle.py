@@ -83,10 +83,11 @@ def main() -> None:
     assert machine.host.read64(secret_page) == 0
     print("the ex-guest page reads as zero from the host: no data leaks")
 
-    stats = machine.checker.stats()
+    metrics = machine.obs.metrics
     print(
-        f"\noracle: {stats['checks_passed']}/{stats['checks_run']} checks "
-        f"passed, {stats['violations']} violations"
+        f"\noracle: {metrics.value('oracle_checks_passed')}/"
+        f"{metrics.value('oracle_checks_run')} checks passed, "
+        f"{len(machine.checker.violations)} violations"
     )
 
 

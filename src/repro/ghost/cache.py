@@ -89,9 +89,8 @@ class AbstractionCache:
         self.obs = obs
         metrics = obs.metrics if obs is not None else MetricsRegistry()
         self.metrics = metrics
-        # All counters live in the metrics registry — the single source
-        # of truth GhostChecker.stats() reads; the attribute-style
-        # properties below are the legacy view.
+        # Every counter lives in the metrics registry and nowhere else:
+        # read one with ``cache.metrics.value("oracle_cache_hits")``.
         self._hits = metrics.counter("oracle_cache_hits")
         self._misses = metrics.counter("oracle_cache_misses")
         self._invalidations = metrics.counter("oracle_cache_invalidations")
@@ -102,32 +101,6 @@ class AbstractionCache:
         self._journal_trims = metrics.counter("oracle_cache_journal_trims")
         self._entries_gauge = metrics.gauge("oracle_cache_entries")
         self._entries: dict[str, _Entry] = {}
-
-    # Legacy attribute view of the registry-backed counters.
-
-    @property
-    def hits(self) -> int:
-        return self._hits.value
-
-    @property
-    def misses(self) -> int:
-        return self._misses.value
-
-    @property
-    def invalidations(self) -> int:
-        return self._invalidations.value
-
-    @property
-    def root_changes(self) -> int:
-        return self._root_changes.value
-
-    @property
-    def paranoid_recomputes(self) -> int:
-        return self._paranoid_recomputes.value
-
-    @property
-    def journal_trims(self) -> int:
-        return self._journal_trims.value
 
     def record(
         self,
@@ -259,26 +232,3 @@ class AbstractionCache:
             floor = self.mem.epoch
         self.mem.trim_journal(floor)
         self._journal_trims.inc()
-
-    def stats(self) -> dict[str, int | bool]:
-        """The legacy flat view of the registry-backed cache counters.
-
-        Every ``oracle_cache_*`` key is read back from the metrics
-        registry (no second tally anywhere); ``enabled``/``paranoid`` are
-        configuration echoes, not counters.
-        """
-        stats = {
-            "oracle_cache_enabled": self.enabled,
-            "oracle_cache_paranoid": self.paranoid,
-        }
-        for counter in (
-            self._hits,
-            self._misses,
-            self._invalidations,
-            self._root_changes,
-            self._paranoid_recomputes,
-            self._journal_trims,
-        ):
-            stats[counter.name] = counter.value
-        stats["oracle_cache_entries"] = len(self._entries)
-        return stats

@@ -129,8 +129,9 @@ class GhostChecker:
         #: The paper's host-abstraction looseness. False is an ablation:
         #: an over-fitted host abstraction that sees demand mapping.
         self.loose_host = loose_host
-        #: The machine's observability bundle: metrics registry (the
-        #: single source of truth behind :meth:`stats`), span tracer, and
+        #: The machine's observability bundle: metrics registry (the only
+        #: home of the oracle's counters, e.g.
+        #: ``obs.metrics.value("oracle_checks_run")``), span tracer, and
         #: flight recorder (dumped on any violation).
         self.obs: Observability = getattr(machine, "obs", None) or Observability()
         #: Incremental abstraction cache (invalidation by footprint).
@@ -164,9 +165,6 @@ class GhostChecker:
         self.committed: dict[str, object] = {}
         self._records: dict[int, GhostCallRecord] = {}
         self.violations: list[Violation] = []
-        #: Per-reason skip tally (legacy view; the registry keeps the
-        #: same numbers as ``oracle_checks_skipped{reason=...}``).
-        self.skip_reasons: dict[str, int] = {}
         #: Cross-component isolation invariant (§3.1's partition), checked
         #: at quiescent handler exits.
         self.check_isolation = True
@@ -186,32 +184,6 @@ class GhostChecker:
     @property
     def machine(self):
         return self._machine()
-
-    # -- legacy attribute view of the registry-backed counters ------------
-
-    @property
-    def checks_run(self) -> int:
-        return self._m_checks_run.value
-
-    @property
-    def checks_passed(self) -> int:
-        return self._m_checks_passed.value
-
-    @property
-    def checks_skipped(self) -> int:
-        return self._m_checks_skipped.value
-
-    @property
-    def components_skipped_multiphase(self) -> int:
-        return self._m_multiphase_skips.value
-
-    @property
-    def isolation_checks_run(self) -> int:
-        return self._m_isolation_runs.value
-
-    @property
-    def isolation_sweeps_skipped(self) -> int:
-        return self._m_isolation_skips.value
 
     # -- attachment -------------------------------------------------------
 
@@ -520,9 +492,6 @@ class GhostChecker:
             self.obs.metrics.counter(
                 "oracle_checks_skipped_by_reason", {"reason": result.note}
             ).inc()
-            self.skip_reasons[result.note] = (
-                self.skip_reasons.get(result.note, 0) + 1
-            )
             return
         if self.frame_hook is not None:
             changed = {
@@ -816,23 +785,3 @@ class GhostChecker:
             for record in self._records.values():
                 record.aborted = True
             raise SpecViolation(kind, detail)
-
-    def stats(self) -> dict[str, int | bool]:
-        """The harness-facing flat counter view.
-
-        Every number here is read from the machine's metrics registry
-        (``self.obs.metrics``) — the registry is the single source of
-        truth, this dict is a stable legacy projection of it. The
-        ``oracle_cache_*`` keys come through
-        :meth:`AbstractionCache.stats`, which reads the same registry.
-        """
-        return {
-            "checks_run": self.checks_run,
-            "checks_passed": self.checks_passed,
-            "checks_skipped": self.checks_skipped,
-            "violations": len(self.violations),
-            "multiphase_component_skips": self.components_skipped_multiphase,
-            "isolation_checks_run": self.isolation_checks_run,
-            "isolation_sweeps_skipped": self.isolation_sweeps_skipped,
-            **self.cache.stats(),
-        }

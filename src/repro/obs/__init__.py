@@ -19,12 +19,12 @@ Five zero-dependency pieces, bundled per machine by
   ``/flight``, ``/profile``, ``/campaign``, ``/healthz``).
 
 The default bundle (what ``Machine()`` builds when none is passed) keeps
-metrics live — they are single integer updates and are the source of
-truth behind ``GhostChecker.stats()`` — but puts tracing behind a
-:class:`~repro.obs.trace.NullSink`, leaves the flight recorder at
-capacity 0, and attaches no profiler or server, so the disabled paths
-cost one attribute check each (``benchmarks/bench_obs.py`` holds the
-line at no measurable overhead).
+metrics live — they are single integer updates and the only home of the
+oracle's counters (``machine.obs.metrics.value("oracle_checks_run")``)
+— but puts tracing behind a :class:`~repro.obs.trace.NullSink`, leaves
+the flight recorder at capacity 0, and attaches no profiler or server,
+so the disabled paths cost one attribute check each
+(``benchmarks/bench_obs.py`` holds the line at no measurable overhead).
 
 Observability must never leak into the pure specification:
 ``repro.analysis.purity`` forbids any ``repro.obs`` import inside
@@ -38,7 +38,7 @@ from pathlib import Path
 from repro.obs.flight import FlightRecorder
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.profile import Profile, SamplingProfiler
-from repro.obs.server import TelemetryRing, TelemetryServer
+from repro.obs.server import TelemetryServer
 from repro.obs.trace import (
     MemorySink,
     NullSink,
@@ -54,7 +54,6 @@ __all__ = [
     "MetricsRegistry",
     "Profile",
     "SamplingProfiler",
-    "TelemetryRing",
     "TelemetryServer",
     "Tracer",
     "MemorySink",

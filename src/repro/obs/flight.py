@@ -9,7 +9,9 @@ events, cheap enough to leave on for whole campaigns, that the
 :class:`~repro.ghost.checker.GhostChecker` dumps to a timestamped JSON
 artifact the moment a violation or :class:`ParanoidMismatchError` fires.
 Campaign findings attach the same snapshot, so triage starts from the
-event history without re-running the trace.
+event history without re-running the trace. It is the package's only
+bounded event ring: the campaign engine keeps its heartbeat samples
+(``/campaign``, ``telemetry.jsonl``) in one too.
 
 Disabled (capacity 0, the default) the recorder is a single ``if`` per
 event. Enabled, an event is one deque append of a small dict.
@@ -65,7 +67,9 @@ class FlightRecorder:
 
     def snapshot(self) -> list[dict]:
         """The retained events, oldest first (copies, safe to ship)."""
-        return [dict(e) for e in self._events]
+        # list() copies the deque in one C call, so a reader on the
+        # telemetry server's thread never iterates it mid-append.
+        return [dict(e) for e in list(self._events)]
 
     def clear(self) -> None:
         self._events.clear()

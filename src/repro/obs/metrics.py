@@ -5,8 +5,9 @@ handwritten-suite overhead, ~18 MB ghost memory, ~200k random
 hypercalls/hour — were, until this subsystem, one-shot benchmark
 outputs. The registry makes them *always-on measurements*: per-hypercall
 and oracle-check latency histograms, a ghost-memory footprint gauge, the
-oracle cache's hit/miss/invalidation counters (the single source of
-truth behind ``GhostChecker.stats()``), and campaign throughput gauges.
+oracle's check and cache counters (their only home: read one with
+``registry.value("oracle_cache_hits")``), and campaign throughput
+gauges.
 
 Design points:
 

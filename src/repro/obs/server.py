@@ -18,8 +18,9 @@ Endpoints (all GET):
 - ``/profile``       — collapsed-stack flamegraph text from the
   sampling profiler.
 - ``/campaign``      — JSON heartbeat: hypercalls/hour, coverage,
-  cache hit-rate, findings, per-worker liveness, and the bounded
-  time-series ring of recent samples.
+  cache hit-rate, findings, per-worker liveness, and the most recent
+  samples of the engine's heartbeat ring (a bounded
+  :class:`~repro.obs.flight.FlightRecorder`).
 
 The server is wired by *callables*, not objects: whoever stands it up
 (a machine's :class:`~repro.obs.Observability` bundle, the campaign
@@ -36,12 +37,10 @@ from __future__ import annotations
 
 import json
 import threading
-import time
-from collections import deque
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Callable
 
-__all__ = ["TelemetryServer", "TelemetryRing", "parse_hostport"]
+__all__ = ["TelemetryServer", "parse_hostport"]
 
 #: Thread name for the accept loop; tests and the CI smoke job assert
 #: no thread with this name outlives ``close()``.
@@ -59,47 +58,6 @@ def parse_hostport(spec: str) -> tuple[str, int]:
     if value < 0 or value > 65535:
         raise ValueError(f"port {value} outside 0..65535")
     return host or "127.0.0.1", value
-
-
-class TelemetryRing:
-    """A bounded time series of campaign gauge samples.
-
-    The engine's heartbeat loop appends one sample per beat (and per
-    merged batch); the ring keeps the most recent ``capacity`` so a
-    long campaign's ``/campaign`` response and ``telemetry.jsonl`` dump
-    stay bounded no matter how long the run.
-    """
-
-    def __init__(self, capacity: int = 512):
-        if capacity <= 0:
-            raise ValueError(f"capacity must be positive, got {capacity}")
-        self.capacity = capacity
-        self._samples: deque[dict] = deque(maxlen=capacity)
-        #: Samples taken over the whole run, including evicted ones.
-        self.taken = 0
-
-    def sample(self, values: dict) -> dict:
-        entry = {"ts": round(time.time(), 3), **values}
-        self._samples.append(entry)
-        self.taken += 1
-        return entry
-
-    def latest(self) -> dict | None:
-        return self._samples[-1] if self._samples else None
-
-    def to_jsonable(self) -> list[dict]:
-        return list(self._samples)
-
-    def __len__(self) -> int:
-        return len(self._samples)
-
-    def write_jsonl(self, path) -> None:
-        """One sample per line — the ``telemetry.jsonl`` artifact the
-        engine drops beside the checkpoint."""
-        with open(path, "w") as fh:
-            for entry in self._samples:
-                fh.write(json.dumps(entry, sort_keys=True))
-                fh.write("\n")
 
 
 class TelemetryServer:

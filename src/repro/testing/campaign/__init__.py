@@ -13,10 +13,7 @@ from repro.testing.campaign.engine import (
     CampaignReport,
     run_campaign,
 )
-from repro.testing.campaign.concurrency import (
-    CONCURRENCY_SCENARIOS,
-    run_concurrency_batch,
-)
+from repro.testing.campaign.concurrency import CONCURRENCY_SCENARIOS
 from repro.testing.campaign.findings import DedupIndex, RawFinding, make_finding
 from repro.testing.campaign.shrink import (
     reproduces_finding,
@@ -32,7 +29,6 @@ __all__ = [
     "CampaignReport",
     "run_campaign",
     "CONCURRENCY_SCENARIOS",
-    "run_concurrency_batch",
     "DedupIndex",
     "RawFinding",
     "make_finding",

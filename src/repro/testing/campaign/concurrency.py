@@ -25,14 +25,11 @@ Two feedback signals close the loop:
 
 from __future__ import annotations
 
-import time
-
 from repro.arch.defs import PAGE_SIZE, phys_to_pfn
 from repro.arch.exceptions import HostCrash, HypervisorPanic
 from repro.ghost.checker import SpecViolation
-from repro.obs import Observability
 from repro.pkvm.defs import HypercallId
-from repro.sim.coverage import ScheduleCoverageMap, windows_of_scheduler
+from repro.sim.coverage import windows_of_scheduler
 from repro.sim.sched import Scheduler
 from repro.testing.campaign.findings import make_finding
 from repro.testing.trace import Trace
@@ -196,52 +193,37 @@ def racy_tags_from_races(race_strings: tuple[str, ...]) -> set[str]:
 def run_concurrency_batch(
     machine_config: dict,
     task,
+    result,
+    obs,
     *,
     scenario: str = "mixed",
     pct_depth: int = 3,
-    detect_races: bool = True,
-    tracing: bool = False,
-    flight_buffer: int = 0,
-    flight_dir: str = ".",
-):
-    """Run one concurrency batch: ``task.steps`` PCT schedules of one
-    scenario. Mirrors :func:`repro.testing.campaign.worker.run_batch` —
-    same result shape, same first-finding-ends-the-batch contract — but
-    the search dimension is the schedule, not the input.
+) -> None:
+    """Concurrency mode's loop inside
+    :func:`repro.testing.campaign.worker.run_batch`: ``task.steps`` PCT
+    schedules of one scenario, filling ``result`` (a ``BatchResult``)
+    under the batch's ``obs`` bundle. Same first-finding-ends-the-batch
+    contract as random mode, but the search dimension is the schedule,
+    not the input.
 
     Schedule ``i`` is seeded ``task.seed + i``, so any finding names its
     schedule seed *and* carries the recorded decision script; replay
     needs only the script.
     """
-    # Imported here: worker.py imports this module's caller lazily to
-    # keep random-mode imports unchanged.
-    from repro.testing.campaign.worker import BatchResult
+    from repro.analysis.lockset import LocksetTracker
 
     if scenario not in CONCURRENCY_SCENARIOS:
         raise ValueError(f"unknown concurrency scenario {scenario!r}")
-    started = time.perf_counter()
-    obs = Observability(
-        tracing=tracing,
-        flight_buffer=flight_buffer,
-        flight_dir=flight_dir,
-        worker_id=task.worker_id,
-    ).install()
     build = CONCURRENCY_SCENARIOS[scenario]
     nr_cpus = machine_config.get("nr_cpus", 2)
     bug_names = tuple(machine_config.get("bug_names", ()))
-    schedule_coverage = ScheduleCoverageMap()
     racy: set[str] = set()
-    finding = None
-    schedules_run = 0
-    hypercalls = 0
     # Calibrate once per batch: the PCT step bound k and the scenario's
     # rare-tag windows, merged with the engine's racy-pair feedback.
     cal_trace = build(nr_cpus)
     cal_trace.bug_names = bug_names
     pct_steps, rare_tags = calibrate(cal_trace)
-    priority_tags = tuple(
-        sorted(set(getattr(task, "priority_tags", ())) | set(rare_tags))
-    )
+    priority_tags = tuple(sorted(set(task.priority_tags) | set(rare_tags)))
 
     for i in range(task.steps):
         sched_seed = task.seed + i
@@ -262,26 +244,21 @@ def run_concurrency_batch(
             priority_tags=priority_tags,
             obs=obs,
         )
-        tracker = None
-        if detect_races:
-            from repro.analysis.lockset import LocksetTracker
-
-            tracker = LocksetTracker().attach()
+        tracker = LocksetTracker().attach()
         error = None
         try:
             trace.replay_schedule(scheduler=scheduler, ghost=False)
         except (SpecViolation, HypervisorPanic, HostCrash) as exc:
             error = exc
         finally:
-            if tracker is not None:
-                tracker.detach()
-                racy |= racy_tags_from_races(tracker.race_strings())
-        schedules_run = i + 1
-        hypercalls += sum(1 for s in trace.steps if s[0] == "hvc")
-        schedule_coverage.add(scenario, windows_of_scheduler(scheduler))
+            tracker.detach()
+            racy |= racy_tags_from_races(tracker.race_strings())
+        result.steps_run = i + 1
+        result.hypercalls += sum(1 for s in trace.steps if s[0] == "hvc")
+        result.schedule_coverage.add(scenario, windows_of_scheduler(scheduler))
         if error is not None:
             trace.meta["schedule"] = list(scheduler.schedule_script())
-            finding = make_finding(
+            result.finding = make_finding(
                 error,
                 trace,
                 worker_id=task.worker_id,
@@ -290,33 +267,6 @@ def run_concurrency_batch(
                 step_index=i,
                 call_name=f"scenario:{scenario}",
             )
-            finding.sched_len = len(trace.meta["schedule"])
-            if obs.flight.enabled:
-                path = (
-                    obs.flight.dumps[-1]
-                    if obs.flight.dumps
-                    else obs.flight.dump(
-                        f"finding-{finding.klass}",
-                        extra={"call": finding.call_name},
-                    )
-                )
-                finding.flight = str(path)
+            result.finding.sched_len = len(trace.meta["schedule"])
             break
-
-    return BatchResult(
-        worker_id=task.worker_id,
-        batch_index=task.batch_index,
-        seed=task.seed,
-        steps_run=schedules_run,
-        steps_budgeted=task.steps,
-        hypercalls=hypercalls,
-        rejected=0,
-        finding=finding,
-        schedule_coverage=schedule_coverage,
-        racy_tags=tuple(sorted(racy)),
-        schedules_run=schedules_run,
-        seconds=time.perf_counter() - started,
-        spans=[s.to_jsonable() for s in obs.tracer.spans],
-        metrics=obs.metrics.snapshot(),
-        flight_dumps=[str(p) for p in obs.flight.dumps],
-    )
+    result.racy_tags = tuple(sorted(racy))

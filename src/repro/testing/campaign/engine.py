@@ -22,15 +22,17 @@ Two execution modes share all of that logic:
 
 from __future__ import annotations
 
+import json
 import multiprocessing
 import sys
 import threading
 import time
 from dataclasses import dataclass, field
 
+from repro.obs.flight import FlightRecorder
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.profile import Profile
-from repro.obs.server import TelemetryRing, TelemetryServer, parse_hostport
+from repro.obs.server import TelemetryServer, parse_hostport
 from repro.obs.trace import (
     Span,
     chrome_trace,
@@ -137,6 +139,19 @@ class CampaignConfig:
             "ghost": not concurrency,
             "oracle_cache": self.oracle_cache,
             "paranoid": self.paranoid,
+        }
+
+    def batch_options(self) -> dict:
+        """The keyword arguments of every ``run_batch`` call."""
+        return {
+            "coverage": self.coverage,
+            "tracing": self.tracing,
+            "flight_buffer": self.flight_buffer,
+            "flight_dir": self.flight_dir,
+            "mode": self.mode,
+            "scenario": self.scenario,
+            "pct_depth": self.pct_depth,
+            "profile_hz": self.effective_profile_hz,
         }
 
     def to_jsonable(self) -> dict:
@@ -263,10 +278,7 @@ class CampaignEngine:
         self.profile = Profile()
         #: Bounded ring of heartbeat samples behind ``/campaign`` and the
         #: ``telemetry.jsonl`` artifact.
-        self.telemetry = TelemetryRing(512)
-        #: Per-worker liveness: wall-clock of each lane's last merged
-        #: batch (pool mode: when its result drained, not when it ran).
-        self.worker_last_seen: dict[int, float] = {}
+        self.telemetry = FlightRecorder(512)
         self._server: TelemetryServer | None = None
         self._heartbeat: threading.Thread | None = None
         self._heartbeat_stop = threading.Event()
@@ -362,7 +374,6 @@ class CampaignEngine:
             self.spans.extend(Span.from_jsonable(s) for s in result.spans)
         if result.profile:
             self.profile.merge(result.profile)
-        self.worker_last_seen[result.worker_id] = time.time()
         self.flight_dumps.extend(result.flight_dumps)
         if result.finding is not None:
             self.dedup.add(result.finding)
@@ -373,7 +384,7 @@ class CampaignEngine:
         # One ring sample per merged batch (the heartbeat thread adds
         # its ~1 Hz cadence on top when the server is up), so
         # ``telemetry.jsonl`` exists even for unserved runs.
-        self.telemetry.sample(self._heartbeat_sample())
+        self._record_heartbeat()
         if self.out is not None:
             self._save(complete=False)
 
@@ -441,7 +452,7 @@ class CampaignEngine:
         numbers instead of end-of-run ones."""
         while not self._heartbeat_stop.wait(1.0):
             self._refresh_campaign_gauges()
-            self.telemetry.sample(self._heartbeat_sample())
+            self._record_heartbeat()
 
     def _process_names(self) -> dict[int, str]:
         return {
@@ -474,9 +485,23 @@ class CampaignEngine:
             "profile_samples": self.profile.total,
         }
 
+    def _record_heartbeat(self) -> None:
+        self.telemetry.record(
+            "heartbeat", ts=round(time.time(), 3), **self._heartbeat_sample()
+        )
+
     def _campaign_status(self) -> dict:
         """The ``/campaign`` heartbeat document."""
         now = time.time()
+        workers = {}
+        for w in sorted(self.next_batch_index):
+            # Set by the worker at the end of every batch it ran.
+            last = self.metrics.get("worker_last_batch_ts", {"worker": str(w)})
+            if last is not None:
+                workers[str(w)] = {
+                    "last_batch_age": round(now - last.value, 3),
+                    "batches": self.next_batch_index[w],
+                }
         return {
             "trace_id": self.trace_id,
             "config": self.config.to_jsonable(),
@@ -487,17 +512,11 @@ class CampaignEngine:
             "coverage_lines": self.coverage.line_count(),
             "coverage_windows": self.schedule_coverage.window_count(),
             "flight_dumps": len(self.flight_dumps),
-            "workers": {
-                str(w): {
-                    "last_batch_age": round(now - seen, 3),
-                    "batches": self.next_batch_index.get(w, 0),
-                }
-                for w, seen in sorted(self.worker_last_seen.items())
-            },
+            "workers": workers,
             "telemetry": {
                 "samples_kept": len(self.telemetry),
-                "samples_taken": self.telemetry.taken,
-                "recent": self.telemetry.to_jsonable()[-30:],
+                "samples_taken": self.telemetry.seq,
+                "recent": self.telemetry.snapshot()[-30:],
             },
         }
 
@@ -532,22 +551,10 @@ class CampaignEngine:
                 self.dedup.add(make_finding(exc, trace))
 
     def _run_inline(self) -> None:
+        machine_config = self.config.machine_config()
+        options = self.config.batch_options()
         while self._should_issue():
-            task = self._next_task()
-            self._absorb(
-                run_batch(
-                    self.config.machine_config(),
-                    task,
-                    coverage=self.config.coverage,
-                    tracing=self.config.tracing,
-                    flight_buffer=self.config.flight_buffer,
-                    flight_dir=self.config.flight_dir,
-                    mode=self.config.mode,
-                    scenario=self.config.scenario,
-                    pct_depth=self.config.pct_depth,
-                    profile_hz=self.config.effective_profile_hz,
-                )
-            )
+            self._absorb(run_batch(machine_config, self._next_task(), **options))
 
     def _run_pool(self) -> None:
         ctx = multiprocessing.get_context()
@@ -560,14 +567,7 @@ class CampaignEngine:
                     self.config.machine_config(),
                     task_queue,
                     result_queue,
-                    self.config.coverage,
-                    self.config.tracing,
-                    self.config.flight_buffer,
-                    self.config.flight_dir,
-                    self.config.mode,
-                    self.config.scenario,
-                    self.config.pct_depth,
-                    self.config.effective_profile_hz,
+                    self.config.batch_options(),
                 ),
                 daemon=True,
             )
@@ -693,9 +693,11 @@ class CampaignEngine:
             m.write_json(self.config.metrics_out)
         if self.config.profile_out is not None:
             self.profile.write_collapsed(self.config.profile_out)
-        if self.out is not None and self.telemetry.taken:
-            self.telemetry.sample(self._heartbeat_sample())
-            self.telemetry.write_jsonl(ckpt.telemetry_path(self.out))
+        if self.out is not None and self.telemetry.seq:
+            self._record_heartbeat()
+            with open(ckpt.telemetry_path(self.out), "w") as fh:
+                for event in self.telemetry.snapshot():
+                    fh.write(json.dumps(event, sort_keys=True) + "\n")
 
     def _save(
         self, *, complete: bool, report: CampaignReport | None = None

@@ -58,25 +58,28 @@ class BatchTask:
 
 @dataclass
 class BatchResult:
-    """What a worker ships back after one batch."""
+    """What a worker ships back after one batch.
+
+    :func:`run_batch` creates it and fills the observability fields; the
+    mode's loop fills the work fields and any finding.
+    """
 
     worker_id: int
     batch_index: int
     seed: int
-    steps_run: int
-    steps_budgeted: int
-    hypercalls: int
-    rejected: int
-    finding: RawFinding | None
+    steps_run: int = 0
+    steps_budgeted: int = 0
+    hypercalls: int = 0
+    rejected: int = 0
+    finding: RawFinding | None = None
     coverage: CoverageMap = field(default_factory=CoverageMap)
     #: Concurrency mode: merged interleaving-class windows of the
-    #: batch's schedules, racy-location yield tags from the lockset
-    #: detector, and how many schedules actually ran.
+    #: batch's schedules, and racy-location yield tags from the lockset
+    #: detector.
     schedule_coverage: ScheduleCoverageMap = field(
         default_factory=ScheduleCoverageMap
     )
     racy_tags: tuple = ()
-    schedules_run: int = 0
     seconds: float = 0.0
     #: Observability payload, shipped as plain data (picklable through
     #: the result queue) and deliberately NOT in :meth:`to_jsonable` —
@@ -131,41 +134,24 @@ def run_batch(
     ``coverage``: "functions" (cheap, the campaign default), "lines"
     (full line bitmap, ~20x slower), or "off".
 
-    ``mode="concurrency"`` dispatches to the schedule fuzzer instead:
+    ``mode="concurrency"`` runs the schedule fuzzer instead:
     ``task.steps`` PCT schedules of ``scenario`` rather than random
-    tester steps (see :mod:`repro.testing.campaign.concurrency`).
+    tester steps (see :mod:`repro.testing.campaign.concurrency`; its
+    schedules run ghost-off and without a coverage tracker).
 
     ``mode="iommu"`` is random mode under the tester's IOMMU-focused
     action profile: the DMA-domain boundary gets the bulk of the step
     budget, with enough host share/unshare traffic to exercise the
     cross-boundary error paths.
 
-    When ``tracing``/``flight_buffer`` are on, the batch runs under its
-    own :class:`Observability` bundle (pid = worker id, so a merged
-    trace renders workers as parallel tracks; every span stamped with
-    the campaign ``trace_id``) and ships spans, a metrics snapshot, and
-    any flight-dump paths back in the result.
-
-    ``profile_hz > 0`` additionally runs the sampling profiler over the
-    batch and ships its span-attributed snapshot; the engine merges
-    workers' snapshots into one fleet flamegraph.
+    Every mode runs under the batch's own :class:`Observability` bundle
+    (pid = worker id, so a merged trace renders workers as parallel
+    tracks; every span stamped with the campaign ``trace_id``) and ships
+    spans, a metrics snapshot, and any flight-dump paths back in the
+    result. ``profile_hz > 0`` additionally runs the sampling profiler
+    over the batch and ships its span-attributed snapshot; the engine
+    merges workers' snapshots into one fleet flamegraph.
     """
-    if mode == "concurrency":
-        # Imported lazily: concurrency mode pulls in the scheduler and
-        # lockset machinery that random batches never touch. (The
-        # profiler is random/iommu-mode apparatus: a PCT schedule's
-        # wall-clock is scheduler overhead, not oracle hot path.)
-        from repro.testing.campaign.concurrency import run_concurrency_batch
-
-        return run_concurrency_batch(
-            machine_config,
-            task,
-            scenario=scenario,
-            pct_depth=pct_depth,
-            tracing=tracing,
-            flight_buffer=flight_buffer,
-            flight_dir=flight_dir,
-        )
     started = time.perf_counter()
     obs = Observability(
         tracing=tracing,
@@ -175,8 +161,78 @@ def run_batch(
         profile_hz=profile_hz,
         worker_id=task.worker_id,
     ).install()
+    result = BatchResult(
+        worker_id=task.worker_id,
+        batch_index=task.batch_index,
+        seed=task.seed,
+        steps_budgeted=task.steps,
+    )
     if obs.profiler is not None:
         obs.profiler.start()
+    try:
+        if mode == "concurrency":
+            # Imported lazily: concurrency mode pulls in the scheduler and
+            # lockset machinery that random batches never touch.
+            from repro.testing.campaign.concurrency import run_concurrency_batch
+
+            run_concurrency_batch(
+                machine_config,
+                task,
+                result,
+                obs,
+                scenario=scenario,
+                pct_depth=pct_depth,
+            )
+        else:
+            _run_steps(
+                machine_config,
+                task,
+                result,
+                obs,
+                coverage=coverage,
+                profile="iommu" if mode == "iommu" else "all",
+            )
+    finally:
+        if obs.profiler is not None:
+            obs.profiler.stop()
+    finding = result.finding
+    if finding is not None and obs.flight.enabled:
+        # Spec violations were already dumped by the checker at the
+        # point of mismatch; panics and host crashes bypass the checker,
+        # so dump here.
+        path = (
+            obs.flight.dumps[-1]
+            if obs.flight.dumps
+            else obs.flight.dump(
+                f"finding-{finding.klass}", extra={"call": finding.call_name}
+            )
+        )
+        finding.flight = str(path)
+    # "last" mode: the fleet-level value is each worker's most recent
+    # heartbeat, which is what per-worker liveness means.
+    obs.metrics.gauge(
+        "worker_last_batch_ts", {"worker": str(task.worker_id)}, mode="last"
+    ).set(round(time.time(), 3))
+    result.seconds = time.perf_counter() - started
+    result.spans = [s.to_jsonable() for s in obs.tracer.spans]
+    result.metrics = obs.metrics.snapshot()
+    result.flight_dumps = [str(p) for p in obs.flight.dumps]
+    if obs.profiler is not None:
+        result.profile = obs.profiler.snapshot()
+    return result
+
+
+def _run_steps(
+    machine_config: dict,
+    task: BatchTask,
+    result: BatchResult,
+    obs: Observability,
+    *,
+    coverage: str,
+    profile: str,
+) -> None:
+    """Random mode: up to ``task.steps`` tester steps on a fresh machine,
+    stopping at the first finding."""
     machine = Machine.from_config(machine_config, obs=obs)
     trace = Trace(
         nr_cpus=machine_config.get("nr_cpus", 4),
@@ -188,23 +244,17 @@ def run_batch(
             "seed": task.seed,
         },
     )
-    tester = RandomTester(
-        machine,
-        seed=task.seed,
-        trace=trace,
-        profile="iommu" if mode == "iommu" else "all",
-    )
-    finding = None
-    steps_run = 0
+    tester = RandomTester(machine, seed=task.seed, trace=trace, profile=profile)
     tracker = _make_tracker(coverage)
     try:
         if tracker is not None:
             tracker.__enter__()
         for i in range(task.steps):
+            result.steps_run = i + 1
             try:
                 tester.step()
             except (SpecViolation, HypervisorPanic, HostCrash) as exc:
-                finding = make_finding(
+                result.finding = make_finding(
                     exc,
                     trace,
                     worker_id=task.worker_id,
@@ -212,82 +262,18 @@ def run_batch(
                     seed=task.seed,
                     step_index=i,
                 )
-                if obs.flight.enabled:
-                    # Spec violations were already dumped by the checker
-                    # at the point of mismatch; panics and host crashes
-                    # bypass the checker, so dump here.
-                    path = (
-                        obs.flight.dumps[-1]
-                        if obs.flight.dumps
-                        else obs.flight.dump(
-                            f"finding-{finding.klass}",
-                            extra={"call": finding.call_name},
-                        )
-                    )
-                    finding.flight = str(path)
-                steps_run = i + 1
                 break
-            steps_run = i + 1
     finally:
         if tracker is not None:
             tracker.__exit__(None, None, None)
-        if obs.profiler is not None:
-            obs.profiler.stop()
-    snapshot = tracker.snapshot() if tracker is not None else CoverageMap()
-    # "last" mode: the fleet-level value is each worker's most recent
-    # heartbeat, which is what per-worker liveness means.
-    obs.metrics.gauge(
-        "worker_last_batch_ts", {"worker": str(task.worker_id)}, mode="last"
-    ).set(round(time.time(), 3))
-    return BatchResult(
-        worker_id=task.worker_id,
-        batch_index=task.batch_index,
-        seed=task.seed,
-        steps_run=steps_run,
-        steps_budgeted=task.steps,
-        hypercalls=tester.stats.hypercalls,
-        rejected=tester.stats.rejected_crashy,
-        finding=finding,
-        coverage=snapshot,
-        seconds=time.perf_counter() - started,
-        spans=[s.to_jsonable() for s in obs.tracer.spans],
-        metrics=obs.metrics.snapshot(),
-        flight_dumps=[str(p) for p in obs.flight.dumps],
-        profile=(
-            obs.profiler.snapshot() if obs.profiler is not None else {}
-        ),
-    )
+    if tracker is not None:
+        result.coverage = tracker.snapshot()
+    result.hypercalls = tester.stats.hypercalls
+    result.rejected = tester.stats.rejected_crashy
 
 
-def worker_main(
-    machine_config: dict,
-    task_queue,
-    result_queue,
-    coverage: str = "functions",
-    tracing: bool = False,
-    flight_buffer: int = 0,
-    flight_dir: str = ".",
-    mode: str = "random",
-    scenario: str = "mixed",
-    pct_depth: int = 3,
-    profile_hz: int = 0,
-) -> None:
-    """Process entry point: drain tasks until the None sentinel."""
-    while True:
-        task = task_queue.get()
-        if task is None:
-            return
-        result_queue.put(
-            run_batch(
-                machine_config,
-                task,
-                coverage=coverage,
-                tracing=tracing,
-                flight_buffer=flight_buffer,
-                flight_dir=flight_dir,
-                mode=mode,
-                scenario=scenario,
-                pct_depth=pct_depth,
-                profile_hz=profile_hz,
-            )
-        )
+def worker_main(machine_config: dict, task_queue, result_queue, options: dict) -> None:
+    """Process entry point: run each task as ``run_batch(machine_config,
+    task, **options)`` until the None sentinel."""
+    while (task := task_queue.get()) is not None:
+        result_queue.put(run_batch(machine_config, task, **options))

@@ -12,6 +12,7 @@ findings on a clean tree.
 
 import json
 
+from repro.obs.trace import make_trace_id
 from repro.testing.campaign.cli import main
 from repro.testing.campaign.engine import (
     CampaignConfig,
@@ -94,6 +95,24 @@ class TestRacyTagFeedback:
         assert any("hyp_s1" in tag for tag in engine.racy_tags)
         task = engine._next_task()
         assert task.priority_tags == tuple(sorted(engine.racy_tags))
+
+
+class TestObservability:
+    def test_every_merged_span_carries_the_campaign_trace_id(self, tmp_path):
+        config = _config(
+            workers=2,
+            budget=4,
+            batch_steps=2,
+            bug_names=(),
+            shrink=False,
+            trace_out=str(tmp_path / "trace.json"),
+        )
+        engine = CampaignEngine(config)
+        engine.run()
+        assert engine.spans
+        assert {s.trace_id for s in engine.spans} == {make_trace_id(config.seed)}
+        # Every batch also reports its worker's liveness.
+        assert set(engine._campaign_status()["workers"]) == {"0", "1"}
 
 
 class TestCheckpoint:

@@ -67,9 +67,8 @@ class TestVmLifecycle:
         assert proxy.vcpu_put() == 0
         assert proxy.teardown_vm(handle) == 0
         assert proxy.reclaim_all() > 0
-        stats = proxy.machine.checker.stats()
-        assert stats["violations"] == 0
-        assert stats["checks_passed"] > 10
+        assert proxy.machine.checker.violations == []
+        assert proxy.machine.obs.metrics.value("oracle_checks_passed") > 10
 
     def test_vm_metadata_in_ghost(self, proxy):
         handle = proxy.create_vm(nr_vcpus=2, protected=True)

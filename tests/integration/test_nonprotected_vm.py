@@ -95,7 +95,7 @@ class TestShareGuest:
         # host side untouched; further calls stay clean
         assert proxy.machine.checker.committed["host"].shared.lookup(page) is None
         proxy.share_page(proxy.alloc_page())
-        assert proxy.machine.checker.stats()["violations"] == 0
+        assert proxy.machine.checker.violations == []
 
 
 class TestUnshareGuest:
@@ -149,7 +149,7 @@ class TestTeardownWithOutstandingShares:
         assert proxy.machine.host.read64(lent) == 0xFEED
         # ...the donated page comes back zeroed (it was guest-owned)
         assert proxy.machine.host.read64(donated) == 0
-        assert proxy.machine.checker.stats()["violations"] == 0
+        assert proxy.machine.checker.violations == []
 
     def test_mixed_vm_fully_reclaimed(self, proxy):
         handle, _ = make_unprotected(proxy)

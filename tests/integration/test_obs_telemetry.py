@@ -73,7 +73,11 @@ class TestLiveCampaignTelemetry:
             assert status["batches"] >= 1
             assert status["hypercalls"] > 0
             assert status["trace_id"] == make_trace_id(config.seed)
-            assert status["workers"]  # per-worker liveness present
+            # Per-worker liveness, from the merged worker_last_batch_ts.
+            assert status["workers"]["0"]["last_batch_age"] >= 0
+            ring = status["telemetry"]
+            assert 1 <= ring["samples_kept"] <= ring["samples_taken"]
+            assert ring["recent"][-1]["kind"] == "heartbeat"
         finally:
             thread.join(timeout=120)
         assert box["report"].total_steps == 600
@@ -88,6 +92,13 @@ class TestLiveCampaignTelemetry:
         ]
         assert len(samples) >= box["report"].batches
         assert samples[-1]["steps"] == 600
+        fields = {
+            "ts", "elapsed", "batches", "steps", "hypercalls",
+            "hypercalls_per_hour", "coverage_functions", "cache_hit_rate",
+            "findings", "profile_samples", "seq", "ts_us", "kind",
+        }
+        assert all(set(sample) == fields for sample in samples)
+        assert len({sample["seq"] for sample in samples}) == len(samples)
 
     def test_campaign_gauges_refresh_mid_run(self):
         config = CampaignConfig(

@@ -70,6 +70,8 @@ class TestRangeShare:
         proxy.unshare_range(base + 8 * PAGE_SIZE, 8)
         proxy.unshare_range(base, 8)
         proxy.share_range(base, 4)
-        stats = proxy.machine.checker.stats()
-        assert stats["violations"] == 0
-        assert stats["checks_passed"] == stats["checks_run"]
+        metrics = proxy.machine.obs.metrics
+        assert proxy.machine.checker.violations == []
+        assert metrics.value("oracle_checks_passed") == metrics.value(
+            "oracle_checks_run"
+        )

@@ -22,9 +22,8 @@ class TestAttachment:
         assert set(machine.checker.committed) >= {"host", "pkvm", "vms"}
 
     def test_stats_initial(self, machine):
-        stats = machine.checker.stats()
-        assert stats["checks_run"] == 0
-        assert stats["violations"] == 0
+        assert machine.obs.metrics.value("oracle_checks_run") == 0
+        assert machine.checker.violations == []
 
 
 class TestCheckAccounting:
@@ -32,32 +31,30 @@ class TestCheckAccounting:
         page = machine.host.alloc_page()
         machine.host.hvc(HypercallId.HOST_SHARE_HYP, page >> 12)
         machine.host.hvc(HypercallId.HOST_UNSHARE_HYP, page >> 12)
-        stats = machine.checker.stats()
-        assert stats["checks_run"] == 2
-        assert stats["checks_passed"] == 2
+        assert machine.obs.metrics.value("oracle_checks_run") == 2
+        assert machine.obs.metrics.value("oracle_checks_passed") == 2
 
     def test_error_paths_also_checked(self, machine):
         machine.host.hvc(HypercallId.HOST_UNSHARE_HYP, 0x9999)
-        assert machine.checker.stats()["checks_passed"] == 1
+        assert machine.obs.metrics.value("oracle_checks_passed") == 1
 
     def test_mem_abort_checked(self, machine):
         machine.host.read64(machine.host.alloc_page())
-        assert machine.checker.stats()["checks_passed"] == 1
+        assert machine.obs.metrics.value("oracle_checks_passed") == 1
 
     def test_stats_project_the_metrics_registry(self, machine):
-        """PR 5: the metrics registry is the single source of truth;
-        stats() is a read-only projection of the same numbers."""
+        """The checker and its cache count into the machine's metrics
+        registry, their counters' only home."""
         page = machine.host.alloc_page()
         machine.host.hvc(HypercallId.HOST_SHARE_HYP, page >> 12)
         machine.host.hvc(HypercallId.HOST_UNSHARE_HYP, page >> 12)
-        stats = machine.checker.stats()
         reg = machine.obs.metrics
-        assert stats["checks_run"] == reg.value("oracle_checks_run") == 2
-        assert stats["checks_passed"] == reg.value("oracle_checks_passed")
-        assert stats["oracle_cache_hits"] == reg.value("oracle_cache_hits")
-        assert stats["oracle_cache_misses"] == reg.value("oracle_cache_misses")
+        assert machine.checker.cache.metrics is reg
+        assert reg.value("oracle_checks_run") == 2
+        assert reg.value("oracle_checks_passed") == 2
+        assert reg.value("oracle_cache_hits") + reg.value("oracle_cache_misses") > 0
         latency = reg.get("oracle_check_latency_us")
-        assert latency is not None and latency.count == stats["checks_run"]
+        assert latency is not None and latency.count == 2
 
 
 class TestNonInterference:
@@ -148,9 +145,12 @@ class TestViolationReporting:
         page = machine.pkvm.carveout.base - 64 * 1024 * 1024
         ret = machine.host.hvc(HypercallId.HOST_SHARE_HYP, page >> 12)
         assert ret == -ENOMEM
-        stats = machine.checker.stats()
-        assert stats["checks_skipped"] >= 1
-        assert stats["violations"] == 0
+        reg = machine.obs.metrics
+        skipped = reg.value("oracle_checks_skipped")
+        assert skipped >= 1
+        by_reason = [m for m in reg if m.name == "oracle_checks_skipped_by_reason"]
+        assert sum(m.value for m in by_reason) == skipped
+        assert machine.checker.violations == []
 
 
 class TestEffectivePre:
@@ -161,7 +161,7 @@ class TestEffectivePre:
 
         proxy = HypProxy(machine)
         proxy.create_running_guest(backed_gfns=[0x40])
-        assert machine.checker.stats()["violations"] == 0
+        assert machine.checker.violations == []
 
     def test_records_cleared_after_handler(self, machine):
         page = machine.host.alloc_page()

@@ -1,4 +1,4 @@
-"""The telemetry HTTP server and heartbeat ring, in isolation.
+"""The telemetry HTTP server, in isolation.
 
 Every test binds port 0 (kernel-assigned) so the suite is parallel-safe,
 and every server is closed before assertions about thread hygiene.
@@ -14,12 +14,7 @@ import urllib.request
 import pytest
 
 from repro.obs import Observability
-from repro.obs.server import (
-    SERVER_THREAD_NAME,
-    TelemetryRing,
-    TelemetryServer,
-    parse_hostport,
-)
+from repro.obs.server import SERVER_THREAD_NAME, TelemetryServer, parse_hostport
 
 
 def _get(url: str):
@@ -40,36 +35,6 @@ def test_parse_hostport():
 def test_parse_hostport_rejects(bad):
     with pytest.raises(ValueError):
         parse_hostport(bad)
-
-
-# -- TelemetryRing -------------------------------------------------------
-
-
-def test_ring_bounded_and_counts_evicted():
-    ring = TelemetryRing(capacity=3)
-    for i in range(5):
-        ring.sample({"i": i})
-    assert len(ring) == 3
-    assert ring.taken == 5
-    assert [s["i"] for s in ring.to_jsonable()] == [2, 3, 4]
-    assert ring.latest()["i"] == 4
-    assert all("ts" in s for s in ring.to_jsonable())
-
-
-def test_ring_rejects_nonpositive_capacity():
-    with pytest.raises(ValueError):
-        TelemetryRing(capacity=0)
-
-
-def test_ring_write_jsonl(tmp_path):
-    ring = TelemetryRing(capacity=8)
-    ring.sample({"batches": 1})
-    ring.sample({"batches": 2})
-    path = tmp_path / "telemetry.jsonl"
-    ring.write_jsonl(path)
-    lines = path.read_text().splitlines()
-    assert len(lines) == 2
-    assert json.loads(lines[1])["batches"] == 2
 
 
 # -- TelemetryServer -----------------------------------------------------

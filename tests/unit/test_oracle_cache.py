@@ -53,7 +53,8 @@ class TestHitAndInvalidation:
         first = cache.record("t", pgt.root, compute_for(pgt))
         second = cache.record("t", pgt.root, compute_for(pgt))
         assert second is first
-        assert cache.hits == 1 and cache.misses == 1
+        assert cache.metrics.value("oracle_cache_hits") == 1
+        assert cache.metrics.value("oracle_cache_misses") == 1
 
     def test_write_inside_footprint_invalidates(self, pgt):
         cache = AbstractionCache(pgt.mem)
@@ -61,7 +62,7 @@ class TestHitAndInvalidation:
         cache.record("t", pgt.root, compute_for(pgt))
         map_range(pgt, 0x2000, PAGE_SIZE, DRAM + PAGE_SIZE, RWX)
         value = cache.record("t", pgt.root, compute_for(pgt))
-        assert cache.invalidations == 1
+        assert cache.metrics.value("oracle_cache_invalidations") == 1
         assert value == fresh(pgt)
         assert value.mapping.lookup(0x2000) is not None
 
@@ -72,7 +73,8 @@ class TestHitAndInvalidation:
         pgt.mem.write64(0x4700_0000, 0xDEAD)  # nowhere near the tables
         second = cache.record("t", pgt.root, compute_for(pgt))
         assert second is first
-        assert cache.hits == 1 and cache.invalidations == 0
+        assert cache.metrics.value("oracle_cache_hits") == 1
+        assert cache.metrics.value("oracle_cache_invalidations") == 0
 
     def test_root_change_recomputes(self, pgt):
         cache = AbstractionCache(pgt.mem)
@@ -82,7 +84,7 @@ class TestHitAndInvalidation:
         )
         map_range(other, 0x1000, PAGE_SIZE, DRAM, RWX)
         value = cache.record("t", other.root, compute_for(other))
-        assert cache.root_changes == 1
+        assert cache.metrics.value("oracle_cache_root_changes") == 1
         assert value == interpret_pgtable(pgt.mem, other.root, Stage.STAGE2)
 
     def test_cached_value_is_frozen(self, pgt):
@@ -99,7 +101,7 @@ class TestHitAndInvalidation:
         second = cache.record("t", pgt.root, compute_for(pgt))
         assert first is not second
         assert first == second
-        assert cache.hits == 0
+        assert cache.metrics.value("oracle_cache_hits") == 0
 
 
 class TestIncrementalEquivalence:
@@ -183,7 +185,7 @@ class TestErrorPaths:
         map_range(pgt, 0x2000, PAGE_SIZE, DRAM + PAGE_SIZE, RWX)
         cache.record("t", pgt.root, compute_for(pgt))
         cache.record("t", pgt.root, compute_for(pgt))
-        assert cache.paranoid_recomputes == 3
+        assert cache.metrics.value("oracle_cache_paranoid_recomputes") == 3
 
 
 class TestObservability:
@@ -191,11 +193,9 @@ class TestObservability:
         cache = AbstractionCache(pgt.mem)
         cache.record("t", pgt.root, compute_for(pgt))
         cache.record("t", pgt.root, compute_for(pgt))
-        stats = cache.stats()
-        assert stats["oracle_cache_enabled"] is True
-        assert stats["oracle_cache_hits"] == 1
-        assert stats["oracle_cache_misses"] == 1
-        assert stats["oracle_cache_entries"] == 1
+        assert cache.metrics.value("oracle_cache_hits") == 1
+        assert cache.metrics.value("oracle_cache_misses") == 1
+        assert cache.metrics.value("oracle_cache_entries") == 1
 
     def test_footprint_of_and_drop(self, pgt):
         cache = AbstractionCache(pgt.mem)
@@ -216,4 +216,4 @@ class TestObservability:
             pgt.mem.write64(0x4700_0000 + i * PAGE_SIZE, 1)
             value = cache.record("t", pgt.root, compute)
             assert value == fresh(pgt)
-        assert cache.journal_trims > 0
+        assert cache.metrics.value("oracle_cache_journal_trims") > 0
