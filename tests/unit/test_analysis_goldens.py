@@ -1,10 +1,12 @@
 """Static findings pinned to goldens, field for field.
 
 The lock-discipline, ownership and refinement passes share one path
-interpreter; these goldens pin what they report on the tree, on the
-lock fixtures, and with each synthetic bug flag assumed, so a change to
-the interpreter cannot shift a finding's rule, message, line or column
-unnoticed. Paths are stored relative to the checkout.
+interpreter; these goldens pin what they report on the tree, on their
+fixtures, and with each synthetic bug flag assumed, so a change to the
+interpreter cannot shift a finding's rule, message, line or column
+unnoticed. The static frame pass is pinned on the tree and its fixture,
+so a change to how manifests are read cannot move a finding anchored at
+a manifest key. Paths are stored relative to the checkout.
 
 After an intended change, regenerate with
 ``PYTHONPATH=src python tests/unit/test_analysis_goldens.py``.
@@ -20,6 +22,7 @@ from pathlib import Path
 import pytest
 
 from repro.analysis.cli import main
+from repro.analysis.frame import check_frames
 from repro.analysis.lockorder import check_lock_discipline
 from repro.analysis.ownership import check_ownership
 from repro.analysis.refinement import check_refinement
@@ -33,6 +36,20 @@ LOCK_TARGETS = {
     "tree": None,
     "bad_locking.py": FIXTURES / "bad_locking.py",
     "bad_locking_recursive.py": FIXTURES / "bad_locking_recursive.py",
+}
+
+FRAME_TARGETS = {
+    "tree": None,
+    "bad_frames_spec.py": FIXTURES / "bad_frames_spec.py",
+}
+
+#: Single-file fixtures that carry their own manifest.
+PASS_FIXTURES = {
+    "ownership:bad_ownership.py": (check_ownership, FIXTURES / "bad_ownership.py"),
+    "refinement:bad_refinement.py": (
+        check_refinement,
+        FIXTURES / "bad_refinement.py",
+    ),
 }
 
 
@@ -73,6 +90,14 @@ def capture() -> dict:
             name: _rows(check_refinement(assume_bugs=assume))
             for name, assume in _assumptions().items()
         },
+        "frame": {
+            name: _rows(check_frames(target))
+            for name, target in FRAME_TARGETS.items()
+        },
+        "fixtures": {
+            name: _rows(check(path))
+            for name, (check, path) in PASS_FIXTURES.items()
+        },
         "cli-json": _cli_json_findings(),
     }
 
@@ -99,6 +124,18 @@ def test_ownership_matches_golden(goldens, assumed):
 def test_refinement_matches_golden(goldens, assumed):
     got = _rows(check_refinement(assume_bugs=_assumptions()[assumed]))
     assert got == goldens["refinement"][assumed]
+
+
+@pytest.mark.parametrize("target", sorted(FRAME_TARGETS))
+def test_frame_matches_golden(goldens, target):
+    got = _rows(check_frames(FRAME_TARGETS[target]))
+    assert got == goldens["frame"][target]
+
+
+@pytest.mark.parametrize("fixture", sorted(PASS_FIXTURES))
+def test_fixture_matches_golden(goldens, fixture):
+    check, path = PASS_FIXTURES[fixture]
+    assert _rows(check(path)) == goldens["fixtures"][fixture]
 
 
 def test_cli_json_findings_match_golden(goldens):
