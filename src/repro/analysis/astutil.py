@@ -1,6 +1,6 @@
 """AST and source helpers shared by the static analysis passes.
 
-Two families live here so `purity` and `frame` cannot drift apart:
+Each helper has one home here, so the passes cannot drift apart:
 
 - **alias/taint resolution** — the pragmatic chain-walking rules the
   paper-style linters share: attribute/subscript chains and *method*
@@ -25,16 +25,24 @@ Two families live here so `purity` and `frame` cannot drift apart:
 - **locating what to analyse** — :func:`spec_module_path` and
   :func:`pkvm_root` find installed sources, and :func:`iter_functions`
   enumerates a module's functions at any depth.
+- **manifest literals** — :func:`read_manifest` reads a spec module's
+  literal manifest (``FRAME_MANIFESTS``, ``OWNERSHIP_EDGES``,
+  ``REFINEMENT_SPECS``, ``OOM_PERMITTED``) from its AST, with the
+  dataclass that declares the entries as the schema, and reports each
+  malformed entry as a ``manifest-parse`` finding.
 """
 
 from __future__ import annotations
 
 import ast
+import dataclasses
+import functools
 import importlib.util
 import io
 import re
 import threading
 import tokenize
+import typing
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -135,6 +143,169 @@ def iter_functions(tree: ast.Module):
 
     yield from visit(tree, None)
 
+
+# ---------------------------------------------------------------------------
+# Manifest literals
+# ---------------------------------------------------------------------------
+
+#: The literal each entry or field kind accepts, for messages.
+_KIND_WORDS = {
+    str: "a string literal",
+    frozenset: "a set, tuple or list of string literals",
+    tuple: "a set, tuple or list of string literals",
+    dict: "a dict of string literals",
+}
+
+
+def _literal(node: ast.expr | None, kind: type):
+    """``node`` read as a literal of ``kind`` (``str``, ``frozenset``,
+    ``tuple`` or ``dict``, all of strings), or None if it is not one."""
+    if kind is str:
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            return node.value
+        return None
+    if kind is dict:
+        if not isinstance(node, ast.Dict):
+            return None
+        pairs = [
+            (_literal(key, str), _literal(value, str))
+            for key, value in zip(node.keys, node.values)
+        ]
+        return None if any(None in pair for pair in pairs) else dict(pairs)
+    if not isinstance(node, (ast.Set, ast.List, ast.Tuple)):
+        return None
+    items = [_literal(elt, str) for elt in node.elts]
+    return None if None in items else kind(items)
+
+
+def read_manifest(
+    module: ParsedModule, name: str, analysis: str, schema: type
+) -> tuple[dict, dict[str, int], list[Finding]]:
+    """Read the module-level literal ``name = ...`` from ``module``'s AST.
+
+    ``schema`` is what each entry is. A dataclass reads a dict of
+    ``"key": Schema(field=literal, ...)``: the field names come from
+    :func:`dataclasses.fields`, a field without a default is required,
+    and each field's annotation (``frozenset``, ``tuple`` or ``dict``)
+    names its literal. ``str`` reads a dict of string literals.
+    ``frozenset`` reads a set, tuple or list of string literals or
+    ``Enum.MEMBER`` attributes, keyed by member name.
+
+    Returns key -> value, key -> line of the key, and one
+    ``manifest-parse`` finding of ``analysis`` at each malformed entry,
+    which is dropped. A module without the manifest gives ``{}`` and no
+    finding.
+    """
+    findings: list[Finding] = []
+
+    def bad(node: ast.AST, what: str) -> None:
+        findings.append(
+            Finding(
+                analysis=analysis,
+                rule="manifest-parse",
+                message=f"{name}: {what}",
+                file=module.path,
+                line=node.lineno,
+                column=node.col_offset + 1,
+            )
+        )
+
+    tables = [
+        node.value
+        for node in module.tree.body
+        if isinstance(node, ast.Assign)
+        and len(node.targets) == 1
+        and isinstance(node.targets[0], ast.Name)
+        and node.targets[0].id == name
+    ]
+    entries: dict = {}
+    lines: dict[str, int] = {}
+    if not tables:
+        return entries, lines, findings
+    table = tables[-1]
+    if schema is frozenset:
+        if not isinstance(table, (ast.Set, ast.Tuple, ast.List)):
+            bad(table, "must be a set, tuple or list literal")
+            return entries, lines, findings
+        for elt in table.elts:
+            member = (
+                elt.attr if isinstance(elt, ast.Attribute) else _literal(elt, str)
+            )
+            if member is None:
+                bad(elt, "members must be string literals or Enum.MEMBER names")
+            else:
+                entries[member], lines[member] = member, elt.lineno
+        return entries, lines, findings
+    shape = "str" if schema is str else f"{schema.__name__}(...)"
+    if not isinstance(table, ast.Dict):
+        bad(table, f"must be a literal dict of str -> {shape}")
+        return entries, lines, findings
+    for key_node, node in zip(table.keys, table.values):
+        key = _literal(key_node, str)
+        if key is None:
+            bad(key_node or table, "keys must be string literals")
+            continue
+        value = _read_entry(node, schema, key, bad)
+        if value is not None:
+            entries[key], lines[key] = value, key_node.lineno
+    return entries, lines, findings
+
+
+@functools.cache
+def _schema_fields(schema: type) -> dict[str, tuple[type, bool]]:
+    """Field name -> (the literal kind its annotation names, whether it is
+    required, having no default) for a dataclass schema."""
+    hints = typing.get_type_hints(schema)
+    return {
+        f.name: (
+            typing.get_origin(hints[f.name]) or hints[f.name],
+            f.default is dataclasses.MISSING
+            and f.default_factory is dataclasses.MISSING,
+        )
+        for f in dataclasses.fields(schema)
+    }
+
+
+def _read_entry(node: ast.expr, schema: type, key: str, bad):
+    """The value of entry ``key`` as a ``schema``, or None once ``bad``
+    has reported why it is not one."""
+    if schema is str:
+        value = _literal(node, str)
+        if value is None:
+            bad(node, f"{key}: value must be a string literal")
+        return value
+    if not (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == schema.__name__
+    ):
+        bad(node, f"{key}: value must be a literal {schema.__name__}(...)")
+        return None
+    fields = _schema_fields(schema)
+    values = {}
+    for kw in node.keywords:
+        if kw.arg not in fields:
+            bad(node, f"{key}: unknown {schema.__name__} field {kw.arg!r}")
+            return None
+        kind = fields[kw.arg][0]
+        values[kw.arg] = _literal(kw.value, kind)
+        if values[kw.arg] is None:
+            bad(kw.value, f"{key}: {kw.arg} must be {_KIND_WORDS[kind]}")
+            return None
+    missing = [
+        field
+        for field, (_kind, required) in fields.items()
+        if required and field not in values
+    ]
+    if missing:
+        bad(node, f"{key}: {schema.__name__} needs {'= and '.join(missing)}=")
+        return None
+    return schema(**values)
+
+
+# ---------------------------------------------------------------------------
+# Alias/taint resolution
+# ---------------------------------------------------------------------------
 
 #: Method names that mutate their receiver (shared by purity's read-only
 #: enforcement and frame's write-footprint inference).

@@ -58,8 +58,10 @@ from repro.analysis.astutil import (
     apply_pragmas,
     is_prefix,
     load_module_ast,
+    read_manifest,
 )
 from repro.analysis.report import Finding
+from repro.ghost.spec import Frame
 
 SPEC_PREFIX = "compute_post__"
 
@@ -469,94 +471,6 @@ class FootprintEngine:
 
 
 # ---------------------------------------------------------------------------
-# Manifest parsing (static: fixtures must never be imported)
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ParsedFrame:
-    reads: frozenset
-    writes: frozenset
-    line: int
-
-
-def _parse_str_set(node: ast.expr) -> set[str] | None:
-    if not isinstance(node, (ast.Set, ast.List, ast.Tuple)):
-        return None
-    out = set()
-    for elt in node.elts:
-        if not (isinstance(elt, ast.Constant) and isinstance(elt.value, str)):
-            return None
-        out.add(elt.value)
-    return out
-
-
-def parse_manifests(
-    tree: ast.Module, filename: str
-) -> tuple[dict[str, ParsedFrame], list[Finding]]:
-    findings: list[Finding] = []
-    manifests: dict[str, ParsedFrame] = {}
-
-    def bad(node: ast.AST, what: str) -> None:
-        findings.append(
-            Finding(
-                analysis="frame",
-                rule="manifest-parse",
-                message=f"FRAME_MANIFESTS: {what}",
-                file=filename,
-                line=getattr(node, "lineno", 0),
-            )
-        )
-
-    table = None
-    for node in tree.body:
-        if (
-            isinstance(node, ast.Assign)
-            and len(node.targets) == 1
-            and isinstance(node.targets[0], ast.Name)
-            and node.targets[0].id == "FRAME_MANIFESTS"
-        ):
-            table = node.value
-    if table is None:
-        return {}, findings
-    if not isinstance(table, ast.Dict):
-        bad(table, "must be a literal dict of name -> Frame(...)")
-        return {}, findings
-    for key, value in zip(table.keys, table.values):
-        if not (isinstance(key, ast.Constant) and isinstance(key.value, str)):
-            bad(key or table, "keys must be string literals")
-            continue
-        if not (
-            isinstance(value, ast.Call)
-            and isinstance(value.func, ast.Name)
-            and value.func.id == "Frame"
-        ):
-            bad(value, f"{key.value}: value must be a Frame(...) literal")
-            continue
-        reads = writes = None
-        for kw in value.keywords:
-            parsed = _parse_str_set(kw.value)
-            if parsed is None:
-                bad(kw.value, f"{key.value}: {kw.arg} must be a set of string literals")
-                break
-            if kw.arg == "reads":
-                reads = parsed
-            elif kw.arg == "writes":
-                writes = parsed
-            else:
-                bad(value, f"{key.value}: unknown Frame field {kw.arg!r}")
-                break
-        else:
-            if reads is None or writes is None:
-                bad(value, f"{key.value}: Frame needs reads= and writes=")
-                continue
-            manifests[key.value] = ParsedFrame(
-                reads=frozenset(reads), writes=frozenset(writes), line=key.lineno
-            )
-    return manifests, findings
-
-
-# ---------------------------------------------------------------------------
 # The static pass
 # ---------------------------------------------------------------------------
 
@@ -595,11 +509,12 @@ def check_frames(source_path: str | Path | None = None) -> list[Finding]:
 
 def _check_frames_one(path: Path) -> list[Finding]:
     module = load_module_ast(path)
-    source = module.source
-    tree = module.tree
     filename = module.path
-    manifests, findings = parse_manifests(tree, filename)
-    engine = FootprintEngine(tree)
+    manifests, manifest_lines, manifest_findings = read_manifest(
+        module, "FRAME_MANIFESTS", "frame", Frame
+    )
+    engine = FootprintEngine(module.tree)
+    findings: list[Finding] = []
 
     def report(rule: str, message: str, line: int, function: str) -> None:
         findings.append(
@@ -620,7 +535,7 @@ def _check_frames_one(path: Path) -> list[Finding]:
         report(
             "stale-manifest",
             f"manifest for {name!r} has no matching function",
-            manifests[name].line,
+            manifest_lines[name],
             name,
         )
     for name in sorted(spec_names):
@@ -686,10 +601,12 @@ def _check_frames_one(path: Path) -> list[Finding]:
                     "unused-declaration",
                     f"{name} declares write {declared!r} but its body "
                     "cannot write it (manifest drift)",
-                    manifest.line,
+                    manifest_lines[name],
                     name,
                 )
-    return apply_pragmas(findings, filename, source)
+    # A broken manifest is not suppressible: its findings bypass the
+    # pragmas, as in the ownership and refinement passes.
+    return manifest_findings + apply_pragmas(findings, filename, module.source)
 
 
 # ---------------------------------------------------------------------------

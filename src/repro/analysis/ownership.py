@@ -4,8 +4,9 @@ The dynamic oracle judges page-ownership transitions one trace at a time;
 this pass judges the *code*, all paths at once. It abstractly interprets
 the AST of the handlers in ``repro.pkvm.mem_protect`` / ``repro.pkvm.hyp``
 and checks every path against the declared transition system
-(:data:`repro.ghost.spec.OWNERSHIP_EDGES`, parsed from the AST and never
-imported, like the frame manifests). The path enumeration itself — env
+(:data:`repro.ghost.spec.OWNERSHIP_EDGES`, read from the AST by
+:func:`~repro.analysis.astutil.read_manifest` and never imported, like
+the frame manifests). The path enumeration itself — env
 bindings, dominating checks, write effects, held locks, outcome
 classification, bug-flag resolution via ``assume_bugs`` — lives in the
 shared :mod:`repro.analysis.symexec` interpreter (also the base of the
@@ -41,165 +42,17 @@ imprecisely.
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass
 from pathlib import Path
 
-from repro.analysis.astutil import apply_pragmas, iter_functions, load_module_ast
+from repro.analysis.astutil import (
+    apply_pragmas,
+    iter_functions,
+    load_module_ast,
+    read_manifest,
+)
 from repro.analysis.report import Finding
 from repro.analysis.symexec import PathInterp, PathState, pass_targets
-
-
-# ---------------------------------------------------------------------------
-# Manifest parsing (static: fixtures must never be imported)
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ParsedRule:
-    """One ``OwnershipRule(...)`` literal, parsed from the AST."""
-
-    checks: tuple  # ((table, state), ...)
-    success: tuple  # ((table, effect), ...)
-    rollback: tuple
-    paired: tuple  # (table, ...)
-    locks: tuple
-    line: int
-
-    def check_for(self, table: str) -> str | None:
-        return dict(self.checks).get(table)
-
-    def success_for(self, table: str) -> str | None:
-        return dict(self.success).get(table)
-
-    def rollback_for(self, table: str) -> str | None:
-        return dict(self.rollback).get(table)
-
-    @property
-    def tables(self) -> frozenset:
-        return frozenset(dict(self.success)) | frozenset(dict(self.rollback))
-
-
-def _parse_str_dict(node: ast.expr) -> tuple | None:
-    if not isinstance(node, ast.Dict):
-        return None
-    out = []
-    for key, value in zip(node.keys, node.values):
-        if not (
-            isinstance(key, ast.Constant)
-            and isinstance(key.value, str)
-            and isinstance(value, ast.Constant)
-            and isinstance(value.value, str)
-        ):
-            return None
-        out.append((key.value, value.value))
-    return tuple(out)
-
-
-def _parse_str_seq(node: ast.expr) -> tuple | None:
-    if not isinstance(node, (ast.Tuple, ast.List, ast.Set)):
-        return None
-    out = []
-    for elt in node.elts:
-        if not (isinstance(elt, ast.Constant) and isinstance(elt.value, str)):
-            return None
-        out.append(elt.value)
-    return tuple(out)
-
-
-def parse_ownership_edges(
-    tree: ast.Module, filename: str
-) -> tuple[dict[str, ParsedRule], list[Finding]]:
-    """Parse the ``OWNERSHIP_EDGES`` literal out of a module's AST."""
-    findings: list[Finding] = []
-    rules: dict[str, ParsedRule] = {}
-
-    def bad(node: ast.AST, what: str) -> None:
-        findings.append(
-            Finding(
-                analysis="ownership",
-                rule="manifest-parse",
-                message=f"OWNERSHIP_EDGES: {what}",
-                file=filename,
-                line=getattr(node, "lineno", 0),
-                column=getattr(node, "col_offset", -1) + 1,
-            )
-        )
-
-    table = None
-    for node in tree.body:
-        if (
-            isinstance(node, ast.Assign)
-            and len(node.targets) == 1
-            and isinstance(node.targets[0], ast.Name)
-            and node.targets[0].id == "OWNERSHIP_EDGES"
-        ):
-            table = node.value
-    if table is None:
-        return {}, findings
-    if not isinstance(table, ast.Dict):
-        bad(table, "must be a literal dict of op name -> OwnershipRule(...)")
-        return {}, findings
-    dict_fields = ("checks", "success", "rollback")
-    seq_fields = ("paired", "locks")
-    for key, value in zip(table.keys, table.values):
-        if not (isinstance(key, ast.Constant) and isinstance(key.value, str)):
-            bad(key or table, "keys must be string literals")
-            continue
-        if not (
-            isinstance(value, ast.Call)
-            and isinstance(value.func, ast.Name)
-            and value.func.id == "OwnershipRule"
-        ):
-            bad(value, f"{key.value}: value must be an OwnershipRule(...) literal")
-            continue
-        fields: dict = {
-            "checks": (),
-            "success": None,
-            "rollback": (),
-            "paired": (),
-            "locks": (),
-        }
-        ok = True
-        for kw in value.keywords:
-            if kw.arg in dict_fields:
-                parsed = _parse_str_dict(kw.value)
-                if parsed is None:
-                    bad(
-                        kw.value,
-                        f"{key.value}: {kw.arg} must be a literal dict of "
-                        "str -> str",
-                    )
-                    ok = False
-                    break
-            elif kw.arg in seq_fields:
-                parsed = _parse_str_seq(kw.value)
-                if parsed is None:
-                    bad(
-                        kw.value,
-                        f"{key.value}: {kw.arg} must be a literal sequence "
-                        "of str",
-                    )
-                    ok = False
-                    break
-            else:
-                bad(value, f"{key.value}: unknown OwnershipRule field {kw.arg!r}")
-                ok = False
-                break
-            fields[kw.arg] = parsed
-        if not ok:
-            continue
-        if fields["success"] is None:
-            bad(value, f"{key.value}: OwnershipRule needs success=")
-            continue
-        rules[key.value] = ParsedRule(
-            checks=fields["checks"],
-            success=fields["success"],
-            rollback=fields["rollback"],
-            paired=fields["paired"],
-            locks=fields["locks"],
-            line=key.lineno,
-        )
-    return rules, findings
+from repro.ghost.spec import OwnershipRule
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +76,7 @@ class _FnInterp(PathInterp):
         filename: str,
         fn: ast.FunctionDef,
         class_name: str | None,
-        rules: dict[str, ParsedRule],
+        rules: dict[str, OwnershipRule],
         assume: frozenset,
     ):
         super().__init__(filename, fn, class_name, assume)
@@ -280,8 +133,8 @@ class _FnInterp(PathInterp):
         assert rule is not None
         applied = [w for w in path.writes if w.happened]
         for write in applied:
-            success = rule.success_for(write.table)
-            rollback = rule.rollback_for(write.table)
+            success = rule.success.get(write.table)
+            rollback = rule.rollback.get(write.table)
             if success is None and rollback is None:
                 self._report(
                     "undeclared-transition",
@@ -305,7 +158,7 @@ class _FnInterp(PathInterp):
                     f"({outcome} path)",
                     write,
                 )
-            needed = rule.check_for(write.table)
+            needed = rule.checks.get(write.table)
             if needed is not None and (write.table, needed) not in write.checks:
                 self._report(
                     "unchecked-transition",
@@ -364,9 +217,11 @@ def check_ownership(
 def _check_ownership_files(
     files: list[Path], manifest_file: Path, assume: frozenset
 ) -> list[Finding]:
-    manifest_module = load_module_ast(manifest_file)
-    rules, findings = parse_ownership_edges(
-        manifest_module.tree, manifest_module.path
+    rules, _lines, findings = read_manifest(
+        load_module_ast(manifest_file),
+        "OWNERSHIP_EDGES",
+        "ownership",
+        OwnershipRule,
     )
     for file_path in files:
         module = load_module_ast(file_path)

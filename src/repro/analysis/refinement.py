@@ -41,7 +41,8 @@ handler's path condition is solved to a concrete hypercall
 through the dynamic ghost oracle to confirm the finding, and which
 campaigns ingest as a seed corpus.
 
-All rules honour ``# analysis: allow[rule] reason`` pragmas.
+All rules but ``manifest-parse`` honour ``# analysis: allow[rule] reason``
+pragmas: a broken manifest is not suppressible.
 """
 
 from __future__ import annotations
@@ -54,6 +55,7 @@ from repro.analysis.astutil import (
     apply_pragmas,
     iter_functions,
     load_module_ast,
+    read_manifest,
 )
 from repro.analysis.report import Finding
 from repro.analysis.symexec import (
@@ -108,77 +110,6 @@ GHOST_OF: dict[tuple[str, str], tuple[str, str, str | None]] = {
     ),
     ("iommu", "unmap"): ("iommu.domains.*.pgt.mapping", "remove", None),
 }
-
-
-# ---------------------------------------------------------------------------
-# Manifest parsing (static: the spec module is never imported)
-# ---------------------------------------------------------------------------
-
-
-def parse_refinement_specs(
-    tree: ast.Module, filename: str
-) -> tuple[dict[str, str], list[Finding]]:
-    """Parse the ``REFINEMENT_SPECS`` literal (handler -> spec fn name)."""
-    findings: list[Finding] = []
-    specs: dict[str, str] = {}
-
-    def bad(node: ast.AST, what: str) -> None:
-        findings.append(
-            Finding(
-                analysis="refinement",
-                rule="manifest-parse",
-                message=f"REFINEMENT_SPECS: {what}",
-                file=filename,
-                line=getattr(node, "lineno", 0),
-                column=getattr(node, "col_offset", -1) + 1,
-            )
-        )
-
-    table = None
-    for node in tree.body:
-        if (
-            isinstance(node, ast.Assign)
-            and len(node.targets) == 1
-            and isinstance(node.targets[0], ast.Name)
-            and node.targets[0].id == "REFINEMENT_SPECS"
-        ):
-            table = node.value
-    if table is None:
-        return {}, findings
-    if not isinstance(table, ast.Dict):
-        bad(table, "must be a literal dict of handler name -> spec fn name")
-        return {}, findings
-    for key, value in zip(table.keys, table.values):
-        if not (
-            isinstance(key, ast.Constant)
-            and isinstance(key.value, str)
-            and isinstance(value, ast.Constant)
-            and isinstance(value.value, str)
-        ):
-            bad(key or table, "keys and values must be string literals")
-            continue
-        specs[key.value] = value.value
-    return specs, findings
-
-
-def _parse_oom_permitted(tree: ast.Module) -> frozenset[str]:
-    """The HypercallId names in the spec's ``OOM_PERMITTED`` set literal."""
-    names: set[str] = set()
-    for node in tree.body:
-        if not (
-            isinstance(node, ast.Assign)
-            and len(node.targets) == 1
-            and isinstance(node.targets[0], ast.Name)
-            and node.targets[0].id == "OOM_PERMITTED"
-            and isinstance(node.value, (ast.Set, ast.Tuple, ast.List))
-        ):
-            continue
-        for elt in node.value.elts:
-            if isinstance(elt, ast.Attribute):
-                names.add(elt.attr)
-            elif isinstance(elt, ast.Constant) and isinstance(elt.value, str):
-                names.add(elt.value)
-    return frozenset(names)
 
 
 # ---------------------------------------------------------------------------
@@ -635,10 +566,14 @@ def _check_refinement_files(
     stats: dict,
 ) -> list[Finding]:
     manifest_module = load_module_ast(manifest_file)
-    specs, manifest_findings = parse_refinement_specs(
-        manifest_module.tree, manifest_module.path
+    specs, _lines, manifest_findings = read_manifest(
+        manifest_module, "REFINEMENT_SPECS", "refinement", str
     )
-    oom_names = _parse_oom_permitted(manifest_module.tree)
+    oom, _lines, oom_findings = read_manifest(
+        manifest_module, "OOM_PERMITTED", "refinement", frozenset
+    )
+    oom_names = frozenset(oom)
+    manifest_findings += oom_findings
     spec_fns = {fn.name: fn for fn, _ in iter_functions(manifest_module.tree)}
     spec_labeler = _ReturnLabeler(spec_fns, assume)
 

@@ -90,16 +90,6 @@ def merged_frame_manifests() -> dict:
     return _manifest("FRAME_MANIFESTS")
 
 
-def merged_ownership_edges() -> dict:
-    """Handler name -> OwnershipRule, across all subsystems."""
-    return _manifest("OWNERSHIP_EDGES")
-
-
-def merged_refinement_specs() -> dict:
-    """Handler name -> spec function name, across all subsystems."""
-    return _manifest("REFINEMENT_SPECS")
-
-
 def spec_for_hypercall(call_id: int):
     """The registered compute_post function for ``call_id``, or None.
 

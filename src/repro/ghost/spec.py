@@ -23,7 +23,7 @@ pre-state).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 from repro.arch.defs import PAGE_SIZE, MemType, Perms
 from repro.arch.exceptions import EsrEc
@@ -132,16 +132,16 @@ class OwnershipRule:
     - ``locks``: the ``HypSpinLock`` names that must be held around
       every one of the op's page-table writes.
 
-    Like :class:`Frame` manifests, values are pure literals: the
-    ownership analysis parses them from this module's AST without
-    importing it.
+    Only ``success`` is required. Like :class:`Frame` manifests, values
+    are pure literals: the ownership analysis reads them from this
+    module's AST without importing it, with this class as the schema.
     """
 
-    checks: dict
     success: dict
-    rollback: dict
-    paired: tuple
-    locks: tuple
+    checks: dict = field(default_factory=dict)
+    rollback: dict = field(default_factory=dict)
+    paired: tuple = ()
+    locks: tuple = ()
 
 
 # ---------------------------------------------------------------------------

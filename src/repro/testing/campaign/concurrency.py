@@ -26,12 +26,10 @@ Two feedback signals close the loop:
 from __future__ import annotations
 
 from repro.arch.defs import PAGE_SIZE, phys_to_pfn
-from repro.arch.exceptions import HostCrash, HypervisorPanic
-from repro.ghost.checker import SpecViolation
 from repro.pkvm.defs import HypercallId
 from repro.sim.coverage import windows_of_scheduler
 from repro.sim.sched import Scheduler
-from repro.testing.campaign.findings import make_finding
+from repro.testing.campaign.findings import FINDING_EXCEPTIONS, make_finding
 from repro.testing.trace import Trace
 
 #: DRAM base of the simulated machine (see ``repro.arch.memory``); the
@@ -156,7 +154,7 @@ def calibrate(trace: Trace) -> tuple[int, tuple[str, ...]]:
     scheduler = Scheduler(policy="rr")
     try:
         trace.replay_schedule(scheduler=scheduler)
-    except (SpecViolation, HypervisorPanic, HostCrash):
+    except FINDING_EXCEPTIONS:
         pass
     counts: dict[str, int] = {}
     for _tick, _name, tag in scheduler.trace:
@@ -248,7 +246,7 @@ def run_concurrency_batch(
         error = None
         try:
             trace.replay_schedule(scheduler=scheduler, ghost=False)
-        except (SpecViolation, HypervisorPanic, HostCrash) as exc:
+        except FINDING_EXCEPTIONS as exc:
             error = exc
         finally:
             tracker.detach()

@@ -534,10 +534,8 @@ class CampaignEngine:
         """
         from pathlib import Path
 
-        from repro.arch.exceptions import HostCrash, HypervisorPanic
-        from repro.ghost.checker import SpecViolation
         from repro.pkvm.bugs import Bugs
-        from repro.testing.campaign.findings import make_finding
+        from repro.testing.campaign.findings import FINDING_EXCEPTIONS, make_finding
         from repro.testing.trace import Trace
 
         bugs = Bugs(**{name: True for name in self.config.bug_names})
@@ -547,7 +545,7 @@ class CampaignEngine:
             self._corpus_traces += 1
             try:
                 trace.replay(ghost=True, bugs=bugs)
-            except (SpecViolation, HypervisorPanic, HostCrash) as exc:
+            except FINDING_EXCEPTIONS as exc:
                 self.dedup.add(make_finding(exc, trace))
 
     def _run_inline(self) -> None:

@@ -22,10 +22,10 @@ from repro.ghost.checker import SpecViolation
 from repro.pkvm.defs import HypercallId
 from repro.testing.trace import Trace
 
-#: The three exception classes a campaign treats as findings (§5: spec
-#: disagreements, hypervisor panics, and host crashes the model failed
-#: to predict).
-FINDING_CLASSES = ("SpecViolation", "HypervisorPanic", "HostCrash")
+#: The exceptions every campaign, replay and differential site treats as
+#: findings (§5: spec disagreements, hypervisor panics, and host crashes
+#: the model failed to predict); anything else propagates.
+FINDING_EXCEPTIONS = (SpecViolation, HypervisorPanic, HostCrash)
 
 _HEX = re.compile(r"0x[0-9a-fA-F]+")
 _BRACKET_INDEX = re.compile(r"\[[^\]]*\]")
@@ -34,12 +34,9 @@ _LOCK_INDEX = re.compile(r":\d+")
 
 def finding_class(exc: BaseException) -> str | None:
     """Which finding class an exception belongs to, or None."""
-    if isinstance(exc, SpecViolation):
-        return "SpecViolation"
-    if isinstance(exc, HypervisorPanic):
-        return "HypervisorPanic"
-    if isinstance(exc, HostCrash):
-        return "HostCrash"
+    for klass in FINDING_EXCEPTIONS:
+        if isinstance(exc, klass):
+            return klass.__name__
     return None
 
 

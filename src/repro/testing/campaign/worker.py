@@ -15,12 +15,10 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from repro.arch.exceptions import HostCrash, HypervisorPanic
-from repro.ghost.checker import SpecViolation
 from repro.machine import Machine
 from repro.obs import Observability
 from repro.sim.coverage import ScheduleCoverageMap
-from repro.testing.campaign.findings import RawFinding, make_finding
+from repro.testing.campaign.findings import FINDING_EXCEPTIONS, RawFinding, make_finding
 from repro.testing.coverage import (
     CoverageMap,
     CoverageTracker,
@@ -253,7 +251,7 @@ def _run_steps(
             result.steps_run = i + 1
             try:
                 tester.step()
-            except (SpecViolation, HypervisorPanic, HostCrash) as exc:
+            except FINDING_EXCEPTIONS as exc:
                 result.finding = make_finding(
                     exc,
                     trace,

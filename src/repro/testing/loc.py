@@ -168,11 +168,12 @@ def spec_vs_impl() -> dict[str, float]:
 
 
 def format_table() -> str:
+    rows = [(e.category, e.files, e.raw_lines, e.code_lines) for e in breakdown()]
+    columns = list(zip(*rows))
+    rows.append(("total", *map(sum, columns[1:])))
     lines = [f"{'category':<40} {'files':>5} {'raw':>7} {'code':>7}"]
-    for e in breakdown():
-        lines.append(
-            f"{e.category:<40} {e.files:>5} {e.raw_lines:>7} {e.code_lines:>7}"
-        )
+    for category, files, raw, code in rows:
+        lines.append(f"{category:<40} {files:>5} {raw:>7} {code:>7}")
     headline = spec_vs_impl()
     lines.append("")
     lines.append(
@@ -180,3 +181,7 @@ def format_table() -> str:
         f"(paper: 14000/11000 = 1.27)"
     )
     return "\n".join(lines)
+
+
+if __name__ == "__main__":
+    print(format_table())

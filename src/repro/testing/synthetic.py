@@ -18,12 +18,11 @@ from dataclasses import dataclass
 from typing import Callable
 
 from repro.arch.defs import PAGE_SIZE, phys_to_pfn
-from repro.arch.exceptions import HostCrash, HypervisorPanic
-from repro.ghost.checker import SpecViolation
 from repro.machine import Machine
 from repro.pkvm.bugs import Bugs
 from repro.pkvm.defs import HypercallId
 from repro.sim.sched import Scheduler, current_scheduler
+from repro.testing.campaign.findings import FINDING_EXCEPTIONS, finding_class
 from repro.testing.proxy import HypProxy
 
 
@@ -195,12 +194,11 @@ def oracle_verdict(run: Callable[[], Machine]) -> str:
     ``spec-violation:<kind>`` when the oracle raised or recorded one."""
     try:
         machine = run()
-    except SpecViolation as exc:
-        return f"spec-violation:{exc.kind}"
-    except HypervisorPanic:
-        return "hyp-panic"
-    except HostCrash:
-        return "host-crash"
+    except FINDING_EXCEPTIONS as exc:
+        klass = finding_class(exc)
+        if klass == "SpecViolation":
+            return f"spec-violation:{exc.kind}"
+        return {"HypervisorPanic": "hyp-panic", "HostCrash": "host-crash"}[klass]
     checker = machine.checker
     violations = checker.violations if checker is not None else []
     return f"spec-violation:{violations[0].kind}" if violations else "clean"

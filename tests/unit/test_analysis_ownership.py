@@ -5,8 +5,11 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis.ownership import check_ownership, parse_ownership_edges
+from repro.analysis.astutil import load_module_ast, read_manifest
+from repro.analysis.ownership import check_ownership
 from repro.analysis.symexec import LOCK_ORDER, resolve_condition
+from repro.ghost.registry import spec_module_paths
+from repro.ghost.spec import OwnershipRule
 
 FIXTURES = Path(__file__).parent.parent / "fixtures" / "analysis"
 
@@ -254,65 +257,16 @@ class TestResolveCondition:
 
 
 class TestManifestParsing:
-    def parse_src(self, src):
-        import ast
-
-        return parse_ownership_edges(ast.parse(textwrap.dedent(src)), "<m>")
-
-    def test_missing_manifest_is_empty_not_an_error(self):
-        rules, findings = self.parse_src("x = 1")
-        assert rules == {} and findings == []
-
-    def test_computed_manifest_is_rejected(self):
-        rules, findings = self.parse_src("OWNERSHIP_EDGES = build()")
-        assert rules == {}
-        assert [f.rule for f in findings] == ["manifest-parse"]
-
-    def test_non_literal_field_is_rejected(self):
-        _, findings = self.parse_src(
-            """
-            OWNERSHIP_EDGES = {
-                "op": OwnershipRule(success={"t": STATE}),
-            }
-            """
-        )
-        assert [f.rule for f in findings] == ["manifest-parse"]
-
-    def test_missing_success_is_rejected(self):
-        _, findings = self.parse_src(
-            """
-            OWNERSHIP_EDGES = {"op": OwnershipRule(checks={})}
-            """
-        )
-        assert findings and "success" in findings[0].message
-
-    def test_well_formed_rule_round_trips(self):
-        rules, findings = self.parse_src(
-            """
-            OWNERSHIP_EDGES = {
-                "op": OwnershipRule(
-                    checks={"host_mmu": "OWNED"},
-                    success={"host_mmu": "unmap"},
-                    rollback={},
-                    paired=("host_mmu",),
-                    locks=("host_mmu",),
-                ),
-            }
-            """
-        )
-        assert findings == []
-        rule = rules["op"]
-        assert rule.check_for("host_mmu") == "OWNED"
-        assert rule.success_for("host_mmu") == "unmap"
-        assert rule.tables == {"host_mmu"}
+    """The literal grammar of ``OWNERSHIP_EDGES`` is tested once for all
+    manifests, in test_analysis_manifests.py; this is what the ownership
+    pass adds on top."""
 
     def test_real_manifest_parses_clean(self):
-        from repro.analysis.astutil import load_module_ast, spec_module_path
-
-        module = load_module_ast(spec_module_path())
-        rules, findings = parse_ownership_edges(module.tree, module.path)
-        assert findings == []
-        assert "do_share_hyp" in rules and "do_donate_guest" in rules
-        # every declared lock is one the lock model knows about
-        for rule in rules.values():
-            assert set(rule.locks) <= set(LOCK_ORDER)
+        for path in spec_module_paths():
+            rules, _lines, findings = read_manifest(
+                load_module_ast(path), "OWNERSHIP_EDGES", "ownership", OwnershipRule
+            )
+            assert findings == [] and rules
+            # every declared lock is one the lock model knows about
+            for rule in rules.values():
+                assert set(rule.locks) <= set(LOCK_ORDER)

@@ -8,11 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.refinement import (
-    check_refinement,
-    concretize_findings,
-    parse_refinement_specs,
-)
+from repro.analysis.refinement import check_refinement, concretize_findings
 from repro.analysis.symexec import MAX_STATES, BitVec, symbolic_decode
 from repro.arch import pte
 from repro.arch.defs import LEAF_LEVEL, U64_MASK, MemType, Perms, Stage
@@ -118,26 +114,9 @@ class TestOnBadFixture:
 
 
 class TestManifestParsing:
-    def parse_src(self, src):
-        import ast
-
-        return parse_refinement_specs(ast.parse(textwrap.dedent(src)), "<m>")
-
-    def test_missing_manifest_is_empty_not_an_error(self):
-        specs, findings = self.parse_src("x = 1")
-        assert specs == {} and findings == []
-
-    def test_computed_manifest_is_rejected(self):
-        specs, findings = self.parse_src("REFINEMENT_SPECS = build()")
-        assert specs == {}
-        assert [f.rule for f in findings] == ["manifest-parse"]
-
-    def test_non_string_entry_is_rejected(self):
-        specs, findings = self.parse_src(
-            "REFINEMENT_SPECS = {'h': compute_post}"
-        )
-        assert specs == {}
-        assert [f.rule for f in findings] == ["manifest-parse"]
+    """The literal grammar of ``REFINEMENT_SPECS`` and ``OOM_PERMITTED``
+    is tested once for all manifests, in test_analysis_manifests.py;
+    this is what the refinement pass adds on top."""
 
     def test_unknown_spec_fn_and_handler_are_flagged(self, tmp_path):
         target = tmp_path / "mod.py"
@@ -161,13 +140,18 @@ class TestManifestParsing:
         msgs = " ".join(f.message for f in findings)
         assert "no_such_spec" in msgs and "absent_handler" in msgs
 
-    def test_real_manifest_parses_clean(self):
-        from repro.analysis.astutil import load_module_ast, spec_module_path
-
-        module = load_module_ast(spec_module_path())
-        specs, findings = parse_refinement_specs(module.tree, module.path)
-        assert findings == []
-        assert "do_share_hyp" in specs and "_finish_hcall" in specs
+    def test_a_malformed_oom_permitted_is_reported(self, tmp_path):
+        """An unreadable exemption set is the manifest's fault, not an
+        unspecified -ENOMEM path in the handler."""
+        target = tmp_path / "mod.py"
+        target.write_text(
+            "OOM_PERMITTED = frozenset({HypercallId.HOST_SHARE_HYP})\n"
+        )
+        findings = check_refinement(target)
+        assert [(f.rule, f.line, f.column) for f in findings] == [
+            ("manifest-parse", 1, 17)
+        ]
+        assert findings[0].message.startswith("OOM_PERMITTED: ")
 
 
 class TestConcretization:

@@ -46,6 +46,16 @@ def test_format_table_mentions_ratio():
     assert "spec/impl ratio" in format_table()
 
 
+def test_format_table_ends_with_the_total():
+    entries = breakdown()
+    (total,) = [row for row in format_table().splitlines() if row.startswith("total")]
+    assert total.split()[1:] == [
+        str(sum(e.files for e in entries)),
+        str(sum(e.raw_lines for e in entries)),
+        str(sum(e.code_lines for e in entries)),
+    ]
+
+
 def test_every_package_module_is_categorised():
     """Every source module in the library belongs to exactly one LoC
     category (so the size table is a partition, not a sample). Only

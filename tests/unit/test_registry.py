@@ -6,18 +6,18 @@ import importlib
 
 import pytest
 
+from repro.analysis.astutil import load_module_ast, read_manifest
 from repro.ghost.registry import (
     SUBSYSTEMS,
     handler_module_paths,
     handler_package_roots,
     merged_frame_manifests,
     merged_hypercall_specs,
-    merged_ownership_edges,
-    merged_refinement_specs,
     spec_for_hypercall,
     spec_module_paths,
     subsystem,
 )
+from repro.ghost.spec import OwnershipRule
 from repro.pkvm.defs import HypercallId
 
 
@@ -65,8 +65,18 @@ class TestMergedViews:
             assert spec.__name__ in manifests, spec.__name__
 
     def test_ownership_and_refinement_merge(self):
-        edges = merged_ownership_edges()
-        refine = merged_refinement_specs()
+        """The static passes read these two manifests from every
+        registered spec module's AST."""
+        edges: dict = {}
+        refine: dict = {}
+        for path in spec_module_paths():
+            module = load_module_ast(path)
+            edges.update(
+                read_manifest(module, "OWNERSHIP_EDGES", "ownership", OwnershipRule)[0]
+            )
+            refine.update(
+                read_manifest(module, "REFINEMENT_SPECS", "refinement", str)[0]
+            )
         assert "do_map_pages" in edges and "do_unmap_pages" in edges
         assert "do_map_pages" in refine
         # mem_protect's entries survive the merge untouched.
