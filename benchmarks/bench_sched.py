@@ -14,7 +14,7 @@ switching almost never composes the full sequence of lucky choices.
 import time
 
 from repro.arch.exceptions import HypervisorPanic
-from repro.sim.coverage import schedule_class
+from repro.sim.explore import run_schedule
 from repro.sim.sched import Scheduler
 from repro.testing.campaign.concurrency import CONCURRENCY_SCENARIOS, calibrate
 from benchmarks.conftest import report
@@ -41,13 +41,12 @@ def _sweep(policy: str, pct_steps: int, priority_tags: tuple[str, ...]):
             pct_steps=pct_steps,
             priority_tags=priority_tags,
         )
-        try:
-            _fresh().replay_schedule(scheduler=scheduler)
-        except HypervisorPanic:
+        outcome = run_schedule(_fresh().spawn, scheduler)
+        if isinstance(outcome.error, HypervisorPanic):
             hits += 1
-        classes.add(
-            schedule_class([(n, t) for _tick, n, t in scheduler.trace])
-        )
+        elif outcome.failed:
+            raise outcome.error
+        classes.add(outcome.interleaving_class)
     seconds = time.perf_counter() - started
     return hits, len(classes), SCHEDULES / seconds
 

@@ -21,8 +21,7 @@ from repro.sim.explore import (
     ExploreResult,
     ScheduleOutcome,
     explore,
-    run_scripted,
-    sample,
+    run_schedule,
 )
 from repro.sim.sched import (
     DeadlockError,
@@ -41,8 +40,7 @@ __all__ = [
     "SimThread",
     "current_scheduler",
     "explore",
-    "run_scripted",
-    "sample",
+    "run_schedule",
     "schedule_class",
     "schedule_windows",
     "windows_of_scheduler",

@@ -32,9 +32,7 @@ def _hash_window(window: tuple[tuple[str, str], ...]) -> int:
     return int.from_bytes(digest, "big")
 
 
-def schedule_windows(
-    events: list[tuple[str, str]], window: int = DEFAULT_WINDOW
-) -> set[int]:
+def schedule_windows(events: list[tuple[str, str]]) -> set[int]:
     """The window-hash set of one run's (thread, tag) event stream.
 
     Consecutive events from the *same* thread are collapsed first: a
@@ -49,30 +47,31 @@ def schedule_windows(
         collapsed.append((thread, tag))
     if not collapsed:
         return set()
-    if len(collapsed) < window:
+    if len(collapsed) < DEFAULT_WINDOW:
         return {_hash_window(tuple(collapsed))}
     return {
-        _hash_window(tuple(collapsed[i : i + window]))
-        for i in range(len(collapsed) - window + 1)
+        _hash_window(tuple(collapsed[i : i + DEFAULT_WINDOW]))
+        for i in range(len(collapsed) - DEFAULT_WINDOW + 1)
     }
 
 
-def schedule_class(
-    events: list[tuple[str, str]], window: int = DEFAULT_WINDOW
-) -> int:
-    """A single stable signature for the run's interleaving class — the
+def windows_class(windows: set[int]) -> int:
+    """A single stable signature for an interleaving class — the
     order-insensitive hash of its window set (schedule dedup key)."""
     acc = 0
-    for h in schedule_windows(events, window):
+    for h in windows:
         acc ^= h
     return acc
 
 
-def windows_of_scheduler(sched, window: int = DEFAULT_WINDOW) -> set[int]:
+def schedule_class(events: list[tuple[str, str]]) -> int:
+    """The interleaving-class signature of one run's event stream."""
+    return windows_class(schedule_windows(events))
+
+
+def windows_of_scheduler(sched) -> set[int]:
     """Windows from a finished :class:`repro.sim.sched.Scheduler` trace."""
-    return schedule_windows(
-        [(name, tag) for _tick, name, tag in sched.trace], window
-    )
+    return schedule_windows([(name, tag) for _tick, name, tag in sched.trace])
 
 
 @dataclass

@@ -1,25 +1,29 @@
-"""Systematic interleaving exploration and randomized schedule sampling.
+"""One schedule runner, and systematic interleaving exploration over it.
 
 The paper's closest prior work (Bornholt et al., S3) pairs its executable
 specification with stateless model checking of interleavings. This module
-adds the same capability over the deterministic scheduler, two ways:
+adds the same capability over the deterministic scheduler:
 
+- :func:`run_schedule` — the one execution core. It builds a fresh
+  scenario on a scheduler, runs it under whatever policy that scheduler
+  carries (optionally watched by the lockset race detector), classifies
+  the outcome and hashes its interleaving-class windows. This module's
+  DFS, the concurrency campaign's calibration and PCT batches
+  (:mod:`repro.testing.campaign.concurrency`) and the E15 bench all run
+  their schedules through it; a plain replay of a recorded script is
+  :meth:`repro.testing.trace.Trace.replay_schedule`.
 - :func:`explore` — exhaustive depth-first enumeration of schedules by
   branching over the scheduler's decision points. Complete but
-  exponential: it cannot scale past toy scenarios.
-- :func:`sample` — budget-bounded randomized search under the ``"pct"``
-  (or ``"random"``) policy: each schedule is seeded independently, its
-  decision script is recorded, and its interleaving class lands in a
-  :class:`repro.sim.coverage.ScheduleCoverageMap`. This is the form the
-  campaign engine scales out.
+  exponential: it cannot scale past toy scenarios; the campaign's PCT
+  sampling is the form that scales.
 
-Either way a scenario is re-executed from scratch per schedule
-(executions are deterministic given the decision script), so any outcome
-— found by DFS or by a random priority schedule — replays bit-identically
-through :func:`run_scripted`.
+A scenario is re-executed from scratch per schedule (executions are
+deterministic given the decision script), so any outcome — found by DFS
+or by a random priority schedule — replays bit-identically by running its
+:attr:`ScheduleOutcome.script` under the ``"script"`` policy.
 
 Unlike the hand-written race tests — which pin the problematic window
-with explicit synchronisation — both searches find such windows
+with explicit synchronisation — DFS and PCT sampling find such windows
 mechanically: useful exactly when one cannot anticipate where the race
 is.
 """
@@ -30,9 +34,8 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from repro.sim.coverage import (
-    DEFAULT_WINDOW,
     ScheduleCoverageMap,
-    schedule_class,
+    windows_class,
     windows_of_scheduler,
 )
 from repro.sim.sched import Scheduler
@@ -44,13 +47,13 @@ class ScheduleOutcome:
 
     script: tuple[str, ...]
     #: None for a clean run, else the exception raised.
-    error: BaseException | None
+    error: Exception | None
     decisions: int
     #: Lockset race reports for this schedule (``detect_races=True``):
     #: stable sorted strings, so outcomes compare equal across runs.
     races: tuple[str, ...] = ()
     #: Stable interleaving-class signature of the run (see
-    #: :func:`repro.sim.coverage.schedule_class`); 0 when not computed.
+    #: :func:`repro.sim.coverage.windows_class`); 0 when not computed.
     interleaving_class: int = 0
 
     @property
@@ -98,24 +101,24 @@ class ExploreResult:
         """Union of race reports across all schedules, deduplicated."""
         return tuple(sorted({r for o in self.outcomes for r in o.races}))
 
-    def interleaving_classes(self) -> int:
-        """Distinct interleaving classes among the outcomes."""
-        return len({o.interleaving_class for o in self.outcomes})
 
-
-def _run_one(
-    build: Callable[[Scheduler], None],
+def run_schedule(
+    build: Callable[[Scheduler], object],
     scheduler: Scheduler,
     *,
     detect_races: bool = False,
     scenario_key: str = "",
     coverage: ScheduleCoverageMap | None = None,
-    window: int = DEFAULT_WINDOW,
 ) -> ScheduleOutcome:
     """Build a fresh scenario on ``scheduler``, run it, classify it.
 
-    The shared execution core behind :func:`explore`, :func:`sample`,
-    and :func:`run_scripted` — one implementation, many drivers.
+    ``build(scheduler)`` spawns the scenario's threads; what it returns
+    is ignored, so :meth:`repro.testing.trace.Trace.spawn` is a build.
+    An exception from the run becomes the outcome's ``error``; one from
+    ``build`` is a harness bug and propagates. With ``detect_races``, an
+    Eraser-style lockset tracker (:mod:`repro.analysis.lockset`) watches
+    the run and its reports land in :attr:`ScheduleOutcome.races`. With
+    ``coverage``, the run's windows are added under ``scenario_key``.
     """
     tracker = None
     if detect_races:
@@ -123,22 +126,17 @@ def _run_one(
         from repro.analysis.lockset import LocksetTracker
 
         tracker = LocksetTracker().attach()
-    error: BaseException | None = None
+    error: Exception | None = None
     try:
         build(scheduler)
-    except BaseException:
-        if tracker is not None:
-            tracker.detach()
-        raise  # a broken scenario is a harness bug, not an outcome
-    try:
-        scheduler.run()
-    except BaseException as exc:  # noqa: BLE001 - outcome classification
-        error = exc
+        try:
+            scheduler.run()
+        except Exception as exc:  # noqa: BLE001 - outcome classification
+            error = exc
     finally:
         if tracker is not None:
             tracker.detach()
-    events = [(name, tag) for _tick, name, tag in scheduler.trace]
-    windows = windows_of_scheduler(scheduler, window)
+    windows = windows_of_scheduler(scheduler)
     if coverage is not None:
         coverage.add(scenario_key or "scenario", windows)
     return ScheduleOutcome(
@@ -146,28 +144,12 @@ def _run_one(
         error=error,
         decisions=len(scheduler.decision_log),
         races=tracker.race_strings() if tracker is not None else (),
-        interleaving_class=schedule_class(events, window),
+        interleaving_class=windows_class(windows),
     )
 
 
-def run_scripted(
-    build: Callable[[Scheduler], None],
-    script: tuple[str, ...] | list[str],
-    *,
-    detect_races: bool = False,
-) -> ScheduleOutcome:
-    """Replay one decision script against a fresh scenario.
-
-    The determinism contract: identical scripts yield identical
-    :meth:`ScheduleOutcome.comparable` projections, so a schedule found
-    by any policy is a reproducible regression case.
-    """
-    scheduler = Scheduler(policy="script", script=list(script))
-    return _run_one(build, scheduler, detect_races=detect_races)
-
-
 def explore(
-    build: Callable[[Scheduler], None],
+    build: Callable[[Scheduler], object],
     *,
     max_schedules: int = 64,
     max_depth: int = 200,
@@ -178,14 +160,14 @@ def explore(
     ``build(scheduler)`` must construct a *fresh* scenario (machine,
     threads) and spawn its threads on the given scheduler; it is called
     once per schedule. Exploration branches on every scheduler decision
-    whose runnable set had more than one thread, re-running with each
-    alternative prefix until ``max_schedules`` executions.
+    within the first ``max_depth`` whose runnable set had more than one
+    thread, re-running with each alternative prefix until
+    ``max_schedules`` executions. Each outcome's script is the run's full
+    decision log, so it replays the run exactly.
 
-    With ``detect_races=True``, an Eraser-style lockset tracker
-    (:mod:`repro.analysis.lockset`) observes each schedule and its
-    empty-lockset reports land in :attr:`ScheduleOutcome.races` — the
-    explorer then flags racy locking even on schedules where the race
-    does not strike.
+    With ``detect_races=True``, each schedule runs under the lockset
+    tracker (see :func:`run_schedule`) — the explorer then flags racy
+    locking even on schedules where the race does not strike.
     """
     result = ExploreResult()
     # Worklist of decision prefixes still to execute (DFS).
@@ -202,78 +184,22 @@ def explore(
         seen.add(prefix)
 
         scheduler = Scheduler(policy="script", script=list(prefix))
-        outcome = _run_one(
+        outcome = run_schedule(
             build,
             scheduler,
             detect_races=detect_races,
             coverage=result.coverage,
         )
-        log = scheduler.decision_log[:max_depth]
-        result.outcomes.append(
-            ScheduleOutcome(
-                script=tuple(name for name, _alts in log),
-                error=outcome.error,
-                decisions=outcome.decisions,
-                races=outcome.races,
-                interleaving_class=outcome.interleaving_class,
-            )
-        )
+        result.outcomes.append(outcome)
 
-        # Branch: at each decision at or beyond the forced prefix, queue
-        # the alternatives not taken.
-        for depth in range(len(prefix), len(log)):
-            chosen, runnable = log[depth]
+        # Branch: at each decision from the forced prefix up to
+        # max_depth, queue the alternatives not taken.
+        for depth in range(len(prefix), min(outcome.decisions, max_depth)):
+            chosen, runnable = scheduler.decision_log[depth]
             for alternative in runnable:
                 if alternative == chosen:
                     continue
-                branch = tuple(name for name, _a in log[:depth]) + (
-                    alternative,
-                )
+                branch = outcome.script[:depth] + (alternative,)
                 if branch not in seen:
                     pending.append(branch)
-    return result
-
-
-def sample(
-    build: Callable[[Scheduler], None],
-    *,
-    schedules: int = 64,
-    seed: int = 0,
-    policy: str = "pct",
-    pct_depth: int = 3,
-    pct_steps: int = 1000,
-    priority_tags: tuple[str, ...] = (),
-    detect_races: bool = False,
-    coverage: ScheduleCoverageMap | None = None,
-) -> ExploreResult:
-    """Randomized schedule sampling: ``schedules`` independent runs.
-
-    Schedule ``i`` runs under ``Scheduler(policy, seed=seed + i)``, so
-    the whole sample is reproducible from one base seed and any single
-    outcome replays from its recorded :attr:`ScheduleOutcome.script`.
-    Merged interleaving-class coverage accumulates in
-    ``result.coverage`` (or a caller-supplied map, for cross-sample
-    budgeting).
-    """
-    if policy not in ("pct", "random", "rr"):
-        raise ValueError(f"sample() cannot drive policy {policy!r}")
-    result = ExploreResult()
-    if coverage is not None:
-        result.coverage = coverage
-    for i in range(schedules):
-        scheduler = Scheduler(
-            policy=policy,
-            seed=seed + i,
-            pct_depth=pct_depth,
-            pct_steps=pct_steps,
-            priority_tags=priority_tags,
-        )
-        result.outcomes.append(
-            _run_one(
-                build,
-                scheduler,
-                detect_races=detect_races,
-                coverage=result.coverage,
-            )
-        )
     return result

@@ -19,23 +19,40 @@ to another runnable thread according to its policy:
 - ``"script"`` — an explicit list of thread names consumed one per yield
   point, for replaying a specific race.
 
+The turn is a baton. Every :class:`SimThread` owns a lock, taken when the
+thread is built, and runs only once it has acquired it. A switch releases
+just the chosen thread's baton and blocks on the yielding thread's own, so
+each hand-off wakes exactly one OS thread. A finishing thread passes the
+baton to the first runnable thread; the last one sets the all-done event
+:meth:`Scheduler.run` waits on.
+
 Every policy records its full decision sequence, so any run — however it
 was scheduled — replays bit-identically by feeding
 :meth:`Scheduler.schedule_script` back in under the ``"script"`` policy.
 
 Threads outside any scheduler (the common single-CPU case) see
 :func:`yield_point` as a no-op, so the hypervisor code is identical whether
-or not a concurrency test is running.
+or not a concurrency test is running. The calling thread's
+:class:`SimThread` lives in a thread-local that only simulated threads
+set, so that check takes no lock. A :class:`SimThread` refers to its
+scheduler weakly: a finished scheduler, its threads, their closures and
+the scenario's machine are all freed by reference counting.
 """
 
 from __future__ import annotations
 
 import random
 import threading
+import weakref
 from typing import Any, Callable
 
-_REGISTRY: dict[int, "SimThread"] = {}
-_REGISTRY_LOCK = threading.Lock()
+
+class _Current(threading.local):
+    #: The :class:`SimThread` the calling OS thread simulates, if any.
+    thread: "SimThread | None" = None
+
+
+_CURRENT = _Current()
 
 
 class DeadlockError(Exception):
@@ -46,7 +63,7 @@ class SimThread:
     """One simulated hardware thread managed by a :class:`Scheduler`."""
 
     def __init__(self, scheduler: "Scheduler", name: str, fn: Callable[[], Any]):
-        self.scheduler = scheduler
+        self._scheduler = weakref.ref(scheduler)
         self.name = name
         self.fn = fn
         self.result: Any = None
@@ -55,21 +72,27 @@ class SimThread:
         #: Set while the thread is spinning on a contended lock; used for
         #: deadlock detection.
         self.blocked_on: str | None = None
+        #: The turn: released by whoever hands it over, acquired by this
+        #: thread before it runs.
+        self.baton = threading.Lock()
+        self.baton.acquire()
         self.thread = threading.Thread(target=self._run, name=name, daemon=True)
 
+    @property
+    def scheduler(self) -> "Scheduler":
+        return self._scheduler()
+
     def _run(self) -> None:
-        ident = threading.get_ident()
-        with _REGISTRY_LOCK:
-            _REGISTRY[ident] = self
+        scheduler = self.scheduler
+        _CURRENT.thread = self
         try:
-            self.scheduler._wait_for_turn(self)
+            scheduler._wait_for_baton(self)
             self.result = self.fn()
         except BaseException as exc:  # noqa: BLE001 - reported to the harness
             self.exception = exc
         finally:
-            with _REGISTRY_LOCK:
-                _REGISTRY.pop(ident, None)
-            self.scheduler._thread_finished(self)
+            _CURRENT.thread = None
+            scheduler._thread_finished(self)
 
 
 class Scheduler:
@@ -103,8 +126,8 @@ class Scheduler:
         self._script = list(script or [])
         self._script_pos = 0
         self._threads: list[SimThread] = []
-        self._cond = threading.Condition()
         self._current: SimThread | None = None
+        self._all_done = threading.Event()
         self._started = False
         #: Total number of yield points taken; a cheap logical clock.
         self.ticks = 0
@@ -160,15 +183,16 @@ class Scheduler:
             self._init_pct()
         for t in self._threads:
             t.thread.start()
-        with self._cond:
-            self._current = self._threads[0]
-            self._cond.notify_all()
-            while not all(t.done for t in self._threads):
-                self._cond.wait(timeout=30)
-                if not all(t.done for t in self._threads) and not any(
-                    t.thread.is_alive() for t in self._threads
-                ):
-                    raise DeadlockError("simulated threads died without finishing")
+        self._current = self._threads[0]
+        self._current.baton.release()
+        while not self._all_done.wait(timeout=30):
+            alive = any(t.thread.is_alive() for t in self._threads)
+            if not alive and not self._all_done.is_set():
+                raise DeadlockError("simulated threads died without finishing")
+        # The last thread sets the event before its OS thread exits; join
+        # so none still holds its closures when run() returns.
+        for t in self._threads:
+            t.thread.join()
         for t in self._threads:
             if t.exception is not None:
                 raise t.exception
@@ -184,12 +208,11 @@ class Scheduler:
         elif not self.trace_truncated:
             self.trace_truncated = True
             self._count_truncation("trace")
-        with self._cond:
-            nxt = self._pick_next(me, tag)
-            if nxt is not me:
-                self._current = nxt
-                self._cond.notify_all()
-                self._wait_until_current(me)
+        nxt = self._pick_next(me, tag)
+        if nxt is not me:
+            self._current = nxt
+            nxt.baton.release()
+            self._wait_for_baton(me)
 
     def schedule_script(self) -> tuple[str, ...]:
         """The full decision sequence of this run, as a ``"script"``
@@ -310,37 +333,33 @@ class Scheduler:
             key=lambda t: (t.blocked_on is None, self._prios.get(t.name, 0)),
         )
 
-    def _wait_until_current(self, me: SimThread) -> None:
-        while self._current is not me:
-            self._cond.wait(timeout=30)
-            if self._current is not me and not any(
-                t.thread.is_alive() for t in self._threads if t is not me
-            ) and not all(t.done for t in self._threads if t is not me):
+    def _wait_for_baton(self, me: SimThread) -> None:
+        while not me.baton.acquire(timeout=30):
+            peers = [t for t in self._threads if t is not me]
+            if not any(t.thread.is_alive() for t in peers) and not all(
+                t.done for t in peers
+            ):
                 raise DeadlockError("scheduler lost all peer threads")
 
-    def _wait_for_turn(self, thread: SimThread) -> None:
-        with self._cond:
-            self._wait_until_current(thread)
-
     def _thread_finished(self, thread: SimThread) -> None:
-        with self._cond:
-            thread.done = True
-            if self._current is thread:
-                runnable = [t for t in self._threads if not t.done]
-                self._current = runnable[0] if runnable else None
-            self._cond.notify_all()
+        thread.done = True
+        if self._current is thread:
+            self._current = next((t for t in self._threads if not t.done), None)
+            if self._current is None:
+                self._all_done.set()
+            else:
+                self._current.baton.release()
 
 
 def current_scheduler() -> Scheduler | None:
     """The scheduler managing the calling thread, if any."""
-    thread = current_sim_thread()
+    thread = _CURRENT.thread
     return thread.scheduler if thread is not None else None
 
 
 def current_sim_thread() -> SimThread | None:
     """The :class:`SimThread` the calling OS thread is simulating, if any."""
-    with _REGISTRY_LOCK:
-        return _REGISTRY.get(threading.get_ident())
+    return _CURRENT.thread
 
 
 def yield_point(tag: str = "") -> None:

@@ -9,7 +9,10 @@ priorities plus ``pct_depth - 1`` seeded priority-change points. A
 schedule that makes the scenario panic or crash becomes a finding whose
 trace carries the scheduler's full decision script in
 ``meta["schedule"]``, so :meth:`repro.testing.trace.Trace.replay_schedule`
-reproduces the exact interleaving bit-for-bit.
+reproduces the exact interleaving bit-for-bit. Every schedule, the
+calibration run included, goes through
+:func:`repro.sim.explore.run_schedule` with
+:meth:`~repro.testing.trace.Trace.spawn` as its build.
 
 Two feedback signals close the loop:
 
@@ -25,9 +28,11 @@ Two feedback signals close the loop:
 
 from __future__ import annotations
 
+from collections import Counter
+
 from repro.arch.defs import PAGE_SIZE, phys_to_pfn
 from repro.pkvm.defs import HypercallId
-from repro.sim.coverage import windows_of_scheduler
+from repro.sim.explore import run_schedule
 from repro.sim.sched import Scheduler
 from repro.testing.campaign.findings import FINDING_EXCEPTIONS, make_finding
 from repro.testing.trace import Trace
@@ -152,18 +157,14 @@ def calibrate(trace: Trace) -> tuple[int, tuple[str, ...]]:
     races): the partial decision count and tags are still usable.
     """
     scheduler = Scheduler(policy="rr")
-    try:
-        trace.replay_schedule(scheduler=scheduler)
-    except FINDING_EXCEPTIONS:
-        pass
-    counts: dict[str, int] = {}
-    for _tick, _name, tag in scheduler.trace:
-        if tag:
-            counts[tag] = counts.get(tag, 0) + 1
+    outcome = run_schedule(trace.spawn, scheduler)
+    if outcome.failed and not isinstance(outcome.error, FINDING_EXCEPTIONS):
+        raise outcome.error  # a harness bug, not a race
+    counts = Counter(tag for _tick, _name, tag in scheduler.trace if tag)
     rare = tuple(
         sorted(tag for tag, n in counts.items() if n <= RARE_TAG_MAX)
     )
-    return max(1, len(scheduler.decision_log)), rare
+    return max(1, outcome.decisions), rare
 
 
 def racy_tags_from_races(race_strings: tuple[str, ...]) -> set[str]:
@@ -208,8 +209,6 @@ def run_concurrency_batch(
     schedule seed *and* carries the recorded decision script; replay
     needs only the script.
     """
-    from repro.analysis.lockset import LocksetTracker
-
     if scenario not in CONCURRENCY_SCENARIOS:
         raise ValueError(f"unknown concurrency scenario {scenario!r}")
     build = CONCURRENCY_SCENARIOS[scenario]
@@ -242,22 +241,22 @@ def run_concurrency_batch(
             priority_tags=priority_tags,
             obs=obs,
         )
-        tracker = LocksetTracker().attach()
-        error = None
-        try:
-            trace.replay_schedule(scheduler=scheduler, ghost=False)
-        except FINDING_EXCEPTIONS as exc:
-            error = exc
-        finally:
-            tracker.detach()
-            racy |= racy_tags_from_races(tracker.race_strings())
+        outcome = run_schedule(
+            trace.spawn,
+            scheduler,
+            detect_races=True,
+            scenario_key=scenario,
+            coverage=result.schedule_coverage,
+        )
+        racy |= racy_tags_from_races(outcome.races)
+        if outcome.failed and not isinstance(outcome.error, FINDING_EXCEPTIONS):
+            raise outcome.error
         result.steps_run = i + 1
         result.hypercalls += sum(1 for s in trace.steps if s[0] == "hvc")
-        result.schedule_coverage.add(scenario, windows_of_scheduler(scheduler))
-        if error is not None:
+        if outcome.failed:
             trace.meta["schedule"] = list(scheduler.schedule_script())
             result.finding = make_finding(
-                error,
+                outcome.error,
                 trace,
                 worker_id=task.worker_id,
                 batch_index=task.batch_index,

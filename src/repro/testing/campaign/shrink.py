@@ -24,6 +24,7 @@ already-minimal trace returns it unchanged (property-tested in
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from repro.testing.campaign.findings import finding_class
 from repro.testing.trace import Trace
@@ -36,23 +37,22 @@ class ShrinkResult:
     probes: int
 
 
-def _reproduces(trace: Trace, klass: str, kind: str) -> bool:
-    """Does a strict replay of ``trace`` end in the same finding?"""
+def _ends_in(replay: Callable[[], object], klass: str, kind: str) -> bool:
+    """Does ``replay()`` raise finding class ``klass`` (and, for spec
+    violations, violation kind ``kind``)?"""
     try:
-        trace.replay(ghost=True, strict=True)
-    except BaseException as exc:  # noqa: BLE001 - classified below
+        replay()
+    except Exception as exc:  # noqa: BLE001 - classified below
         if finding_class(exc) != klass:
             return False
-        if klass == "SpecViolation" and getattr(exc, "kind", "") != kind:
-            return False
-        return True
+        return klass != "SpecViolation" or getattr(exc, "kind", "") == kind
     return False
 
 
 def reproduces_finding(trace: Trace, klass: str, kind: str = "") -> bool:
     """Public check: strict replay raises finding class ``klass`` (and,
     for spec violations, violation kind ``kind``)."""
-    return _reproduces(trace, klass, kind)
+    return _ends_in(lambda: trace.replay(ghost=True, strict=True), klass, kind)
 
 
 def _ddmin(items: list, test, exhausted) -> list:
@@ -97,7 +97,7 @@ def shrink_trace(
     def test(steps: list[tuple]) -> bool:
         nonlocal probes
         probes += 1
-        return _reproduces(trace.with_steps(steps), klass, kind)
+        return reproduces_finding(trace.with_steps(steps), klass, kind)
 
     if not test(trace.steps):
         return ShrinkResult(trace, probes)
@@ -105,31 +105,18 @@ def shrink_trace(
     return ShrinkResult(trace.with_steps(steps), probes)
 
 
-def _reproduces_schedule(
-    trace: Trace, schedule: list[str], klass: str, kind: str
-) -> bool:
-    """Does a strict concurrent replay under ``schedule`` end in the
-    same finding? (Ghost off: concurrency scenarios run unchecked, the
-    schedule — not the oracle — is what provoked the failure.)"""
-    try:
-        trace.replay_schedule(list(schedule), ghost=False, strict=True)
-    except BaseException as exc:  # noqa: BLE001 - classified below
-        if finding_class(exc) != klass:
-            return False
-        if klass == "SpecViolation" and getattr(exc, "kind", "") != kind:
-            return False
-        return True
-    return False
-
-
 def reproduces_schedule(
     trace: Trace, schedule: list[str] | None = None, klass: str = "", kind: str = ""
 ) -> bool:
     """Public check: strict schedule replay raises finding class
-    ``klass``. ``schedule`` defaults to the trace's ``meta["schedule"]``."""
-    if schedule is None:
-        schedule = list(trace.meta.get("schedule", []))
-    return _reproduces_schedule(trace, schedule, klass, kind)
+    ``klass``. ``schedule`` defaults to the trace's ``meta["schedule"]``.
+    (Ghost off: concurrency scenarios run unchecked, the schedule — not
+    the oracle — is what provoked the failure.)"""
+    return _ends_in(
+        lambda: trace.replay_schedule(schedule, ghost=False, strict=True),
+        klass,
+        kind,
+    )
 
 
 def shrink_schedule(
@@ -160,7 +147,7 @@ def shrink_schedule(
     def test_schedule(candidate: list[str]) -> bool:
         nonlocal probes
         probes += 1
-        return _reproduces_schedule(trace, candidate, klass, kind)
+        return reproduces_schedule(trace, candidate, klass, kind)
 
     if not test_schedule(schedule):
         return ShrinkResult(trace, probes)
@@ -181,9 +168,7 @@ def shrink_schedule(
     def test_steps(steps: list[tuple]) -> bool:
         nonlocal probes
         probes += 1
-        return _reproduces_schedule(
-            trace.with_steps(steps), schedule, klass, kind
-        )
+        return reproduces_schedule(trace.with_steps(steps), schedule, klass, kind)
 
     steps = _ddmin(list(trace.steps), test_steps, exhausted)
     shrunk = trace.with_steps(steps)

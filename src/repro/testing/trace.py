@@ -13,10 +13,12 @@ A trace is a list of tuple-shaped steps, so traces serialise trivially
 Concurrency findings add one ingredient: steps carry the CPU that issued
 them (``hvc`` steps always did; ``write``/``read`` steps grow an optional
 trailing CPU index), and the trace's ``meta["schedule"]`` carries the
-scheduler decision script. :meth:`Trace.replay_schedule` then re-executes
-the per-CPU programs as simulated threads under the ``"script"`` policy —
-the same deterministic replay contract as sequential traces, extended to
-interleavings.
+scheduler decision script. :meth:`Trace.spawn` boots a machine and spawns
+the per-CPU programs as simulated threads; :meth:`Trace.replay_schedule`
+runs them under the ``"script"`` policy — the same deterministic replay
+contract as sequential traces, extended to interleavings. A run under any
+other policy is ``run_schedule(trace.spawn, scheduler)``
+(:func:`repro.sim.explore.run_schedule`).
 """
 
 from __future__ import annotations
@@ -128,17 +130,22 @@ class Trace:
         HostCrash may *be* the finding it is minimising.
 
         ``bugs`` defaults to the trace's recorded ``bug_names``."""
+        machine = self._boot(ghost, bugs)
+        for step in self.steps:
+            self._apply(machine, step, strict=strict)
+        return machine
+
+    def _boot(self, ghost: bool, bugs: Bugs | None) -> Machine:
+        """A fresh machine of the trace's configuration; ``bugs``
+        defaults to the recorded ``bug_names``."""
         if bugs is None and self.bug_names:
             bugs = Bugs(**{name: True for name in self.bug_names})
-        machine = Machine(
+        return Machine(
             nr_cpus=self.nr_cpus,
             dram_size=self.dram_size,
             ghost=ghost,
             bugs=bugs,
         )
-        for step in self.steps:
-            self._apply(machine, step, strict=strict)
-        return machine
 
     @staticmethod
     def step_cpu(step: tuple) -> int:
@@ -194,41 +201,24 @@ class Trace:
             programs.setdefault(self.step_cpu(step), []).append(step)
         return programs
 
-    def replay_schedule(
+    def spawn(
         self,
-        schedule: list[str] | tuple[str, ...] | None = None,
+        scheduler: Scheduler,
         *,
-        scheduler: Scheduler | None = None,
         ghost: bool = False,
         bugs: Bugs | None = None,
         strict: bool = True,
     ) -> Machine:
-        """Replay the trace's per-CPU programs as simulated threads.
+        """Boot a fresh machine and spawn the trace's per-CPU programs on
+        ``scheduler`` as simulated threads; return the machine.
 
-        ``schedule`` (default: the trace's ``meta["schedule"]``) is a
-        scheduler decision script; passing ``scheduler`` instead runs
-        under any policy — the concurrency campaign passes a ``"pct"``
-        scheduler here and *records* the script the same call replays
-        later. Thread names are ``cpu<i>``, matching what the scheduler
-        logged when the schedule was recorded.
-
-        Replays are strict by default: these traces exist to reproduce
-        concurrency findings, so a crash mid-program is the signal, not
-        noise. Exceptions from any simulated CPU propagate out of
-        ``scheduler.run()`` exactly as the original run raised them.
+        Thread names are ``cpu<i>``, matching what the scheduler logged
+        when the schedule was recorded. This is the ``build`` that
+        :func:`repro.sim.explore.run_schedule` takes. Programs are strict
+        by default: these traces exist to reproduce concurrency findings,
+        so a crash mid-program is the signal, not noise.
         """
-        if scheduler is None:
-            if schedule is None:
-                schedule = self.meta.get("schedule", [])
-            scheduler = Scheduler(policy="script", script=list(schedule))
-        if bugs is None and self.bug_names:
-            bugs = Bugs(**{name: True for name in self.bug_names})
-        machine = Machine(
-            nr_cpus=self.nr_cpus,
-            dram_size=self.dram_size,
-            ghost=ghost,
-            bugs=bugs,
-        )
+        machine = self._boot(ghost, bugs)
 
         def runner(steps: list[tuple]):
             def body() -> None:
@@ -239,6 +229,26 @@ class Trace:
 
         for cpu_index, steps in sorted(self.per_cpu_steps().items()):
             scheduler.spawn(runner(steps), f"cpu{cpu_index}")
+        return machine
+
+    def replay_schedule(
+        self,
+        schedule: list[str] | tuple[str, ...] | None = None,
+        *,
+        ghost: bool = False,
+        bugs: Bugs | None = None,
+        strict: bool = True,
+    ) -> Machine:
+        """Replay the trace's per-CPU programs under the ``"script"``
+        policy, ``schedule`` (default: the trace's ``meta["schedule"]``).
+
+        Exceptions from any simulated CPU propagate out of
+        ``scheduler.run()`` exactly as the original run raised them.
+        """
+        if schedule is None:
+            schedule = self.meta.get("schedule", [])
+        scheduler = Scheduler(policy="script", script=list(schedule))
+        machine = self.spawn(scheduler, ghost=ghost, bugs=bugs, strict=strict)
         scheduler.run()
         return machine
 

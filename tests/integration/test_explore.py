@@ -7,7 +7,7 @@ from repro.arch.exceptions import HypervisorPanic
 from repro.machine import Machine
 from repro.pkvm.bugs import Bugs
 from repro.pkvm.defs import HypercallId
-from repro.sim import Scheduler, explore, yield_point
+from repro.sim import Scheduler, explore, run_schedule, yield_point
 from repro.testing.proxy import HypProxy
 
 
@@ -70,6 +70,28 @@ class TestExplorerMechanics:
         failure = result.first_failure()
         assert failure is not None
         assert isinstance(failure.error, AssertionError)
+
+    def test_outcome_scripts_replay_past_max_depth(self):
+        """Runs longer than ``max_depth`` still store their full
+        decision log, so every outcome replays its own run."""
+
+        def build(sched):
+            for name in ("a", "b"):
+                sched.spawn(
+                    (lambda n: lambda: [yield_point(f"{n}:{i}") for i in range(150)])(
+                        name
+                    ),
+                    name,
+                )
+
+        result = explore(build, max_schedules=3, max_depth=200)
+        assert result.schedules_run == 3
+        for outcome in result.outcomes:
+            assert outcome.decisions == 300
+            replay = run_schedule(
+                build, Scheduler(policy="script", script=list(outcome.script))
+            )
+            assert replay.comparable() == outcome.comparable()
 
 
 class TestExplorerFindsBug3:

@@ -5,7 +5,10 @@ A checked machine holds no reference cycles (the checker, the lock hooks
 and the vCPUs point back at their owners weakly), so it is freed the
 moment its last reference goes: long campaigns do not depend on the
 cycle collector, which a fast oracle allocates too little to trigger.
-These tests run with the collector disabled to prove it.
+A scheduled machine is freed the same way: a simulated thread refers to
+its scheduler weakly, so the scheduler, its threads and their closures
+die with the run. These tests run with the collector disabled to prove
+it.
 """
 
 import gc
@@ -17,6 +20,7 @@ import pytest
 from repro.arch.defs import PAGE_SIZE
 from repro.ghost.arena import arena
 from repro.machine import Machine
+from repro.testing.campaign.concurrency import CONCURRENCY_SCENARIOS
 from repro.testing.campaign.engine import CampaignConfig, CampaignEngine
 from repro.testing.proxy import HypProxy
 
@@ -60,15 +64,12 @@ def test_checked_machine_is_freed_on_del(no_collector):
     assert [ref() for ref in refs] == [None] * len(refs)
 
 
-def test_campaign_leaves_no_unreachable_objects(no_collector):
-    config = CampaignConfig(
-        workers=1, inline=True, budget=600, batch_steps=600, seed=0, coverage="off"
-    )
+def assert_campaign_leaves_no_unreachable_objects(config: CampaignConfig) -> None:
     gc.collect()
     gc.set_debug(gc.DEBUG_SAVEALL)
     try:
         report = CampaignEngine(config).run()
-        assert report.total_steps == 600 and not report.findings
+        assert report.total_steps == config.budget and not report.findings
         del report
         unreachable = gc.collect()
         kinds = Counter(type(obj).__name__ for obj in gc.garbage)
@@ -76,6 +77,37 @@ def test_campaign_leaves_no_unreachable_objects(no_collector):
         gc.set_debug(0)
         gc.garbage.clear()
     assert unreachable == 0, kinds.most_common(10)
+
+
+def test_campaign_leaves_no_unreachable_objects(no_collector):
+    assert_campaign_leaves_no_unreachable_objects(
+        CampaignConfig(
+            workers=1, inline=True, budget=600, batch_steps=600, seed=0, coverage="off"
+        )
+    )
+
+
+def test_concurrency_campaign_leaves_no_unreachable_objects(no_collector):
+    assert_campaign_leaves_no_unreachable_objects(
+        CampaignConfig(
+            workers=1,
+            inline=True,
+            mode="concurrency",
+            scenario="vcpu-race",
+            budget=8,
+            batch_steps=8,
+            seed=0,
+            shrink=False,
+            coverage="off",
+        )
+    )
+
+
+def test_scheduled_machine_is_freed_on_del(no_collector):
+    machine = CONCURRENCY_SCENARIOS["vcpu-race"]().replay_schedule([])
+    refs = [weakref.ref(obj) for obj in (machine, machine.pkvm, machine.mem)]
+    del machine
+    assert [ref() for ref in refs] == [None] * len(refs)
 
 
 def test_arena_is_balanced_and_peak_is_per_machine(no_collector):

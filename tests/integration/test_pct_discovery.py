@@ -22,6 +22,7 @@ contract campaign findings depend on.
 import pytest
 
 from repro.arch.exceptions import HypervisorPanic
+from repro.sim.explore import run_schedule
 from repro.sim.sched import Scheduler
 from repro.testing.campaign.concurrency import CONCURRENCY_SCENARIOS, calibrate
 
@@ -64,10 +65,11 @@ def _discover(scenario, bug, base_seed, budget):
             pct_steps=k,
             priority_tags=rare_tags,
         )
-        try:
-            _fresh(scenario, bug).replay_schedule(scheduler=scheduler)
-        except HypervisorPanic as exc:
-            return seed, scheduler, exc
+        error = run_schedule(_fresh(scenario, bug).spawn, scheduler).error
+        if isinstance(error, HypervisorPanic):
+            return seed, scheduler, error
+        if error is not None:
+            raise error
     pytest.fail(
         f"{scenario}: PCT did not find the race in {budget} schedules "
         f"from seed {base_seed}"
@@ -88,8 +90,9 @@ def test_discovered_schedule_replays_to_same_failure(
     script = scheduler.schedule_script()
     for _ in range(2):  # twice: replay must itself be deterministic
         replay = Scheduler(policy="script", script=list(script))
-        with pytest.raises(HypervisorPanic, match=panic_text):
-            _fresh(scenario, bug).replay_schedule(scheduler=replay)
+        error = run_schedule(_fresh(scenario, bug).spawn, replay).error
+        assert isinstance(error, HypervisorPanic)
+        assert panic_text in str(error)
         # Same interleaving, not merely the same failure class.
         assert [(n, t) for _, n, t in replay.trace] == [
             (n, t) for _, n, t in scheduler.trace
@@ -117,12 +120,11 @@ def test_clean_tree_survives_the_same_budgets():
         k, rare_tags = calibrate(trace)
         for seed in range(base_seed, base_seed + budget):
             clean = CONCURRENCY_SCENARIOS[scenario]()
-            clean.replay_schedule(
-                scheduler=Scheduler(
-                    policy="pct",
-                    seed=seed,
-                    pct_depth=3,
-                    pct_steps=k,
-                    priority_tags=rare_tags,
-                )
+            scheduler = Scheduler(
+                policy="pct",
+                seed=seed,
+                pct_depth=3,
+                pct_steps=k,
+                priority_tags=rare_tags,
             )
+            assert run_schedule(clean.spawn, scheduler).error is None

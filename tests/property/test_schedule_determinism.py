@@ -2,17 +2,17 @@
 
 The concurrency campaign rests on one guarantee: a decision script fully
 determines a run. Whatever policy *found* a schedule — PCT, random, round
-robin — replaying its recorded script through ``run_scripted`` must
-produce an identical :meth:`ScheduleOutcome.comparable` projection, every
-time. Without this, findings would not replay and schedule shrinking
-would be unsound.
+robin — replaying its recorded script under the ``"script"`` policy
+through ``run_schedule`` must produce an identical
+:meth:`ScheduleOutcome.comparable` projection, every time. Without this,
+findings would not replay and schedule shrinking would be unsound.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim.explore import run_scripted, sample
-from repro.sim.sched import current_scheduler, yield_point
+from repro.sim.explore import run_schedule
+from repro.sim.sched import Scheduler, current_scheduler, yield_point
 
 SETTINGS = settings(max_examples=25, deadline=None)
 
@@ -68,19 +68,27 @@ def make_build(programs, expect_total):
     return build
 
 
+def find(build, policy, seed):
+    """One schedule of ``build`` under ``policy``."""
+    return run_schedule(build, Scheduler(policy=policy, seed=seed, pct_steps=40))
+
+
+def replay(build, script):
+    return run_schedule(build, Scheduler(policy="script", script=list(script)))
+
+
 @given(programs=programs_strategy, seed=st.integers(0, 2**32 - 1))
 @SETTINGS
 def test_identical_scripts_identical_outcomes(programs, seed):
     expect = sum(inc for program in programs for _tag, inc in program)
     build = make_build(programs, expect)
     # Find a schedule with PCT, then replay its script twice.
-    found = sample(build, schedules=1, seed=seed, policy="pct", pct_steps=40)
-    script = found.outcomes[0].script
-    first = run_scripted(build, script)
-    second = run_scripted(build, script)
+    found = find(build, "pct", seed)
+    first = replay(build, found.script)
+    second = replay(build, found.script)
     assert first.comparable() == second.comparable()
     # The replay also reproduces the original run exactly.
-    assert first.comparable() == found.outcomes[0].comparable()
+    assert first.comparable() == found.comparable()
 
 
 @given(
@@ -92,9 +100,8 @@ def test_identical_scripts_identical_outcomes(programs, seed):
 def test_contract_holds_for_every_policy(programs, seed, policy):
     expect = sum(inc for program in programs for _tag, inc in program)
     build = make_build(programs, expect)
-    found = sample(build, schedules=1, seed=seed, policy=policy, pct_steps=40)
-    replay = run_scripted(build, found.outcomes[0].script)
-    assert replay.comparable() == found.outcomes[0].comparable()
+    found = find(build, policy, seed)
+    assert replay(build, found.script).comparable() == found.comparable()
 
 
 @given(
@@ -108,8 +115,7 @@ def test_truncated_scripts_still_deterministic(programs, seed, cut):
     # reproducible as full-script replays (rr fallback past the end).
     expect = sum(inc for program in programs for _tag, inc in program)
     build = make_build(programs, expect)
-    found = sample(build, schedules=1, seed=seed, policy="pct", pct_steps=40)
-    prefix = found.outcomes[0].script[:cut]
-    first = run_scripted(build, prefix)
-    second = run_scripted(build, prefix)
+    prefix = find(build, "pct", seed).script[:cut]
+    first = replay(build, prefix)
+    second = replay(build, prefix)
     assert first.comparable() == second.comparable()
