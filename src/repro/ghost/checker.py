@@ -81,7 +81,8 @@ class Violation:
 class FrameObservation:
     """One handler's observed ghost diff, exported via the checker's
     ``frame_hook`` for cross-validation against the declared frame
-    manifests (``repro.analysis.frame``)."""
+    manifests (``repro.analysis.frame``) and as the campaign's coverage
+    points (``repro.testing.campaign.worker.oracle_class``)."""
 
     #: The dispatched specification function ("" when none applied).
     spec_name: str
@@ -91,6 +92,8 @@ class FrameObservation:
     touched: frozenset
     #: Components excluded from the ternary check (re-acquired locks).
     multiphase: frozenset
+    #: The implementation's return value.
+    ret: int = 0
 
 
 @dataclass
@@ -177,8 +180,9 @@ class GhostChecker:
         self.console = None
         #: Optional export hook: called with a :class:`FrameObservation`
         #: after every valid spec check, so external tooling (the frame
-        #: analysis' dynamic cross-validation) can audit the observed
-        #: ghost diffs without re-running the oracle.
+        #: analysis' dynamic cross-validation, the campaign's oracle
+        #: coverage) can audit the observed ghost diffs without
+        #: re-running the oracle.
         self.frame_hook = None
 
     @property
@@ -505,6 +509,7 @@ class GhostChecker:
                     changed=frozenset(changed),
                     touched=frozenset(result.touched),
                     multiphase=frozenset(record.multiphase),
+                    ret=record.call.impl_ret,
                 )
             )
 

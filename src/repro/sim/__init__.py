@@ -12,7 +12,7 @@ deterministically.
 """
 
 from repro.sim.coverage import (
-    ScheduleCoverageMap,
+    CoverageMap,
     schedule_class,
     schedule_windows,
     windows_of_scheduler,
@@ -32,9 +32,9 @@ from repro.sim.sched import (
 )
 
 __all__ = [
+    "CoverageMap",
     "DeadlockError",
     "ExploreResult",
-    "ScheduleCoverageMap",
     "ScheduleOutcome",
     "Scheduler",
     "SimThread",

@@ -1,18 +1,24 @@
-"""Schedule coverage: a mergeable map of explored interleaving classes.
+"""The campaign's one coverage map, and interleaving-class windows.
+
+:class:`CoverageMap` holds a set of points per key. Its points are the
+oracle's trap classes in random and IOMMU campaigns, hit source lines
+under ``--coverage lines``, and interleaving-class windows in
+concurrency mode. It lives here, in the substrate, because the schedule
+runner (:mod:`repro.sim.explore`) fills it and cannot import
+:mod:`repro.testing`.
 
 Line coverage is a poor novelty signal for concurrency fuzzing — two
 schedules can execute the same lines in different orders, and it is the
-*order* that hides races. This module's analogue of the campaign's
-:class:`repro.testing.coverage.CoverageMap` abstracts a scheduler run
-into its **interleaving class**: the set of hashed sliding windows over
-the scheduler trace's (thread, tag) pairs. Two schedules in the same
-class context-switched at the same instrumented operations in the same
-local orders; a schedule contributing new windows ordered something no
-earlier schedule did.
+*order* that hides races. A scheduler run is abstracted into its
+**interleaving class**: the set of hashed sliding windows over the
+scheduler trace's (thread, tag) pairs. Two schedules in the same class
+context-switched at the same instrumented operations in the same local
+orders; a schedule contributing new windows ordered something no earlier
+schedule did.
 
 Hashes are content-stable (BLAKE2, not Python's randomized ``hash``), so
-maps built in different worker processes merge exactly like coverage
-bitmaps: set union per scenario, associative, commutative, idempotent.
+maps built in different worker processes merge exactly: set union per
+key, associative, commutative, idempotent.
 """
 
 from __future__ import annotations
@@ -75,63 +81,48 @@ def windows_of_scheduler(sched) -> set[int]:
 
 
 @dataclass
-class ScheduleCoverageMap:
-    """Mergeable interleaving-class coverage, keyed per scenario.
+class CoverageMap:
+    """A campaign's mergeable novelty map: a set of points per key.
 
-    The concurrency campaign's novelty signal: each worker batch snapshots
-    the window hashes its schedules produced, ships the map over the
-    result queue, and the engine merges it — :meth:`merge` returns how
-    many windows were new, which the budget scheduler feeds on exactly as
-    it feeds on new covered lines in random mode.
+    Each worker batch ships one back with its result and the engine
+    merges it; :meth:`merge` returns how many points were new, which is
+    the budget scheduler's novelty signal in every mode.
     """
 
-    windows: dict[str, set[int]] = field(default_factory=dict)
+    points: dict[str, set] = field(default_factory=dict)
 
-    def add(self, scenario: str, windows: set[int]) -> int:
-        """Fold one run's windows in; returns how many were new."""
-        mine = self.windows.setdefault(scenario, set())
+    def add(self, key: str, points: set) -> int:
+        """Fold ``points`` in under ``key``; returns how many were new."""
+        mine = self.points.setdefault(key, set())
         before = len(mine)
-        mine |= windows
+        mine |= points
         return len(mine) - before
 
-    def merge(self, other: "ScheduleCoverageMap") -> int:
-        """Fold ``other`` in; returns how many *new* windows it
-        contributed (the schedule-novelty signal)."""
-        new = 0
-        for scenario, windows in other.windows.items():
-            new += self.add(scenario, windows)
-        return new
+    def merge(self, other: "CoverageMap") -> int:
+        """Fold ``other`` in; returns how many *new* points it contributed."""
+        return sum(
+            self.add(key, points) for key, points in other.points.items()
+        )
 
-    def __or__(self, other: "ScheduleCoverageMap") -> "ScheduleCoverageMap":
+    def __or__(self, other: "CoverageMap") -> "CoverageMap":
         merged = self.copy()
         merged.merge(other)
         return merged
 
-    def copy(self) -> "ScheduleCoverageMap":
-        return ScheduleCoverageMap(
-            windows={k: set(v) for k, v in self.windows.items()}
-        )
+    def copy(self) -> "CoverageMap":
+        return CoverageMap({key: set(v) for key, v in self.points.items()})
 
-    def window_count(self) -> int:
-        return sum(len(v) for v in self.windows.values())
+    def count(self) -> int:
+        return sum(len(v) for v in self.points.values())
 
-    def seen(self, scenario: str, windows: set[int]) -> bool:
-        """Whether every window of a run is already covered — i.e. the
-        run's interleaving class brings nothing new."""
-        mine = self.windows.get(scenario, set())
-        return windows <= mine
+    def seen(self, key: str, points: set) -> bool:
+        """Whether every one of ``points`` is already covered under
+        ``key`` — i.e. they bring nothing new."""
+        return points <= self.points.get(key, set())
 
     def to_jsonable(self) -> dict:
-        return {
-            "windows": {
-                k: sorted(v) for k, v in sorted(self.windows.items())
-            }
-        }
+        return {key: sorted(v) for key, v in sorted(self.points.items())}
 
     @staticmethod
-    def from_jsonable(data: dict) -> "ScheduleCoverageMap":
-        return ScheduleCoverageMap(
-            windows={
-                k: set(v) for k, v in data.get("windows", {}).items()
-            }
-        )
+    def from_jsonable(data: dict) -> "CoverageMap":
+        return CoverageMap({key: set(v) for key, v in data.items()})

@@ -33,11 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable
 
-from repro.sim.coverage import (
-    ScheduleCoverageMap,
-    windows_class,
-    windows_of_scheduler,
-)
+from repro.sim.coverage import CoverageMap, windows_class, windows_of_scheduler
 from repro.sim.sched import Scheduler
 
 
@@ -82,7 +78,7 @@ class ExploreResult:
     outcomes: list[ScheduleOutcome] = field(default_factory=list)
     truncated: bool = False
     #: Merged interleaving-class coverage across all schedules run.
-    coverage: ScheduleCoverageMap = field(default_factory=ScheduleCoverageMap)
+    coverage: CoverageMap = field(default_factory=CoverageMap)
 
     @property
     def schedules_run(self) -> int:
@@ -108,7 +104,7 @@ def run_schedule(
     *,
     detect_races: bool = False,
     scenario_key: str = "",
-    coverage: ScheduleCoverageMap | None = None,
+    coverage: CoverageMap | None = None,
 ) -> ScheduleOutcome:
     """Build a fresh scenario on ``scheduler``, run it, classify it.
 

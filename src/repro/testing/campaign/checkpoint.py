@@ -14,7 +14,7 @@ import json
 import os
 from pathlib import Path
 
-VERSION = 1
+VERSION = 2
 
 
 def telemetry_path(checkpoint_path: str) -> Path:

@@ -103,10 +103,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--coverage",
-        choices=["functions", "lines", "off"],
-        default="functions",
-        help="coverage grain: cheap call-grain (default), full line "
-        "bitmaps (~20x slower), or none",
+        choices=["oracle", "lines", "off"],
+        default="oracle",
+        help="novelty signal: the oracle's trap classes (default), full "
+        "line bitmaps (~20x slower), or none; concurrency mode always "
+        "covers interleaving windows",
     )
     parser.add_argument(
         "--no-coverage",
@@ -203,16 +204,9 @@ def format_report(report: CampaignReport) -> str:
         f"hypercalls:       {report.total_hypercalls}"
         f"  ({report.hypercalls_per_hour:,.0f}/hour)",
         f"model-rejected:   {report.total_rejected}",
-        f"coverage:         {report.coverage_lines} lines, "
-        f"{report.coverage_functions} functions",
+        f"coverage:         {report.coverage} points",
         f"distinct findings: {len(report.findings)}",
     ]
-    if report.coverage_windows:
-        lines.insert(
-            -1,
-            f"schedule coverage: {report.coverage_windows} "
-            "interleaving windows",
-        )
     if report.corpus_traces:
         lines.insert(-1, f"corpus seeds:     {report.corpus_traces} replayed")
     for finding in report.findings:

@@ -16,9 +16,9 @@ calibration run included, goes through
 
 Two feedback signals close the loop:
 
-- each run's interleaving-class windows land in a
-  :class:`repro.sim.coverage.ScheduleCoverageMap` shipped back with the
-  batch (novelty feeds the budget scheduler exactly like new lines);
+- each run's interleaving-class windows land, keyed by scenario, in the
+  batch's :class:`repro.sim.coverage.CoverageMap` (novelty feeds the
+  budget scheduler exactly like new oracle classes in random mode);
 - the lockset detector's racy locations are mapped to yield-tag
   fragments and shipped back as *priority tags* — later batches' PCT
   schedulers treat yield points at those tags as extra candidate
@@ -246,7 +246,7 @@ def run_concurrency_batch(
             scheduler,
             detect_races=True,
             scenario_key=scenario,
-            coverage=result.schedule_coverage,
+            coverage=result.coverage,
         )
         racy |= racy_tags_from_races(outcome.races)
         if outcome.failed and not isinstance(outcome.error, FINDING_EXCEPTIONS):

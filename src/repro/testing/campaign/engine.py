@@ -50,7 +50,7 @@ from repro.testing.campaign.worker import (
     run_batch,
     worker_main,
 )
-from repro.testing.coverage import CoverageMap, ScheduleCoverageMap
+from repro.testing.coverage import CoverageMap
 
 
 @dataclass
@@ -79,15 +79,16 @@ class CampaignConfig:
     scenario: str = "mixed"
     pct_depth: int = 3
     pct_cpus: int = 0
-    #: "functions" (cheap call-grain, default), "lines", or "off".
-    coverage: str = "functions"
+    #: The novelty signal in random and IOMMU mode: "oracle" (the
+    #: checked traps' oracle classes, default), "lines", or "off".
+    #: Concurrency mode always covers interleaving windows.
+    coverage: str = "oracle"
     #: Stop issuing batches once this many distinct findings exist.
     max_findings: int | None = None
     #: Stop after this many batches (the checkpoint tests' interrupt hook).
     max_batches: int | None = None
     #: Wall-clock cap in seconds.
     time_limit: float | None = None
-    max_factor: int = 4
     #: Oracle toggles: ``oracle_cache=False`` restores the full-recompute
     #: path; ``paranoid=True`` recomputes every cache hit and asserts it.
     oracle_cache: bool = True
@@ -173,7 +174,6 @@ class CampaignConfig:
             "max_findings": self.max_findings,
             "max_batches": self.max_batches,
             "time_limit": self.time_limit,
-            "max_factor": self.max_factor,
             "oracle_cache": self.oracle_cache,
             "paranoid": self.paranoid,
             "trace_out": self.trace_out,
@@ -201,12 +201,10 @@ class CampaignReport:
     total_hypercalls: int
     total_rejected: int
     findings: list[RawFinding]
-    coverage_lines: int
-    coverage_functions: int
+    #: Points in the merged coverage map.
+    coverage: int
     seconds: float
     resumed: bool = False
-    #: Concurrency mode: distinct interleaving-class windows explored.
-    coverage_windows: int = 0
     #: Seed-corpus traces replayed before the random batches.
     corpus_traces: int = 0
 
@@ -223,9 +221,7 @@ class CampaignReport:
             "total_steps": self.total_steps,
             "total_hypercalls": self.total_hypercalls,
             "total_rejected": self.total_rejected,
-            "coverage_lines": self.coverage_lines,
-            "coverage_functions": self.coverage_functions,
-            "coverage_windows": self.coverage_windows,
+            "coverage": self.coverage,
             "corpus_traces": self.corpus_traces,
             "findings": [f.to_jsonable() for f in self.findings],
         }
@@ -244,14 +240,10 @@ class CampaignEngine:
     def __init__(self, config: CampaignConfig, *, out: str | None = None):
         self.config = config
         self.out = out
-        self.scheduler = BudgetScheduler(
-            base_steps=config.batch_steps, max_factor=config.max_factor
-        )
+        self.scheduler = BudgetScheduler(base_steps=config.batch_steps)
         self.coverage = CoverageMap()
-        #: Concurrency mode: merged interleaving-class coverage and the
-        #: racy yield-tag pool (lockset feedback steering later PCT
-        #: batches' priority-change points).
-        self.schedule_coverage = ScheduleCoverageMap()
+        #: Concurrency mode: the racy yield-tag pool (lockset feedback
+        #: steering later PCT batches' priority-change points).
         self.racy_tags: set[str] = set()
         self.dedup = DedupIndex()
         #: Parent metrics registry: every worker snapshot merges in here
@@ -291,12 +283,8 @@ class CampaignEngine:
         engine = cls(CampaignConfig.from_jsonable(state["config"]), out=path)
         engine.scheduler = BudgetScheduler.from_jsonable(state["scheduler"])
         engine.coverage = CoverageMap.from_jsonable(state["coverage"])
-        # .get defaults: checkpoints written before concurrency mode
-        # existed stay loadable (same VERSION, purely additive keys).
-        engine.schedule_coverage = ScheduleCoverageMap.from_jsonable(
-            state.get("schedule_coverage", {})
-        )
-        engine.racy_tags = set(state.get("racy_tags", []))
+        engine.racy_tags = set(state["racy_tags"])
+        engine._corpus_traces = state["corpus_traces"]
         for data in state["findings"]:
             finding = RawFinding.from_jsonable(data)
             engine.dedup.by_signature[finding.signature] = finding
@@ -362,11 +350,9 @@ class CampaignEngine:
         )
 
     def _absorb(self, result: BatchResult) -> None:
-        new_lines = self.coverage.merge(result.coverage)
-        new_windows = self.schedule_coverage.merge(result.schedule_coverage)
-        # In concurrency mode the novelty signal is new interleaving
-        # classes; in random mode new_windows is always 0.
-        self.scheduler.feedback(result.worker_id, new_lines + new_windows)
+        self.scheduler.feedback(
+            result.worker_id, self.coverage.merge(result.coverage)
+        )
         self.racy_tags.update(result.racy_tags)
         if result.metrics:
             self.metrics.merge(result.metrics)
@@ -392,11 +378,12 @@ class CampaignEngine:
 
     def run(self) -> CampaignReport:
         self._started = time.perf_counter()
-        self._corpus_traces = 0
         if self.config.serve_telemetry is not None:
             self._start_telemetry(self.config.serve_telemetry)
         try:
-            if self.config.seed_corpus is not None:
+            # A resumed engine restored the replay's findings and count
+            # from its checkpoint, and every checkpoint postdates it.
+            if self.config.seed_corpus is not None and not self.resumed:
                 self._replay_corpus()
             if self.config.inline or self.config.workers <= 1:
                 self._run_inline()
@@ -479,7 +466,7 @@ class CampaignEngine:
                 self.total_hypercalls * 3600.0 / elapsed if elapsed else 0.0,
                 1,
             ),
-            "coverage_functions": self.coverage.function_count(),
+            "coverage": self.coverage.count(),
             "cache_hit_rate": round(self._cache_hit_rate(), 4),
             "findings": len(self.dedup),
             "profile_samples": self.profile.total,
@@ -509,8 +496,6 @@ class CampaignEngine:
             **self._heartbeat_sample(),
             "issued_steps": self.issued_steps,
             "budget": self.config.budget,
-            "coverage_lines": self.coverage.line_count(),
-            "coverage_windows": self.schedule_coverage.window_count(),
             "flight_dumps": len(self.flight_dumps),
             "workers": workers,
             "telemetry": {
@@ -624,9 +609,7 @@ class CampaignEngine:
             total_hypercalls=self.total_hypercalls,
             total_rejected=self.total_rejected,
             findings=findings,
-            coverage_lines=self.coverage.line_count(),
-            coverage_functions=self.coverage.function_count(),
-            coverage_windows=self.schedule_coverage.window_count(),
+            coverage=self.coverage.count(),
             corpus_traces=self._corpus_traces,
             seconds=time.perf_counter() - self._started,
             resumed=self.resumed,
@@ -648,13 +631,7 @@ class CampaignEngine:
         elapsed = self._elapsed()
         rate = self.total_hypercalls * 3600.0 / elapsed if elapsed else 0.0
         m.gauge("campaign_hypercalls_per_hour", mode="sum").set(round(rate, 1))
-        m.gauge("campaign_coverage_lines").set(self.coverage.line_count())
-        m.gauge("campaign_coverage_functions").set(
-            self.coverage.function_count()
-        )
-        m.gauge("campaign_coverage_windows").set(
-            self.schedule_coverage.window_count()
-        )
+        m.gauge("campaign_coverage").set(self.coverage.count())
         m.gauge("campaign_corpus_traces", mode="sum").set(self._corpus_traces)
         m.gauge("campaign_batches", mode="sum").set(len(self.batch_records))
         m.gauge("campaign_steps_total", mode="sum").set(self.total_steps)
@@ -707,8 +684,8 @@ class CampaignEngine:
             "scheduler": self.scheduler.to_jsonable(),
             "batches": self.batch_records,
             "coverage": self.coverage.to_jsonable(),
-            "schedule_coverage": self.schedule_coverage.to_jsonable(),
             "racy_tags": sorted(self.racy_tags),
+            "corpus_traces": self._corpus_traces,
             "findings": [f.to_jsonable() for f in self.dedup.findings()],
         }
         if report is not None:

@@ -1,9 +1,10 @@
 """Coverage-guided step-budget scheduling.
 
 The merged coverage map is the campaign's novelty signal: a worker whose
-last batch reached new EL2 lines is probably exploring a fresh region of
-the state machine, so its next batch gets a longer budget; a worker that
-contributed nothing decays back toward the base budget. The same
+last batch reached new oracle classes (or lines, or interleaving
+windows) is probably exploring a fresh region of the state machine, so
+its next batch gets a longer budget; a worker that contributed nothing
+decays back toward the base budget. The same
 mechanism the paper leans on when it uses coverage to judge whether the
 random tester is still finding new behaviour (§5).
 """
@@ -12,14 +13,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+#: Budgets never exceed ``base_steps * MAX_FACTOR``.
+MAX_FACTOR = 4
+
 
 @dataclass
 class BudgetScheduler:
     """Per-worker step budgets driven by merged-coverage novelty."""
 
     base_steps: int
-    #: Budgets never exceed ``base_steps * max_factor``.
-    max_factor: int = 4
     budgets: dict[int, int] = field(default_factory=dict)
 
     def budget(self, worker_id: int) -> int:
@@ -30,7 +32,7 @@ class BudgetScheduler:
         returns the budget its *next* batch will get."""
         current = self.budget(worker_id)
         if new_lines > 0:
-            updated = min(current * 2, self.base_steps * self.max_factor)
+            updated = min(current * 2, self.base_steps * MAX_FACTOR)
         else:
             updated = max(self.base_steps, current // 2)
         self.budgets[worker_id] = updated
@@ -39,7 +41,6 @@ class BudgetScheduler:
     def to_jsonable(self) -> dict:
         return {
             "base_steps": self.base_steps,
-            "max_factor": self.max_factor,
             "budgets": {str(k): v for k, v in self.budgets.items()},
         }
 
@@ -47,6 +48,5 @@ class BudgetScheduler:
     def from_jsonable(data: dict) -> "BudgetScheduler":
         return BudgetScheduler(
             base_steps=data["base_steps"],
-            max_factor=data["max_factor"],
             budgets={int(k): v for k, v in data["budgets"].items()},
         )

@@ -12,18 +12,14 @@ and inside worker processes (``worker_main`` loops on a task queue).
 
 from __future__ import annotations
 
+import contextlib
 import time
 from dataclasses import dataclass, field
 
 from repro.machine import Machine
 from repro.obs import Observability
-from repro.sim.coverage import ScheduleCoverageMap
 from repro.testing.campaign.findings import FINDING_EXCEPTIONS, RawFinding, make_finding
-from repro.testing.coverage import (
-    CoverageMap,
-    CoverageTracker,
-    FunctionCoverageTracker,
-)
+from repro.testing.coverage import CoverageMap, CoverageTracker
 from repro.testing.random_tester import RandomTester
 from repro.testing.trace import Trace
 
@@ -70,13 +66,11 @@ class BatchResult:
     hypercalls: int = 0
     rejected: int = 0
     finding: RawFinding | None = None
+    #: The batch's novelty points: oracle trap classes, hit lines, or
+    #: (concurrency mode) interleaving-class windows.
     coverage: CoverageMap = field(default_factory=CoverageMap)
-    #: Concurrency mode: merged interleaving-class windows of the
-    #: batch's schedules, and racy-location yield tags from the lockset
+    #: Concurrency mode: racy-location yield tags from the lockset
     #: detector.
-    schedule_coverage: ScheduleCoverageMap = field(
-        default_factory=ScheduleCoverageMap
-    )
     racy_tags: tuple = ()
     seconds: float = 0.0
     #: Observability payload, shipped as plain data (picklable through
@@ -104,21 +98,21 @@ class BatchResult:
         }
 
 
-def _make_tracker(coverage: str):
-    if coverage == "lines":
-        return CoverageTracker()
-    if coverage == "functions":
-        return FunctionCoverageTracker()
-    if coverage == "off":
-        return None
-    raise ValueError(f"unknown coverage mode {coverage!r}")
+def oracle_class(observation) -> str:
+    """One checked trap's coverage point: the spec that ran, its return
+    value (every positive value shares one bucket), and the kinds of
+    ghost component it changed (``vm_pgt:<handle>`` and ``local:<cpu>``
+    lose their suffix), so handles and CPU numbers mint no classes."""
+    kinds = sorted({key.split(":", 1)[0] for key in observation.changed})
+    ret = min(observation.ret, 1)
+    return f"{observation.spec_name}:{ret}:{','.join(kinds)}"
 
 
 def run_batch(
     machine_config: dict,
     task: BatchTask,
     *,
-    coverage: str = "functions",
+    coverage: str = "oracle",
     tracing: bool = False,
     flight_buffer: int = 0,
     flight_dir: str = ".",
@@ -129,13 +123,15 @@ def run_batch(
 ) -> BatchResult:
     """Run one batch; never raises on findings — they come back as data.
 
-    ``coverage``: "functions" (cheap, the campaign default), "lines"
-    (full line bitmap, ~20x slower), or "off".
+    ``coverage``: "oracle" (the checked traps' oracle classes, see
+    :func:`oracle_class`; the campaign default), "lines" (full line
+    bitmap, ~20x slower), or "off".
 
     ``mode="concurrency"`` runs the schedule fuzzer instead:
     ``task.steps`` PCT schedules of ``scenario`` rather than random
     tester steps (see :mod:`repro.testing.campaign.concurrency`; its
-    schedules run ghost-off and without a coverage tracker).
+    schedules run ghost-off, and their coverage points are always
+    interleaving-class windows).
 
     ``mode="iommu"`` is random mode under the tester's IOMMU-focused
     action profile: the DMA-domain boundary gets the bulk of the step
@@ -243,10 +239,14 @@ def _run_steps(
         },
     )
     tester = RandomTester(machine, seed=task.seed, trace=trace, profile=profile)
-    tracker = _make_tracker(coverage)
-    try:
-        if tracker is not None:
-            tracker.__enter__()
+    lines = CoverageTracker() if coverage == "lines" else None
+    if coverage == "oracle":
+        machine.checker.frame_hook = lambda observation: result.coverage.add(
+            "oracle", {oracle_class(observation)}
+        )
+    elif coverage not in ("lines", "off"):
+        raise ValueError(f"unknown coverage mode {coverage!r}")
+    with lines or contextlib.nullcontext():
         for i in range(task.steps):
             result.steps_run = i + 1
             try:
@@ -261,11 +261,8 @@ def _run_steps(
                     step_index=i,
                 )
                 break
-    finally:
-        if tracker is not None:
-            tracker.__exit__(None, None, None)
-    if tracker is not None:
-        result.coverage = tracker.snapshot()
+    if lines is not None:
+        result.coverage = lines.snapshot()
     result.hypercalls = tester.stats.hypercalls
     result.rejected = tester.stats.rejected_crashy
 

@@ -20,17 +20,11 @@ import threading
 from dataclasses import dataclass, field
 from types import CodeType, FrameType
 
-# Schedule coverage lives beside the scheduler it abstracts, but is
-# re-exported here: to the campaign layer, interleaving-class windows and
-# line bitmaps are the same kind of thing (a mergeable novelty signal).
-from repro.sim.coverage import ScheduleCoverageMap
+# The campaign's one coverage map lives in the substrate, which cannot
+# import this package; re-exported here for the tracker's snapshots.
+from repro.sim.coverage import CoverageMap
 
-__all__ = [
-    "CoverageMap",
-    "CoverageTracker",
-    "FunctionCoverageTracker",
-    "ScheduleCoverageMap",
-]
+__all__ = ["CoverageMap", "CoverageTracker"]
 
 #: CO_OPTIMIZED distinguishes real function bodies from module/class-body
 #: code objects, which execute at import time (before tracking starts).
@@ -126,68 +120,6 @@ def _functions(code: CodeType, qual_prefix: str = "") -> set[str]:
 
 
 @dataclass
-class CoverageMap:
-    """A mergeable coverage bitmap: per-module hit lines and functions.
-
-    The campaign engine's analogue of the paper's cross-address-space
-    coverage transfer (§5): each worker process snapshots its tracker into
-    one of these, ships it over the result queue, and the engine merges it
-    into the campaign-wide map. Merging is associative, commutative, and
-    idempotent — set union per module — so arrival order never matters.
-    """
-
-    lines: dict[str, set[int]] = field(default_factory=dict)
-    functions: dict[str, set[str]] = field(default_factory=dict)
-
-    def merge(self, other: "CoverageMap") -> int:
-        """Fold ``other`` in; returns how many *new* lines it contributed
-        (the scheduler's novelty signal)."""
-        new = 0
-        for filename, lines in other.lines.items():
-            mine = self.lines.setdefault(filename, set())
-            before = len(mine)
-            mine |= lines
-            new += len(mine) - before
-        for filename, funcs in other.functions.items():
-            self.functions.setdefault(filename, set()).update(funcs)
-        return new
-
-    def __or__(self, other: "CoverageMap") -> "CoverageMap":
-        merged = self.copy()
-        merged.merge(other)
-        return merged
-
-    def copy(self) -> "CoverageMap":
-        return CoverageMap(
-            lines={f: set(v) for f, v in self.lines.items()},
-            functions={f: set(v) for f, v in self.functions.items()},
-        )
-
-    def line_count(self) -> int:
-        return sum(len(v) for v in self.lines.values())
-
-    def function_count(self) -> int:
-        return sum(len(v) for v in self.functions.values())
-
-    def to_jsonable(self) -> dict:
-        return {
-            "lines": {f: sorted(v) for f, v in sorted(self.lines.items())},
-            "functions": {
-                f: sorted(v) for f, v in sorted(self.functions.items())
-            },
-        }
-
-    @staticmethod
-    def from_jsonable(data: dict) -> "CoverageMap":
-        return CoverageMap(
-            lines={f: set(v) for f, v in data.get("lines", {}).items()},
-            functions={
-                f: set(v) for f, v in data.get("functions", {}).items()
-            },
-        )
-
-
-@dataclass
 class ModuleCoverage:
     filename: str
     lines_total: set[int] = field(default_factory=set)
@@ -214,61 +146,6 @@ class ModuleCoverage:
 
     def missed_lines(self) -> list[int]:
         return sorted(self.lines_total - self.lines_hit)
-
-
-class FunctionCoverageTracker:
-    """Function-grain coverage at a fraction of the cost of line tracing.
-
-    The full :class:`CoverageTracker` slows a random-tester batch ~20x
-    (every line event is a Python callback); campaigns need coverage as a
-    *novelty signal*, not a report, so this tracker registers for call
-    events only and returns ``None`` from the callback to suppress line
-    tracing entirely (~3x). Hit functions are memoized per code object to
-    keep the callback's fast path to one dict lookup.
-    """
-
-    def __init__(self, path_fragments: list[str] | None = None):
-        self.path_fragments = path_fragments or ["repro/pkvm", "repro/ghost"]
-        self._hits: set[CodeType] = set()
-        self._memo: dict[CodeType, CodeType | None] = {}
-        self._prev_trace = None
-
-    def _trace(self, frame: FrameType, event: str, _arg):
-        if event == "call":
-            code = frame.f_code
-            wanted = self._memo.get(code, False)
-            if wanted is False:
-                filename = code.co_filename
-                wanted = (
-                    code
-                    if any(f in filename for f in self.path_fragments)
-                    else None
-                )
-                self._memo[code] = wanted
-            if wanted is not None:
-                self._hits.add(wanted)
-        return None  # never trace lines inside the frame
-
-    def __enter__(self) -> "FunctionCoverageTracker":
-        self._prev_trace = sys.gettrace()
-        sys.settrace(self._trace)
-        threading.settrace(self._trace)
-        return self
-
-    def __exit__(self, *_exc) -> None:
-        sys.settrace(self._prev_trace)
-        threading.settrace(self._prev_trace)  # type: ignore[arg-type]
-
-    def snapshot(self) -> CoverageMap:
-        """Hit functions as a CoverageMap; the ``lines`` component holds
-        each hit function's first line, so function-grain and line-grain
-        maps merge meaningfully."""
-        snap = CoverageMap()
-        for code in self._hits:
-            key = code.co_filename.split("src/")[-1]
-            snap.functions.setdefault(key, set()).add(code.co_qualname)
-            snap.lines.setdefault(key, set()).add(code.co_firstlineno)
-        return snap
 
 
 class CoverageTracker:
@@ -347,16 +224,13 @@ class CoverageTracker:
         return dict(self.modules)
 
     def snapshot(self) -> CoverageMap:
-        """The current hit sets as a mergeable :class:`CoverageMap`,
-        keyed on source-tree-relative filenames so maps from different
-        processes (or checkouts) line up."""
+        """The hit lines as a mergeable :class:`CoverageMap`, keyed on
+        source-tree-relative filenames so maps from different processes
+        (or checkouts) line up."""
         snap = CoverageMap()
         for filename, module in self.modules.items():
             key = filename.split("src/")[-1]
-            snap.lines[key] = set(module.lines_hit & module.lines_total)
-            snap.functions[key] = set(
-                module.functions_hit & module.functions_total
-            )
+            snap.add(key, module.lines_hit & module.lines_total)
         return snap
 
     def totals(

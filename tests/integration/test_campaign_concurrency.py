@@ -6,7 +6,7 @@ script, strict replay re-executes the script, and the shrinker minimises
 the script alongside the trace. These tests pin the full loop: discovery
 within budget from a pinned seed, deterministic replay of the shipped
 schedule, schedule shrinking to <=50% of the original decision count,
-checkpoint round-trips of the new schedule-coverage state, and zero
+checkpoint round-trips of the interleaving-window coverage, and zero
 findings on a clean tree.
 """
 
@@ -78,9 +78,9 @@ class TestDiscoveryAndReplay:
         b = run_campaign(_config())
         assert a.comparable() == b.comparable()
 
-    def test_schedule_coverage_reported(self):
+    def test_window_coverage_reported(self):
         report = run_campaign(_config(bug_names=(), budget=32))
-        assert report.coverage_windows > 0
+        assert report.coverage > 0
 
 
 class TestRacyTagFeedback:
@@ -123,14 +123,11 @@ class TestCheckpoint:
         )
         engine.run()
         state = json.load(open(path))
-        assert state["schedule_coverage"]["windows"]
+        assert state["coverage"]["vcpu-race"]
         assert state["config"]["mode"] == "concurrency"
 
         resumed = CampaignEngine.from_checkpoint(path)
-        assert (
-            resumed.schedule_coverage.window_count()
-            == engine.schedule_coverage.window_count()
-        )
+        assert resumed.coverage == engine.coverage
         assert resumed.racy_tags == engine.racy_tags
 
     def test_interrupted_resume_matches_uninterrupted(self, tmp_path):

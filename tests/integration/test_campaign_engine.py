@@ -8,12 +8,16 @@ exercised separately by the benchmark and the CI smoke job.
 
 import json
 
+from repro.arch.defs import phys_to_pfn
+from repro.pkvm.defs import HypercallId
 from repro.testing.campaign.cli import main
+from repro.testing.campaign.concurrency import DRAM_BASE
 from repro.testing.campaign.engine import (
     CampaignConfig,
     CampaignEngine,
     run_campaign,
 )
+from repro.testing.trace import Trace
 
 
 def _config(**overrides) -> CampaignConfig:
@@ -24,7 +28,7 @@ def _config(**overrides) -> CampaignConfig:
         seed=5,
         inline=True,
         shrink=False,
-        coverage="functions",
+        coverage="oracle",
     )
     base.update(overrides)
     return CampaignConfig(**base)
@@ -68,6 +72,35 @@ class TestCheckpointResume:
         resumed = CampaignEngine.from_checkpoint(partial_path).run()
 
         assert resumed.resumed
+        assert resumed.comparable() == straight.comparable()
+
+    def test_resumed_seed_corpus_is_not_replayed(self, tmp_path):
+        # One corpus trace: share then unshare a host page, which the
+        # injected unshare leak turns into a finding.
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        trace = Trace()
+        page = phys_to_pfn(DRAM_BASE + 0x20_0000)
+        trace.record_hvc(0, HypercallId.HOST_SHARE_HYP, page)
+        trace.record_hvc(0, HypercallId.HOST_UNSHARE_HYP, page)
+        (corpus / "unshare.trace").write_text(trace.dumps())
+        config = dict(
+            budget=400,
+            batch_steps=100,
+            seed=3,
+            bug_names=("synth_unshare_leak",),
+            seed_corpus=str(corpus),
+        )
+        straight = run_campaign(_config(**config))
+
+        path = str(tmp_path / "partial.json")
+        CampaignEngine(_config(max_batches=1, **config), out=path).run()
+        state = json.load(open(path))
+        state["config"]["max_batches"] = None
+        json.dump(state, open(path, "w"))
+        resumed = CampaignEngine.from_checkpoint(path).run()
+
+        assert straight.corpus_traces == 1
         assert resumed.comparable() == straight.comparable()
 
     def test_checkpoint_written_after_every_batch(self, tmp_path):

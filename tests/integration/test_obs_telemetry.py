@@ -94,7 +94,7 @@ class TestLiveCampaignTelemetry:
         assert samples[-1]["steps"] == 600
         fields = {
             "ts", "elapsed", "batches", "steps", "hypercalls",
-            "hypercalls_per_hour", "coverage_functions", "cache_hit_rate",
+            "hypercalls_per_hour", "coverage", "cache_hit_rate",
             "findings", "profile_samples", "seq", "ts_us", "kind",
         }
         assert all(set(sample) == fields for sample in samples)

@@ -1,13 +1,17 @@
-"""Unit tests for the campaign engine's parts: seed derivation, budget
-scheduling, finding signatures/dedup, and checkpoint files."""
+"""Unit tests for the campaign engine's parts: seed derivation, oracle
+coverage classes, budget scheduling, finding signatures/dedup, and
+checkpoint files."""
 
 import pytest
 
+from repro.ghost.checker import FrameObservation
+from repro.pkvm.defs import EPERM
 from repro.testing.campaign.checkpoint import (
     VERSION,
     load_checkpoint,
     save_checkpoint,
 )
+from repro.testing.campaign.engine import CampaignConfig
 from repro.testing.campaign.findings import (
     DedupIndex,
     RawFinding,
@@ -15,7 +19,12 @@ from repro.testing.campaign.findings import (
     faulting_call_name,
 )
 from repro.testing.campaign.scheduler import BudgetScheduler
-from repro.testing.campaign.worker import batch_seed
+from repro.testing.campaign.worker import (
+    BatchTask,
+    batch_seed,
+    oracle_class,
+    run_batch,
+)
 from repro.testing.trace import Trace
 
 
@@ -34,15 +43,56 @@ class TestBatchSeeds:
         assert not (a & b)
 
 
+def _observation(spec_name: str, changed, ret: int = 0) -> FrameObservation:
+    return FrameObservation(
+        spec_name=spec_name,
+        changed=frozenset(changed),
+        touched=frozenset(changed),
+        multiphase=frozenset(),
+        ret=ret,
+    )
+
+
+class TestOracleClass:
+    def test_handles_share_one_class(self):
+        first = _observation("init_vm", {"vms", "vm_pgt:4096"}, ret=0x1000)
+        second = _observation("init_vm", {"vms", "vm_pgt:4097"}, ret=0x1001)
+        assert oracle_class(first) == oracle_class(second)
+
+    def test_component_keys_collapse_to_kinds(self):
+        seen = _observation("share", {"vm_pgt:0x1003", "local:2", "host"})
+        assert oracle_class(seen) == "share:0:host,local,vm_pgt"
+
+    def test_return_code_separates_classes(self):
+        ok = _observation("share", {"local:0"}, ret=0)
+        denied = _observation("share", {"local:0"}, ret=-EPERM)
+        assert oracle_class(ok) != oracle_class(denied)
+
+    def test_spec_name_separates_classes(self):
+        share = _observation("share", {"host", "local:0"})
+        unshare = _observation("unshare", {"host", "local:0"})
+        assert oracle_class(share) != oracle_class(unshare)
+
+    def test_random_batch_collects_oracle_classes(self):
+        config = CampaignConfig()
+        result = run_batch(
+            config.machine_config(),
+            BatchTask(worker_id=0, batch_index=0, seed=1, steps=100),
+            **config.batch_options(),
+        )
+        assert set(result.coverage.points) == {"oracle"}
+        assert result.coverage.count() > 10
+
+
 class TestBudgetScheduler:
     def test_novelty_doubles_up_to_cap(self):
-        sched = BudgetScheduler(base_steps=100, max_factor=4)
+        sched = BudgetScheduler(base_steps=100)
         for _ in range(5):
             sched.feedback(0, new_lines=7)
-        assert sched.budget(0) == 400  # capped at base * max_factor
+        assert sched.budget(0) == 400  # capped at base * MAX_FACTOR
 
     def test_no_novelty_decays_to_base(self):
-        sched = BudgetScheduler(base_steps=100, max_factor=4)
+        sched = BudgetScheduler(base_steps=100)
         sched.feedback(0, new_lines=3)
         sched.feedback(0, new_lines=9)
         assert sched.budget(0) == 400
@@ -58,7 +108,7 @@ class TestBudgetScheduler:
         assert sched.budget(1) == 100
 
     def test_jsonable_round_trip(self):
-        sched = BudgetScheduler(base_steps=100, max_factor=8)
+        sched = BudgetScheduler(base_steps=100)
         sched.feedback(0, new_lines=5)
         sched.feedback(3, new_lines=0)
         back = BudgetScheduler.from_jsonable(sched.to_jsonable())
@@ -151,4 +201,12 @@ class TestCheckpointFile:
         path = str(tmp_path / "campaign.json")
         save_checkpoint(path, {"version": 999})
         with pytest.raises(ValueError, match="version"):
+            load_checkpoint(path)
+
+    def test_version_one_refused(self, tmp_path):
+        # Version 1 kept line and function sets under "coverage"; such a
+        # file is refused, not half-read.
+        path = str(tmp_path / "campaign.json")
+        save_checkpoint(path, {"version": 1, "coverage": {"lines": {}}})
+        with pytest.raises(ValueError, match="version 1"):
             load_checkpoint(path)

@@ -1,19 +1,16 @@
-"""Unit tests for the mergeable coverage bitmap behind the campaign engine.
+"""Unit tests for the campaign's one mergeable coverage map.
 
-Merging must behave like set union per module — associative, commutative,
+Merging must behave like set union per key — associative, commutative,
 idempotent — so the order worker results arrive in can never change the
-campaign-wide map.
+campaign-wide map, whether its points are oracle classes, source lines
+or interleaving windows.
 """
 
-from repro.testing.coverage import CoverageMap, FunctionCoverageTracker
+from repro.testing.coverage import CoverageMap, CoverageTracker
 
 
-def _map(**modules) -> CoverageMap:
-    cm = CoverageMap()
-    for name, lines in modules.items():
-        cm.lines[f"{name}.py"] = set(lines)
-        cm.functions[f"{name}.py"] = {f"f{line}" for line in lines}
-    return cm
+def _map(**keys) -> CoverageMap:
+    return CoverageMap({key: set(points) for key, points in keys.items()})
 
 
 class TestMergeAlgebra:
@@ -38,37 +35,53 @@ class TestMergeAlgebra:
     def test_merge_reports_novelty(self):
         a = _map(pkvm=[1, 2])
         b = _map(pkvm=[2, 3], ghost=[10])
-        assert a.merge(b) == 2  # line 3 and line 10
-        assert a.line_count() == 4
+        assert a.merge(b) == 2  # point 3 and point 10
+        assert a.count() == 4
 
     def test_or_does_not_mutate_operands(self):
         a = _map(pkvm=[1])
         b = _map(pkvm=[2])
         _ = a | b
-        assert a.lines["pkvm.py"] == {1}
-        assert b.lines["pkvm.py"] == {2}
+        assert a.points["pkvm"] == {1}
+        assert b.points["pkvm"] == {2}
+
+    def test_add_counts_new_points(self):
+        cm = CoverageMap()
+        assert cm.add("mixed", {1, 2, 3}) == 3
+        assert cm.add("mixed", {2, 3, 4}) == 1
+        # Same points under a different key are distinct coverage.
+        assert cm.add("vcpu", {1}) == 1
+
+    def test_seen_means_no_novelty(self):
+        cm = _map(mixed=[1, 2, 3])
+        assert cm.seen("mixed", {1, 3})
+        assert not cm.seen("mixed", {1, 4})
+        assert not cm.seen("vcpu", {1})
 
 
 class TestSerialisation:
     def test_jsonable_round_trip(self):
-        a = _map(pkvm=[3, 1, 2], ghost=[10])
+        a = _map(pkvm=[3, 1, 2], ghost=[10], oracle=["b:0:", "a:-1:local"])
         back = CoverageMap.from_jsonable(a.to_jsonable())
         assert back == a
 
     def test_jsonable_is_sorted_and_plain(self):
-        data = _map(pkvm=[3, 1]).to_jsonable()
-        assert data["lines"]["pkvm.py"] == [1, 3]
-        assert all(isinstance(v, list) for v in data["functions"].values())
+        data = _map(pkvm=[3, 1], oracle=["b", "a"]).to_jsonable()
+        assert data == {"oracle": ["a", "b"], "pkvm": [1, 3]}
 
 
-class TestFunctionTracker:
-    def test_tracks_calls_into_scoped_modules(self):
+class TestTrackerSnapshot:
+    def test_hit_lines_keyed_by_module(self):
         from repro.machine import Machine
 
-        with FunctionCoverageTracker() as tracker:
+        with CoverageTracker() as tracker:
             Machine(nr_cpus=1)
         snap = tracker.snapshot()
-        assert snap.function_count() > 10
-        assert all(not key.startswith("/") for key in snap.functions)
-        merged = snap | snap
-        assert merged == snap
+        assert snap.count() > 10
+        assert all(not key.startswith("/") for key in snap.points)
+        assert all(
+            isinstance(line, int)
+            for lines in snap.points.values()
+            for line in lines
+        )
+        assert (snap | snap) == snap
