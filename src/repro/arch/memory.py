@@ -69,6 +69,7 @@ class PhysicalMemory:
             if a.overlaps(b):
                 raise ValueError(f"memory map regions overlap: {a} / {b}")
         self._bases = [r.base for r in self._regions]
+        self._ends = [r.end for r in self._regions]
         self._pages: dict[int, list[int]] = {}
         #: Number of reads/writes of device memory, for fault diagnosis.
         self.device_accesses = 0
@@ -94,10 +95,8 @@ class PhysicalMemory:
 
     def region_of(self, phys: int) -> MemoryRegion | None:
         i = bisect_right(self._bases, phys) - 1
-        if i >= 0:
-            region = self._regions[i]
-            if region.contains(phys):
-                return region
+        if i >= 0 and phys < self._ends[i]:
+            return self._regions[i]
         return None
 
     def is_memory(self, phys: int) -> bool:
@@ -169,24 +168,16 @@ class PhysicalMemory:
 
     # -- word access -----------------------------------------------------
 
-    def _page_for(self, phys: int, *, materialise: bool) -> list[int] | None:
+    def read64(self, phys: int) -> int:
+        """Read the naturally aligned 64-bit word at ``phys``."""
+        if phys % 8:
+            raise BadAddress(f"unaligned 64-bit read at {phys:#x}")
         region = self.region_of(phys)
         if region is None:
             raise BadAddress(f"physical access outside memory map: {phys:#x}")
         if region.kind is MemType.DEVICE:
             self.device_accesses += 1
-        pfn = phys_to_pfn(phys)
-        page = self._pages.get(pfn)
-        if page is None and materialise:
-            page = [0] * PTRS_PER_TABLE
-            self._pages[pfn] = page
-        return page
-
-    def read64(self, phys: int) -> int:
-        """Read the naturally aligned 64-bit word at ``phys``."""
-        if phys % 8:
-            raise BadAddress(f"unaligned 64-bit read at {phys:#x}")
-        page = self._page_for(phys, materialise=False)
+        page = self._pages.get(phys_to_pfn(phys))
         if page is None:
             return 0
         return page[(phys & (PAGE_SIZE - 1)) >> 3]
@@ -225,11 +216,13 @@ class PhysicalMemory:
         page = self._pages.get(pfn)
         if page is None or not any(page):
             return
-        self._pages[pfn] = [0] * PTRS_PER_TABLE
+        page[:] = self._EMPTY_PAGE
         self._record_write(pfn)
 
     def zero_range(self, phys: int, size: int) -> None:
-        """Zero ``size`` bytes starting at ``phys`` (word granular).
+        """Zero ``size`` bytes starting at ``phys``: a page at a time where
+        the range is whole, aligned pages inside one DRAM region, word by
+        word otherwise.
 
         Unlike :meth:`zero_page` this takes a byte address, not a frame:
         pKVM's memcache topup zeroes "the page at addr", and the missing
@@ -239,6 +232,18 @@ class PhysicalMemory:
         """
         if phys % 8 or size % 8:
             raise BadAddress(f"unaligned zero_range({phys:#x}, {size:#x})")
+        region = self.region_of(phys)
+        if (
+            not (phys | size) & (PAGE_SIZE - 1)
+            and region is not None
+            and region.kind is MemType.NORMAL
+            and phys + size <= region.end
+        ):
+            # Whole, aligned DRAM pages: one slice assignment and one
+            # journal record per page that holds anything.
+            for pfn in range(phys_to_pfn(phys), phys_to_pfn(phys + size)):
+                self.zero_page(pfn)
+            return
         for off in range(0, size, 8):
             self.write64(phys + off, 0)
 

@@ -21,7 +21,18 @@ from repro.arch.defs import (
     level_shift,
 )
 from repro.arch.memory import PhysicalMemory
-from repro.arch.pte import DecodedPte, EntryKind, PageState, decode_descriptor
+from repro.arch.pte import (
+    OA_MASK,
+    PTE_TYPE,
+    PTE_VALID,
+    DecodedPte,
+    EntryKind,
+    PageState,
+    decode_descriptor,
+)
+
+#: Valid and type bits both set: a table descriptor above the leaf level.
+_TABLE_BITS = PTE_VALID | PTE_TYPE
 
 
 class TranslationFault(Exception):
@@ -82,12 +93,13 @@ def walk(
     table = root
     for level in range(START_LEVEL, LEAF_LEVEL + 1):
         raw = mem.read64(table + 8 * level_index(ia, level))
+        if raw & _TABLE_BITS == _TABLE_BITS and level < LEAF_LEVEL:
+            # a table descriptor: follow it without a full decode
+            table = raw & OA_MASK
+            continue
         pte = decode_descriptor(raw, level, stage)
         if pte.kind in (EntryKind.INVALID, EntryKind.INVALID_ANNOTATED):
             raise TranslationFault(ia, level, stage, write=write)
-        if pte.kind is EntryKind.TABLE:
-            table = pte.oa
-            continue
         return _leaf_result(pte, ia, stage, write=write, execute=execute)
     raise AssertionError("walk fell off the end of the table levels")
 

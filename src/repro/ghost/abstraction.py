@@ -24,9 +24,10 @@ from repro.arch.defs import (
     level_block_size,
 )
 from repro.arch.memory import PhysicalMemory
-from repro.arch.pte import EntryKind, PageState, decode_descriptor
+from repro.arch.pte import OA_MASK, EntryKind, PageState, decode_descriptor
 from repro.arch.cpu import Cpu
-from repro.ghost.maplets import Maplet, Mapping, MapletTarget
+from repro.ghost.maplets import Maplet, Mapping, MapletTarget, extend_run
+from repro.obs.metrics import Counter
 from repro.obs.trace import active_tracer
 from repro.ghost.state import (
     AbstractPgtable,
@@ -46,6 +47,22 @@ from repro.ghost.state import (
 class AbstractionError(Exception):
     """The concrete state violates an invariant the abstraction assumes
     (e.g. a double mapping, or a malformed table)."""
+
+
+class Memo(dict):
+    """The incremental traversal's memo for one tree.
+
+    A dict of :class:`_MemoEntry` records keyed by ``(table_pa, level,
+    va_partial)``, owned by :class:`repro.ghost.cache.AbstractionCache`.
+    ``decodes`` is the metrics counter each traversal charges its
+    descriptor decodes to, once per traversal.
+    """
+
+    __slots__ = ("decodes",)
+
+    def __init__(self, decodes: Counter | None = None):
+        super().__init__()
+        self.decodes = decodes
 
 
 class _MemoEntry:
@@ -75,25 +92,42 @@ class _MemoEntry:
         self.epoch: int = epoch
 
 
+class _Walk:
+    """What every table visit of one traversal shares: the inputs, the
+    tables on the current path (a table reached again is a cycle), the
+    journal lookups already made, and the descriptors decoded so far."""
+
+    __slots__ = ("mem", "stage", "memo", "path", "dirty", "decodes")
+
+    def __init__(self, mem: PhysicalMemory, stage: Stage, memo: dict | None):
+        self.mem = mem
+        self.stage = stage
+        self.memo = memo
+        self.path: set[int] = set()
+        #: epoch -> pages written since, shared by every subtree check.
+        self.dirty: dict[int, frozenset[int]] = {}
+        self.decodes = 0
+
+
 def interpret_pgtable(
     mem: PhysicalMemory, root: int, stage: Stage, *, memo: dict | None = None
 ) -> AbstractPgtable:
     """Interpret the table rooted at ``root`` as (mapping, footprint).
 
-    ``memo`` is the incremental-oracle hook: a dict (owned by the
-    :class:`repro.ghost.cache.AbstractionCache`) of :class:`_MemoEntry`
-    records keyed by ``(table_pa, level, va_partial)``. A re-traversal
-    skips subtrees the write journal proves clean, and *word-diffs* dirty
-    table pages against their stored snapshots so only changed entries
-    are re-decoded. With ``memo=None`` this is the paper's plain Fig. 2
-    full traversal.
+    ``memo`` is the incremental-oracle hook: a :class:`Memo` (owned by
+    the :class:`repro.ghost.cache.AbstractionCache`) of
+    :class:`_MemoEntry` records. A re-traversal skips subtrees the write
+    journal proves clean, word-diffs dirty table pages against their
+    stored snapshots so only changed entries are re-decoded, and decodes
+    only the first word of each run of entries that coalesce. With
+    ``memo=None`` this is the paper's plain Fig. 2 full traversal,
+    decoding every entry: the reference that paranoid mode checks the
+    incremental traversal against.
     """
+    walk = _Walk(mem, stage, memo)
     tracer = active_tracer()
     if not tracer.enabled:
-        maplets, phys = _interpret_table(
-            mem, root, START_LEVEL, 0, stage, memo, set(), {}
-        )
-        return AbstractPgtable(Mapping(list(maplets)), phys)
+        return _traverse(walk, root)
     with tracer.span(
         "interpret_pgtable",
         "oracle",
@@ -101,22 +135,29 @@ def interpret_pgtable(
         stage=stage.name,
         incremental=memo is not None,
     ):
-        maplets, phys = _interpret_table(
-            mem, root, START_LEVEL, 0, stage, memo, set(), {}
-        )
-        return AbstractPgtable(Mapping(list(maplets)), phys)
+        return _traverse(walk, root)
 
 
-def _subtree_clean(mem, entry, dirty_cache: dict) -> bool:
+def _traverse(walk: _Walk, root: int) -> AbstractPgtable:
+    try:
+        maplets, phys = _interpret_table(walk, root, START_LEVEL, 0)
+    finally:
+        decodes = getattr(walk.memo, "decodes", None)
+        if decodes is not None:
+            decodes.inc(walk.decodes)
+    return AbstractPgtable(Mapping(list(maplets)), phys)
+
+
+def _subtree_clean(walk: _Walk, entry: _MemoEntry) -> bool:
     """Whether no journaled write touched ``entry``'s subtree since it was
     last validated. Clean entries are freshened to the current epoch, so
     the next check bisects a shorter journal suffix."""
+    mem = walk.mem
     if entry.epoch >= mem.epoch:
         return True
-    dirty = dirty_cache.get(entry.epoch)
+    dirty = walk.dirty.get(entry.epoch)
     if dirty is None:
-        dirty = mem.writes_since(entry.epoch)
-        dirty_cache[entry.epoch] = dirty
+        dirty = walk.dirty[entry.epoch] = mem.writes_since(entry.epoch)
     if dirty & entry.pfns:
         return False
     entry.epoch = mem.epoch
@@ -124,29 +165,24 @@ def _subtree_clean(mem, entry, dirty_cache: dict) -> bool:
 
 
 def _interpret_table(
-    mem: PhysicalMemory,
-    table_pa: int,
-    level: int,
-    va_partial: int,
-    stage: Stage,
-    memo: dict | None,
-    path: set[int],
-    dirty_cache: dict,
+    walk: _Walk, table_pa: int, level: int, va_partial: int
 ) -> tuple[tuple, frozenset[int]]:
-    """The Fig. 2 traversal: iterate the 512 entries, case-split on kind.
+    """The Fig. 2 traversal of one table page and its subtree.
 
     Returns this subtree's (maplet segment, physical footprint). The
     segment is built independently of any surrounding context, so a
     memoized segment can be spliced into any later traversal; runs that
     span a subtree boundary re-coalesce at splice time.
     """
-    if table_pa in path:
+    if table_pa in walk.path:
         raise AbstractionError(f"table page {table_pa:#x} reached twice")
+    memo = walk.memo
     entry = None
     if memo is not None:
         entry = memo.get((table_pa, level, va_partial))
-        if entry is not None and _subtree_clean(mem, entry, dirty_cache):
+        if entry is not None and _subtree_clean(walk, entry):
             return entry.maplets, entry.phys
+    mem = walk.mem
     if not mem.is_memory(table_pa):
         what = "root" if level == START_LEVEL else "table page"
         raise AbstractionError(
@@ -154,37 +190,18 @@ def _interpret_table(
             "walker would read device memory or a bus hole"
         )
     if entry is not None:
-        return _rescan_table(
-            mem, table_pa, level, va_partial, stage, memo, path,
-            dirty_cache, entry,
-        )
-    path.add(table_pa)
-    segment = Mapping()
-    phys = {table_pa}
-    entry_size = level_block_size(level)
-    nr_pages = entry_size // PAGE_SIZE
+        return _rescan_table(walk, table_pa, level, va_partial, entry)
     words = mem.page_words_view(table_pa >> PAGE_SHIFT)
+    phys = {table_pa}
     children: dict[int, int] = {}
-    for idx in range(512):
-        raw = words[idx]
-        if raw == 0:
-            continue
-        va = va_partial | (idx * entry_size)
-        pte = _decode(raw, table_pa, idx, level, stage)
-        if pte.kind is EntryKind.TABLE:
-            children[idx] = pte.oa
-            child_maplets, child_phys = _interpret_table(
-                mem, pte.oa, level + 1, va, stage, memo, path, dirty_cache
-            )
-            _add_footprint(phys, child_phys)
-            for m in child_maplets:
-                segment.extend_coalesce(m.va, m.nr_pages, m.target)
-            continue
-        target = _leaf_target(pte)
-        if target is not None:
-            # the traversal is in ascending VA order: O(1) extension
-            segment.extend_coalesce(va, nr_pages, target)
-    path.discard(table_pa)
+    walk.path.add(table_pa)
+    if memo is None:
+        segment = _decode_each(walk, words, table_pa, level, va_partial, phys)
+    else:
+        segment = _decode_runs(
+            walk, words, 0, 512, table_pa, level, va_partial, phys, children
+        )
+    walk.path.discard(table_pa)
     result = (tuple(segment), frozenset(phys))
     if memo is not None:
         memo[(table_pa, level, va_partial)] = _MemoEntry(
@@ -196,6 +213,112 @@ def _interpret_table(
             mem.epoch,
         )
     return result
+
+
+def _decode_each(
+    walk: _Walk,
+    words: list[int],
+    table_pa: int,
+    level: int,
+    va_partial: int,
+    phys: set[int],
+) -> Mapping:
+    """The reference: iterate the 512 entries, decode every non-zero one,
+    case-split on its kind, and extend the segment entry by entry."""
+    segment = Mapping()
+    entry_size = level_block_size(level)
+    nr_pages = entry_size // PAGE_SIZE
+    for idx in range(512):
+        raw = words[idx]
+        if raw == 0:
+            continue
+        va = va_partial | (idx * entry_size)
+        pte = _decode(raw, table_pa, idx, level, walk.stage)
+        if pte.kind is EntryKind.TABLE:
+            child_maplets, child_phys = _interpret_table(
+                walk, pte.oa, level + 1, va
+            )
+            _add_footprint(phys, child_phys)
+            for m in child_maplets:
+                segment.extend_coalesce(m.va, m.nr_pages, m.target)
+            continue
+        target = _leaf_target(pte)
+        if target is not None:
+            # the traversal is in ascending VA order: O(1) extension
+            segment.extend_coalesce(va, nr_pages, target)
+    return segment
+
+
+def _decode_runs(
+    walk: _Walk,
+    words: list[int],
+    lo: int,
+    hi: int,
+    table_pa: int,
+    level: int,
+    va_partial: int,
+    phys: set[int],
+    children: dict[int, int],
+) -> list[Maplet]:
+    """Entries ``[lo, hi)`` of one table page as an in-order maplet run,
+    decoding only the first word of each run of entries that coalesce.
+
+    A leaf word equal to the previous one plus the entry size, or an
+    annotation word equal to the previous one, extends the open run
+    undecoded. ``top`` is the largest word with the run head's non-OA
+    bits: a word past it carried out of the OA field, which changes its
+    non-OA bits, so it is decoded afresh. A continuation word therefore
+    has its head's attributes, and cannot be malformed where the head
+    was not: every :class:`AbstractionError` is raised at the same entry
+    as in :func:`_decode_each`. Runs that meet without continuing word
+    by word (an AF bit flips, say) still coalesce at the seam.
+    """
+    stage = walk.stage
+    entry_size = level_block_size(level)
+    nr_pages = entry_size >> PAGE_SHIFT
+    run: list[Maplet] = []
+    head = nxt = -1
+    step = top = 0
+    target = None
+    decodes = 0
+    for idx in range(lo, hi):
+        raw = words[idx]
+        if raw == nxt and raw <= top:
+            nxt += step
+            continue
+        if head >= 0:
+            va = va_partial + head * entry_size
+            extend_run(run, (Maplet(va, (idx - head) * nr_pages, target),))
+            head = nxt = -1
+        if not raw:
+            continue
+        decodes += 1
+        pte = _decode(raw, table_pa, idx, level, stage)
+        kind = pte.kind
+        if kind is EntryKind.TABLE:
+            children[idx] = pte.oa
+            child_maplets, child_phys = _interpret_table(
+                walk, pte.oa, level + 1, va_partial + idx * entry_size
+            )
+            _add_footprint(phys, child_phys)
+            extend_run(run, child_maplets)
+            continue
+        target = _leaf_target(pte)
+        if target is None:
+            continue
+        head = idx
+        if kind is EntryKind.INVALID_ANNOTATED:
+            step = 0
+            nxt = top = raw
+        else:
+            step = entry_size
+            nxt = raw + step
+            top = raw | OA_MASK
+    if head >= 0:
+        va = va_partial + head * entry_size
+        extend_run(run, (Maplet(va, (hi - head) * nr_pages, target),))
+    walk.decodes += decodes
+    return run
 
 
 def _decode(raw: int, table_pa: int, idx: int, level: int, stage: Stage):
@@ -225,90 +348,91 @@ def _add_footprint(phys: set[int], child_phys: frozenset[int]) -> None:
     phys.update(child_phys)
 
 
+#: Words compared per slice when diffing a table page against its snapshot.
+_DIFF_CHUNK = 64
+
+
+def _changed_stretches(words: list[int], old: list[int]) -> list[tuple[int, int]]:
+    """The ascending ``(lo, hi)`` index ranges where ``words`` differs
+    from ``old``. Equal chunks are skipped by one slice comparison each,
+    so a page with a few changed words costs a few Python steps, not 512."""
+    stretches: list[tuple[int, int]] = []
+    for base in range(0, 512, _DIFF_CHUNK):
+        end = base + _DIFF_CHUNK
+        if words[base:end] == old[base:end]:
+            continue
+        for idx in range(base, end):
+            if words[idx] != old[idx]:
+                if stretches and stretches[-1][1] == idx:
+                    stretches[-1] = (stretches[-1][0], idx + 1)
+                else:
+                    stretches.append((idx, idx + 1))
+    return stretches
+
+
 def _rescan_table(
-    mem: PhysicalMemory,
+    walk: _Walk,
     table_pa: int,
     level: int,
     va_partial: int,
-    stage: Stage,
-    memo: dict,
-    path: set[int],
-    dirty_cache: dict,
     entry: _MemoEntry,
 ) -> tuple[tuple, frozenset[int]]:
     """Bring a stale memo entry forward by diffing word snapshots.
 
-    Entries whose raw word is unchanged keep their old contribution to
-    the segment (recursing only into child subtrees the journal marks
-    dirty). A changed entry, or a dirty child, has its input-address
-    span replaced by one :meth:`Mapping.splice`: O(log n + k) for a
-    segment of n maplets and a run of k. So in the common case, where
-    the page itself is untouched and only a descendant moved, a rescan
-    costs one splice per dirty child, not 512 decodes.
+    Only two kinds of entry are visited, in ascending index order: each
+    stretch of changed words, re-decoded as runs, and each unchanged
+    table entry, whose child is kept when the journal shows its subtree
+    clean and re-traversed otherwise. A re-decoded stretch or a
+    re-traversed child replaces its input-address span with one
+    :meth:`Mapping.splice`: O(log n + k) for a segment of n maplets and
+    a run of k. So in the common case, where the page itself is
+    untouched and only a descendant moved, a rescan costs one splice per
+    dirty child and no decodes at all.
     """
-    path.add(table_pa)
+    words = walk.mem.page_words_view(table_pa >> PAGE_SHIFT)
+    memo = walk.memo
     entry_size = level_block_size(level)
-    nr_pages = entry_size // PAGE_SIZE
-    words = mem.page_words_view(table_pa >> PAGE_SHIFT)
-    old_words = entry.words
-    seg = Mapping(list(entry.maplets))
     children = dict(entry.children)
-    phys = {table_pa}
-
-    def keep_or_splice_child(child_pa: int, va: int) -> None:
-        child_entry = memo.get((child_pa, level + 1, va))
-        if child_entry is not None and _subtree_clean(
-            mem, child_entry, dirty_cache
-        ):
-            _add_footprint(phys, child_entry.phys)
-            return
-        splice_child(child_pa, va)
-
-    def splice_child(child_pa: int, va: int) -> None:
-        child_maplets, child_phys = _interpret_table(
-            mem, child_pa, level + 1, va, stage, memo, path, dirty_cache
-        )
-        _add_footprint(phys, child_phys)
-        seg.splice(va, va + entry_size, child_maplets)
-
-    if words == old_words:
-        # The page itself is untouched: only descendants can have moved.
-        for idx, child_pa in entry.children.items():
-            keep_or_splice_child(child_pa, va_partial | (idx * entry_size))
-    else:
-        for idx in range(512):
-            raw = words[idx]
-            va = va_partial | (idx * entry_size)
-            if raw == old_words[idx]:
-                child_pa = children.get(idx)
-                if child_pa is not None:
-                    keep_or_splice_child(child_pa, va)
-                # else: unchanged leaf/invalid, contribution kept
-                continue
-            # The word changed: replace the old contribution of this
-            # entry's whole input-address span with the new descriptor's.
+    stretches = _changed_stretches(words, entry.words) if words != entry.words else []
+    for lo, hi in stretches:
+        for idx in range(lo, hi):
             children.pop(idx, None)
-            run: tuple = ()
-            if raw:
-                pte = _decode(raw, table_pa, idx, level, stage)
-                if pte.kind is EntryKind.TABLE:
-                    children[idx] = pte.oa
-                    splice_child(pte.oa, va)
-                    continue
-                target = _leaf_target(pte)
-                if target is not None:
-                    run = (Maplet(va, nr_pages, target),)
-            seg.splice(va, va + entry_size, run)
-    path.discard(table_pa)
+    # (idx, idx) is an unchanged table entry, (lo, hi) a changed stretch.
+    visits = sorted([*((idx, idx) for idx in children), *stretches])
+    phys = {table_pa}
+    seg = None
+    walk.path.add(table_pa)
+    for lo, hi in visits:
+        va = va_partial + lo * entry_size
+        if lo == hi:
+            child_pa = children[lo]
+            child = memo.get((child_pa, level + 1, va))
+            if child is not None and _subtree_clean(walk, child):
+                _add_footprint(phys, child.phys)
+                continue
+            run, child_phys = _interpret_table(walk, child_pa, level + 1, va)
+            _add_footprint(phys, child_phys)
+            end = va + entry_size
+        else:
+            run = _decode_runs(
+                walk, words, lo, hi, table_pa, level, va_partial, phys, children
+            )
+            end = va_partial + hi * entry_size
+        if seg is None:
+            seg = Mapping(list(entry.maplets))
+        seg.splice(va, end, run)
+    walk.path.discard(table_pa)
     # Update the entry in place only once the whole subtree succeeded: an
     # AbstractionError above leaves the old (still self-consistent)
     # snapshot behind, and the cache clears the memo on any failure.
-    entry.maplets = tuple(seg)
+    if seg is not None:
+        entry.maplets = tuple(seg)
+    if stretches:
+        entry.words = list(words)
     entry.phys = frozenset(phys)
     entry.pfns = frozenset(pa >> PAGE_SHIFT for pa in entry.phys)
-    entry.words = list(words)
     entry.children = children
-    entry.epoch = mem.epoch
+    entry.epoch = walk.mem.epoch
     return entry.maplets, entry.phys
 
 

@@ -11,10 +11,10 @@ per live mapping, plus per-recorded-state overhead.
 The byte costs mirror the C structures: a maplet is ~48 bytes (va, count,
 target address, attribute word, list linkage), a ghost state header ~256.
 Accounting is O(1) per operation and balanced: a running total adjusted
-on every mapping mutation and released by a finalizer when the mapping
-dies, plus the pre/post state headers the checker charges at handler
-entry and releases at exit. A dead machine (freed by reference counting,
-see docs/ORACLE.md) leaves nothing behind, and
+on every mapping mutation and released by a weak-reference callback when
+the mapping dies, plus the pre/post state headers the checker charges at
+handler entry and releases at exit. A dead machine (freed by reference
+counting, see docs/ORACLE.md) leaves nothing behind, and
 :meth:`GhostArena.restart_peak` at each boot makes the peak that
 machine's own.
 """
@@ -28,29 +28,41 @@ MAPPING_HEADER_BYTES = 32
 STATE_HEADER_BYTES = 256
 
 
+class _Accounted(weakref.ref):
+    """A weak reference to one accounted mapping, carrying what the arena
+    charged for it. Its callback releases the charge when the mapping
+    dies: a weakref is a C object, far cheaper than ``weakref.finalize``."""
+
+    __slots__ = ("key", "bytes")
+
+
 class GhostArena:
     """Tracks the would-be arena footprint of all live ghost objects."""
 
     def __init__(self):
         self._bytes = 0
-        #: mapping id -> bytes currently accounted for it.
-        self._per_mapping: dict[int, int] = {}
+        #: mapping id -> its weak reference and current charge.
+        self._per_mapping: dict[int, _Accounted] = {}
         self.peak_bytes = 0
 
     def account_mapping(self, mapping) -> None:
         """(Re-)account a mapping after construction or mutation."""
         key = id(mapping)
         new = MAPPING_HEADER_BYTES + MAPLET_BYTES * len(mapping._maplets)
-        old = self._per_mapping.get(key)
-        if old is None:
-            weakref.finalize(mapping, self._release_mapping, key)
-        self._per_mapping[key] = new
-        self._bytes += new - (old or 0)
+        ref = self._per_mapping.get(key)
+        if ref is None:
+            ref = _Accounted(mapping, self._release_mapping)
+            ref.key = key
+            ref.bytes = 0
+            self._per_mapping[key] = ref
+        self._bytes += new - ref.bytes
+        ref.bytes = new
         self._touch_peak()
 
-    def _release_mapping(self, key: int) -> None:
-        released = self._per_mapping.pop(key, 0)
-        self._bytes -= released
+    def _release_mapping(self, ref: _Accounted) -> None:
+        if self._per_mapping.get(ref.key) is ref:
+            del self._per_mapping[ref.key]
+            self._bytes -= ref.bytes
 
     def account_state(self, count: int = 1) -> None:
         self._bytes += STATE_HEADER_BYTES * count

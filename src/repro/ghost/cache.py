@@ -23,7 +23,7 @@ from typing import Callable
 
 from repro.arch.defs import PAGE_SHIFT
 from repro.arch.memory import PhysicalMemory
-from repro.ghost.abstraction import AbstractionError
+from repro.ghost.abstraction import AbstractionError, Memo
 from repro.obs.metrics import MetricsRegistry
 
 
@@ -47,7 +47,7 @@ class _Entry:
     #: (table_pa, level, va_partial) -> ``_MemoEntry``. Entries are
     #: self-validating (each carries its own epoch and word snapshot), so
     #: the traversal word-diffs stale ones forward instead of rescanning.
-    memo: dict
+    memo: Memo
 
 
 class AbstractionCache:
@@ -99,6 +99,9 @@ class AbstractionCache:
             "oracle_cache_paranoid_recomputes"
         )
         self._journal_trims = metrics.counter("oracle_cache_journal_trims")
+        #: Descriptors the incremental traversal decoded: one per run of
+        #: entries that coalesce (and per table entry), not one per entry.
+        self._decodes = metrics.counter("oracle_descriptor_decodes")
         self._entries_gauge = metrics.gauge("oracle_cache_entries")
         self._entries: dict[str, _Entry] = {}
 
@@ -113,7 +116,7 @@ class AbstractionCache:
             value, _footprint = compute(None)
             return value
         epoch = self.mem.epoch
-        memo: dict = {}
+        memo = Memo(self._decodes)
         entry = self._entries.get(key)
         if entry is not None:
             if entry.root != root:

@@ -66,8 +66,18 @@ class MapletTarget:
         return self
 
     def continues(self, earlier: "MapletTarget", offset: int) -> bool:
-        """Whether this target extends ``earlier`` at byte ``offset``."""
-        return self == earlier.at_offset(offset)
+        """Whether this target extends ``earlier`` at byte ``offset``:
+        ``self == earlier.at_offset(offset)``, compared field by field."""
+        if self.kind != "mapped":
+            return self == earlier
+        return (
+            earlier.kind == "mapped"
+            and self.oa == earlier.oa + offset
+            and self.perms == earlier.perms
+            and self.memtype == earlier.memtype
+            and self.page_state == earlier.page_state
+            and self.owner_id == earlier.owner_id
+        )
 
     def describe(self) -> str:
         if self.kind == "annotated":
@@ -290,19 +300,9 @@ class Mapping:
         if va % PAGE_SIZE:
             raise MappingError(f"unaligned extend at {va:#x}")
         self._ensure_private()
-        if self._maplets:
-            last = self._maplets[-1]
-            if va < last.end:
-                raise MappingError(
-                    f"extend at {va:#x} not in ascending order"
-                )
-            if va == last.end and target.continues(last.target, va - last.va):
-                self._maplets[-1] = Maplet(
-                    last.va, last.nr_pages + nr_pages, last.target
-                )
-                arena.account_mapping(self)
-                return
-        self._maplets.append(Maplet(va, nr_pages, target))
+        if self._maplets and va < self._maplets[-1].end:
+            raise MappingError(f"extend at {va:#x} not in ascending order")
+        extend_run(self._maplets, (Maplet(va, nr_pages, target),))
         arena.account_mapping(self)
 
     def remove(self, va: int, nr_pages: int) -> None:
@@ -404,6 +404,21 @@ _START = attrgetter("va")
 def _joins(a: Maplet, b: Maplet) -> bool:
     """Whether ``b`` starts where ``a`` ends and continues its target."""
     return a.end == b.va and b.target.continues(a.target, b.va - a.va)
+
+
+def extend_run(run: list[Maplet], maplets: Sequence[Maplet]) -> None:
+    """Append the in-order, coalesced ``maplets`` to the list ``run``,
+    coalescing at the seam. :meth:`Mapping.extend_coalesce` appends with
+    it, and the abstraction traversal builds its segments as plain lists
+    with it."""
+    if not maplets:
+        return
+    last, first = run[-1] if run else None, maplets[0]
+    if last is not None and _joins(last, first):
+        run[-1] = Maplet(last.va, last.nr_pages + first.nr_pages, last.target)
+        run.extend(maplets[1:])
+    else:
+        run.extend(maplets)
 
 
 def _page_difference(a: Mapping, b: Mapping) -> list[Maplet]:

@@ -30,15 +30,6 @@ class OutOfMemory(Exception):
     """The pool cannot satisfy an allocation; callers turn this into -ENOMEM."""
 
 
-@dataclass
-class _Page:
-    """Allocator metadata for one page in the pool."""
-
-    order: int = 0
-    free: bool = False
-    refcount: int = 0
-
-
 class HypPool:
     """Binary buddy allocator over a contiguous physical carveout."""
 
@@ -49,7 +40,11 @@ class HypPool:
         self.base_pfn = phys_to_pfn(base)
         self.nr_pages = nr_pages
         self.lock = HypSpinLock("hyp_pool")
-        self._meta: list[_Page] = [_Page() for _ in range(nr_pages)]
+        # Per-page metadata, one list per field: the order of the run a
+        # page heads, whether that run is free, and its refcount.
+        self._order = [0] * nr_pages
+        self._free = [False] * nr_pages
+        self._refcount = [0] * nr_pages
         self._free_lists: list[list[int]] = [[] for _ in range(MAX_ORDER + 1)]
         self._seed_free_lists()
         #: Pages currently handed out, for the memory-impact accounting.
@@ -64,8 +59,8 @@ class HypPool:
                 idx % (1 << order) or idx + (1 << order) > self.nr_pages
             ):
                 order -= 1
-            self._meta[idx].order = order
-            self._meta[idx].free = True
+            self._order[idx] = order
+            self._free[idx] = True
             self._free_lists[order].append(idx)
             idx += 1 << order
 
@@ -94,24 +89,22 @@ class HypPool:
             raise ValueError(f"bad order {order}")
         self.lock.acquire(cpu_index)
         try:
-            avail = next(
-                (o for o in range(order, MAX_ORDER + 1) if self._free_lists[o]),
-                None,
-            )
-            if avail is None:
+            for avail in range(order, MAX_ORDER + 1):
+                if self._free_lists[avail]:
+                    break
+            else:
                 raise OutOfMemory(f"no free run of order {order}")
             idx = self._free_lists[avail].pop()
             # Split down to the requested order, returning buddies.
             while avail > order:
                 avail -= 1
                 buddy = idx + (1 << avail)
-                self._meta[buddy].order = avail
-                self._meta[buddy].free = True
+                self._order[buddy] = avail
+                self._free[buddy] = True
                 self._free_lists[avail].append(buddy)
-            page = self._meta[idx]
-            page.order = order
-            page.free = False
-            page.refcount = 1
+            self._order[idx] = order
+            self._free[idx] = False
+            self._refcount[idx] = 1
             self.allocated_pages += 1 << order
         finally:
             self.lock.release(cpu_index)
@@ -128,30 +121,29 @@ class HypPool:
         idx = self._index_of(phys)
         self.lock.acquire(cpu_index)
         try:
-            page = self._meta[idx]
-            if page.free:
+            if self._free[idx]:
                 raise ValueError(f"double free of {phys:#x}")
-            if page.refcount != 1:
+            if self._refcount[idx] != 1:
                 raise ValueError(
-                    f"freeing {phys:#x} with refcount {page.refcount}"
+                    f"freeing {phys:#x} with refcount {self._refcount[idx]}"
                 )
-            order = page.order
+            order = self._order[idx]
             self.allocated_pages -= 1 << order
-            page.refcount = 0
+            self._refcount[idx] = 0
             while order < MAX_ORDER:
                 buddy = self._buddy_of(idx, order)
                 if (
                     buddy >= self.nr_pages
-                    or not self._meta[buddy].free
-                    or self._meta[buddy].order != order
+                    or not self._free[buddy]
+                    or self._order[buddy] != order
                 ):
                     break
                 self._free_lists[order].remove(buddy)
-                self._meta[buddy].free = False
+                self._free[buddy] = False
                 idx = min(idx, buddy)
                 order += 1
-            self._meta[idx].order = order
-            self._meta[idx].free = True
+            self._order[idx] = order
+            self._free[idx] = True
             self._free_lists[order].append(idx)
         finally:
             self.lock.release(cpu_index)

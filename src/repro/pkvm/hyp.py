@@ -212,16 +212,16 @@ class PKvm:
         self.traps_handled += 1
         obs = self.obs
         name = self._trap_name(cpu, syndrome)
-        started_ns = time.perf_counter_ns()
-        obs.flight.record(
-            "trap-entry",
-            call=name,
-            cpu=cpu.index,
-            args=[hex(r) for r in cpu.saved_el1.regs[1:4]],
-        )
-        if self.ghost is not None:
-            self.ghost.on_handler_entry(cpu, syndrome)
         with obs.tracer.span(f"trap:{name}", "hypercall", tid=cpu.index):
+            started_ns = time.perf_counter_ns()
+            obs.flight.record(
+                "trap-entry",
+                call=name,
+                cpu=cpu.index,
+                args=[hex(r) for r in cpu.saved_el1.regs[1:4]],
+            )
+            if self.ghost is not None:
+                self.ghost.on_handler_entry(cpu, syndrome)
             try:
                 if syndrome.ec is EsrEc.HVC64:
                     self._handle_host_hcall(cpu)

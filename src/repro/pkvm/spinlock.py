@@ -44,6 +44,11 @@ class HypSpinLock:
 
     def __init__(self, name: str):
         self.name = name
+        # Trace event names and scheduler yield tags, formatted once.
+        self._acquire_event = f"lock-acquire:{name}"
+        self._release_event = f"lock-release:{name}"
+        self._lock_tag = f"lock:{name}"
+        self._unlock_tag = f"unlock:{name}"
         self._holder: int | None = None
         #: Cumulative acquisition count, for test assertions.
         self.acquisitions = 0
@@ -66,7 +71,7 @@ class HypSpinLock:
             # free. block_until returns with the turn held and the
             # predicate true, and no yield happens between that check and
             # taking the lock, so the take is atomic.
-            yield_point(f"lock:{self.name}")
+            yield_point(self._lock_tag)
             while self._holder is not None:
                 sched.block_until(lambda: self._holder is None, self.name)
         elif self._holder is not None:
@@ -78,9 +83,7 @@ class HypSpinLock:
         self.acquisitions += 1
         tracer = active_tracer()
         if tracer.enabled:
-            tracer.instant(
-                f"lock-acquire:{self.name}", "lock", tid=cpu_index
-            )
+            tracer.instant(self._acquire_event, "lock", tid=cpu_index)
         if GLOBAL_ACQUIRE_HOOKS:
             for hook in GLOBAL_ACQUIRE_HOOKS:
                 hook(self, cpu_index)
@@ -99,9 +102,7 @@ class HypSpinLock:
             )
         tracer = active_tracer()
         if tracer.enabled:
-            tracer.instant(
-                f"lock-release:{self.name}", "lock", tid=cpu_index
-            )
+            tracer.instant(self._release_event, "lock", tid=cpu_index)
         # Hooks observe the lock as still held (their recording must be
         # race-free), but a hook that raises must not leave it held — the
         # exception already aborts the critical section, and a stuck lock
@@ -114,7 +115,7 @@ class HypSpinLock:
                 hook(self, cpu_index)
         finally:
             self._holder = None
-        yield_point(f"unlock:{self.name}")
+        yield_point(self._unlock_tag)
 
     def __repr__(self) -> str:
         state = f"held by cpu{self._holder}" if self.held else "free"

@@ -576,29 +576,40 @@ def ext_teardown_with_lent_pages(p: HypProxy) -> None:
     assert p.reclaim_all() > 0
 
 
+def _starve_pool(pool) -> list[int]:
+    """Leave the hyp pool one free page: enough for a host-side
+    (initiator) block split, not for the hyp-side (completer) tables.
+
+    Takes the free memory largest runs first, one allocation per run
+    rather than per page, and returns the runs taken so the caller can
+    free them again."""
+    from repro.pkvm.allocator import MAX_ORDER, OutOfMemory
+
+    taken = []
+    for order in range(MAX_ORDER, -1, -1):
+        while pool.free_page_count() > 1 << order:
+            try:
+                taken.append(pool.alloc_pages(order))
+            except OutOfMemory:  # no free run this large is left
+                break
+    assert pool.free_page_count() == 1
+    return taken
+
+
 def ext_share_oom_rollback(p: HypProxy) -> None:
     """Drive the completer-failure rollbacks: exhaust the hyp pool so the
     host-side (initiator) update succeeds but the hyp-side (completer)
     map fails, and check the initiator was rolled back cleanly."""
-    from repro.pkvm.allocator import OutOfMemory
     from repro.pkvm.defs import ENOMEM
 
     pool = p.machine.pkvm.pool
     page = p.alloc_page()
     p.host.touch(page)  # host stage 2 gets a 2MB block here
-    drained = []
-    try:
-        while True:
-            drained.append(pool.alloc_page())
-    except OutOfMemory:
-        pass
-    # one free page: enough for the host-side block split, not for the
-    # hyp-side tables
-    pool.free_pages(drained.pop())
+    taken = _starve_pool(pool)
     _expect(p.share_page(page), -ENOMEM, "share with starved completer")
     # rollback: the page is host-exclusive again, and shareable once the
     # pool recovers
-    for phys in drained:
+    for phys in taken:
         pool.free_pages(phys)
     _expect(p.share_page(page), 0, "share after pool recovery")
 
@@ -606,7 +617,6 @@ def ext_share_oom_rollback(p: HypProxy) -> None:
 def ext_donate_oom_rollback(p: HypProxy) -> None:
     """The same starvation through the donation path (init_vm's pgd)."""
     from repro.arch.pte import EntryKind
-    from repro.pkvm.allocator import OutOfMemory
     from repro.pkvm.defs import ENOMEM
 
     pool = p.machine.pkvm.pool
@@ -619,19 +629,13 @@ def ext_donate_oom_rollback(p: HypProxy) -> None:
     p.write_words(params, [1, 1, phys_to_pfn(pgd)])
     _expect(p.share_page(params), 0, "share params")
     p.host.touch(pgd)
-    drained = []
-    try:
-        while True:
-            drained.append(pool.alloc_page())
-    except OutOfMemory:
-        pass
-    pool.free_pages(drained.pop())
+    taken = _starve_pool(pool)
     ret = p.hvc(HypercallId.INIT_VM, phys_to_pfn(params))
     _expect(ret, -ENOMEM, "init_vm with starved completer")
     # the donation was rolled back: no stale HYP annotation remains
     kind, _state, _owner = p.machine.pkvm.mp.host_state_of(pgd)
     assert kind is not EntryKind.INVALID_ANNOTATED, "annotation leaked"
-    for phys in drained:
+    for phys in taken:
         pool.free_pages(phys)
 
 

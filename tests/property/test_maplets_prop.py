@@ -6,9 +6,11 @@ its extensional equality are the foundations the whole specification
 stands on, so they get the heaviest property coverage.
 """
 
+from dataclasses import replace
+
 from hypothesis import given, settings, strategies as st
 
-from repro.arch.defs import PAGE_SIZE, Perms
+from repro.arch.defs import PAGE_SIZE, MemType, Perms
 from repro.arch.pte import PageState
 from repro.ghost.maplets import Maplet, Mapping, MapletTarget, MappingError
 
@@ -175,3 +177,35 @@ def test_overlapping_insert_always_rejected(op_list):
     except MappingError:
         raised = True
     assert raised
+
+
+TARGETS = st.one_of(
+    st.builds(
+        MapletTarget.mapped,
+        st.integers(0, 16).map(lambda page: page * PAGE_SIZE),
+        st.builds(Perms, st.booleans(), st.booleans(), st.booleans()),
+        st.sampled_from(list(MemType)),
+        STATES,
+    ),
+    st.builds(MapletTarget.annotated, st.integers(1, 3)),
+)
+
+
+@given(
+    TARGETS,
+    TARGETS,
+    st.integers(0, 8).map(lambda pages: pages * PAGE_SIZE),
+    st.sampled_from(["as drawn", "same oa run", "continuation"]),
+)
+@settings(max_examples=400)
+def test_continues_agrees_with_at_offset(target, earlier, offset, shape):
+    """``continues`` compares fields instead of building the shifted
+    target; it must mean exactly ``target == earlier.at_offset(offset)``,
+    for mapped, annotated and mixed pairs, continuations and near misses."""
+    if shape == "continuation":
+        target = earlier.at_offset(offset)
+    elif shape == "same oa run" and target.kind == earlier.kind == "mapped":
+        target = replace(target, oa=earlier.oa + offset)
+    assert target.continues(earlier, offset) == (
+        target == earlier.at_offset(offset)
+    )

@@ -113,6 +113,50 @@ class TestPageOps:
         with pytest.raises(BadAddress):
             mem.zero_range(DRAM + 1, 8)
 
+    def test_zero_range_clears_whole_pages_one_record_each(self, mem):
+        pfn = DRAM >> 12
+        for page in (0, 1):
+            for i in range(0, 512, 7):
+                mem.write64(DRAM + page * 4096 + 8 * i, i + 1)
+        mem.write64(DRAM + 2 * 4096, 5)
+        mem.write64(DRAM + 2 * 4096, 0)  # written, but all zero again
+        mem.write64(DRAM + 9 * 4096, 1)  # the journal's tail is elsewhere
+        e0, n0 = mem.epoch, mem.journal_length
+        pages0 = mem.materialised_pages()
+        mem.zero_range(DRAM, 4 * 4096)  # page 3 was never written
+        assert mem.epoch == e0 + 2
+        assert mem.journal_length == n0 + 2
+        assert mem.writes_since(e0) == {pfn, pfn + 1}
+        assert mem.materialised_pages() == pages0
+        for page in range(4):
+            assert mem.page_words(pfn + page) == [0] * 512
+
+    def test_zero_range_straddle_matches_word_stores(self, mem):
+        """Bug 1's unaligned zeroing takes the word-by-word path: memory,
+        journal and device counts end exactly as with ``write64`` calls."""
+        reference = PhysicalMemory(default_memory_map())
+        for m in (mem, reference):
+            for i in range(1024):
+                m.write64(DRAM + 8 * i, (i * 0x9E3779B1) & 0xFFFF or 1)
+        e0 = mem.epoch
+        mem.zero_range(DRAM + 64, 4096)
+        for off in range(0, 4096, 8):
+            reference.write64(DRAM + 64 + off, 0)
+        for pfn in (DRAM >> 12, (DRAM >> 12) + 1):
+            assert mem.page_words(pfn) == reference.page_words(pfn)
+        assert mem.epoch == reference.epoch
+        assert mem.writes_since(e0) == reference.writes_since(e0)
+        assert mem.device_accesses == reference.device_accesses == 0
+
+    def test_zero_range_on_device_page_counts_every_word(self, mem):
+        mem.zero_range(0x0900_0000, 4096)
+        assert mem.device_accesses == 512
+
+    def test_zero_range_off_the_end_of_dram_raises(self, mem):
+        end = DRAM + 256 * 1024 * 1024
+        with pytest.raises(BadAddress):
+            mem.zero_range(end - 4096, 2 * 4096)
+
     def test_page_words(self, mem):
         mem.write64(DRAM + 16, 9)
         words = mem.page_words(DRAM >> 12)
