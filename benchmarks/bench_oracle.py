@@ -23,7 +23,7 @@ import pytest
 
 from repro.machine import Machine
 from repro.testing.handwritten import ALL_TESTS
-from repro.testing.harness import make_machine, run_tests
+from repro.testing.harness import run_tests
 from repro.testing.random_tester import RandomTester
 from benchmarks.conftest import report
 
@@ -121,7 +121,7 @@ def bench_oracle_campaign_throughput(benchmark):
     steps = 600
 
     def campaign(oracle_cache):
-        machine = make_machine(ghost=True, oracle_cache=oracle_cache)
+        machine = Machine(oracle_cache=oracle_cache)
         tester = RandomTester(machine, seed=13)
         start = time.perf_counter()
         tester.run(steps)

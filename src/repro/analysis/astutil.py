@@ -40,7 +40,6 @@ import functools
 import importlib.util
 import io
 import re
-import threading
 import tokenize
 import typing
 from dataclasses import dataclass
@@ -66,9 +65,6 @@ class ParsedModule:
 #: resolved path -> ((mtime_ns, size), ParsedModule)
 _AST_CACHE: dict[str, tuple[tuple[int, int], ParsedModule]] = {}
 _CACHE_STATS = {"parses": 0, "hits": 0}
-#: The cache is read-mostly but the CLI's --jobs N runs passes in a
-#: thread pool; one lock keeps lookup+insert and the counters atomic.
-_CACHE_LOCK = threading.Lock()
 
 
 def load_module_ast(path: str | Path) -> ParsedModule:
@@ -77,37 +73,32 @@ def load_module_ast(path: str | Path) -> ParsedModule:
     The cache key is (resolved path, mtime, size), so an edited file is
     re-parsed and a long-lived process (the CLI running seven passes,
     the test suite) never sees a stale tree. Syntax errors propagate to
-    the caller exactly as ``ast.parse`` raises them. Thread-safe: the
-    parallel CLI shares this cache across its pass threads.
+    the caller exactly as ``ast.parse`` raises them.
     """
     resolved = str(Path(path).resolve())
     stat = Path(resolved).stat()
     stamp = (stat.st_mtime_ns, stat.st_size)
-    with _CACHE_LOCK:
-        cached = _AST_CACHE.get(resolved)
-        if cached is not None and cached[0] == stamp:
-            _CACHE_STATS["hits"] += 1
-            return cached[1]
+    cached = _AST_CACHE.get(resolved)
+    if cached is not None and cached[0] == stamp:
+        _CACHE_STATS["hits"] += 1
+        return cached[1]
     source = Path(resolved).read_text()
     tree = ast.parse(source, filename=resolved)
     module = ParsedModule(path=resolved, source=source, tree=tree)
-    with _CACHE_LOCK:
-        _AST_CACHE[resolved] = (stamp, module)
-        _CACHE_STATS["parses"] += 1
+    _AST_CACHE[resolved] = (stamp, module)
+    _CACHE_STATS["parses"] += 1
     return module
 
 
 def ast_cache_stats() -> dict[str, int]:
     """Parse/hit counters since start-up (or the last clear)."""
-    with _CACHE_LOCK:
-        return dict(_CACHE_STATS)
+    return dict(_CACHE_STATS)
 
 
 def clear_ast_cache() -> None:
-    with _CACHE_LOCK:
-        _AST_CACHE.clear()
-        _CACHE_STATS["parses"] = 0
-        _CACHE_STATS["hits"] = 0
+    _AST_CACHE.clear()
+    _CACHE_STATS["parses"] = 0
+    _CACHE_STATS["hits"] = 0
 
 
 # ---------------------------------------------------------------------------

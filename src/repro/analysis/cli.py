@@ -7,7 +7,6 @@ Examples::
     python -m repro.analysis purity lockorder   # static hygiene only
     python -m repro.analysis frame bitfields    # the deep passes
     python -m repro.analysis ownership refinement  # handler-vs-spec passes
-    python -m repro.analysis --jobs 4           # passes in a thread pool
     python -m repro.analysis --json             # machine-readable report
     python -m repro.analysis --sarif out.sarif  # GitHub-annotatable log
     python -m repro.analysis lockset --lockset-scenario unlocked-init-read
@@ -25,10 +24,6 @@ Exit codes distinguish verdicts from analyzer health: 0 clean, 1 any
 finding, 2 a pass *crashed* (its traceback goes to stderr, and into the
 ``--json`` payload under ``errors``) — so CI can tell a regression in
 the tree from a bug in the analysis.
-
-``--jobs N`` runs the selected passes in a thread pool (the shared AST
-cache is lock-protected); report order, the per-pass timing line, and
-the exit code are identical to a serial run. The default stays serial.
 
 Text output ends with a per-pass timing line::
 
@@ -56,7 +51,6 @@ import json
 import sys
 import time
 import traceback
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from repro.analysis.astutil import ast_cache_stats
@@ -110,21 +104,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="also write the findings as a SARIF 2.1.0 log (written even "
         "when clean, so CI can always upload it)",
-    )
-    parser.add_argument(
-        "--fail-on-finding",
-        action="store_true",
-        help="exit 1 if any pass reports a finding (the default; this "
-        "flag exists so CI invocations state the intent explicitly)",
-    )
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help="run independent passes concurrently in a thread pool of "
-        "this size (default: 1, serial); report ordering, timings, and "
-        "exit codes are deterministic either way",
     )
     parser.add_argument(
         "--spec-module",
@@ -273,41 +252,21 @@ def main(argv: list[str] | None = None) -> int:
             f"unknown pass(es): {', '.join(unknown)} "
             f"(choose from {', '.join(PASSES)})"
         )
-    if args.jobs < 1:
-        parser.error("--jobs must be >= 1")
     selected = tuple(p for p in PASSES if p in (args.passes or PASSES))
 
     thunks = _pass_thunks(args)
-
-    def run_one(name: str) -> tuple[str, list, float, str | None]:
+    report = Report()
+    timings: dict[str, float] = {}
+    errors: dict[str, str] = {}
+    for name in selected:
         start = time.perf_counter()
         try:
             findings = list(thunks[name]())
-            error = None
         except Exception:  # noqa: BLE001 — a crashed pass is exit-2 data
-            findings = []
-            error = traceback.format_exc()
-        return name, findings, time.perf_counter() - start, error
-
-    # Results are collected per pass and assembled in PASSES order, so a
-    # parallel run prints and exits exactly like a serial one.
-    if args.jobs == 1:
-        outcomes = [run_one(name) for name in selected]
-    else:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            outcomes = list(pool.map(run_one, selected))
-
-    report = Report()
-    ran: list[str] = []
-    timings: dict[str, float] = {}
-    errors: dict[str, str] = {}
-    for name, findings, elapsed, error in outcomes:
-        ran.append(name)
-        timings[name] = elapsed
-        if error is not None:
-            errors[name] = error
+            errors[name] = traceback.format_exc()
         else:
             report.extend(findings)
+        timings[name] = time.perf_counter() - start
 
     if args.sarif:
         Path(args.sarif).write_text(
@@ -317,7 +276,7 @@ def main(argv: list[str] | None = None) -> int:
     cache = ast_cache_stats()
     if args.json:
         payload = report.to_dict()
-        payload["passes"] = ran
+        payload["passes"] = list(selected)
         payload["timings"] = {k: round(v, 4) for k, v in timings.items()}
         payload["ast_cache"] = cache
         payload["errors"] = errors
@@ -331,8 +290,8 @@ def main(argv: list[str] | None = None) -> int:
             status = "clean"
         else:
             status = f"{len(report.findings)} finding(s)"
-        print(f"repro.analysis: {', '.join(ran)}: {status}")
-        per_pass = ", ".join(f"{name} {timings[name]:.2f}s" for name in ran)
+        print(f"repro.analysis: {', '.join(selected)}: {status}")
+        per_pass = ", ".join(f"{name} {timings[name]:.2f}s" for name in selected)
         total = sum(timings.values())
         print(
             f"repro.analysis timing: {per_pass} (total {total:.2f}s; "

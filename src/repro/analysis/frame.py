@@ -629,17 +629,16 @@ def _collect_observations(
     """Replay the handwritten suite and/or a seeded random campaign with
     the checker's frame hook attached, collecting every
     :class:`~repro.ghost.checker.FrameObservation` in replay order."""
+    from repro.machine import Machine
+
     observations: list[tuple[str, object]] = []
 
     if suite:
         from repro.testing.handwritten import ALL_TESTS
-        from repro.testing.harness import make_machine
         from repro.testing.proxy import HypProxy
 
         for test in ALL_TESTS:
-            machine = make_machine(
-                ghost=True, oracle_cache=oracle_cache, **test.machine_kwargs
-            )
+            machine = Machine(oracle_cache=oracle_cache, **test.machine_kwargs)
             sink: list = []
             machine.checker.frame_hook = sink.append
             try:
@@ -648,10 +647,9 @@ def _collect_observations(
                 pass
             observations.extend((test.name, obs) for obs in sink)
     if random_steps > 0:
-        from repro.testing.harness import make_machine
         from repro.testing.random_tester import RandomTester
 
-        machine = make_machine(ghost=True, oracle_cache=oracle_cache)
+        machine = Machine(oracle_cache=oracle_cache)
         sink = []
         machine.checker.frame_hook = sink.append
         tester = RandomTester(machine, seed=seed)

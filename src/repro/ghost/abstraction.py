@@ -34,8 +34,6 @@ from repro.ghost.state import (
     GhostCpuLocal,
     GhostGlobals,
     GhostHost,
-    GhostIommu,
-    GhostIommuDomain,
     GhostLoadedVcpu,
     GhostPkvm,
     GhostVcpuRef,
@@ -487,23 +485,6 @@ def record_abstraction_vm_pgt(
     """Abstraction of one guest's stage 2 ``pgt`` (protected by that VM's
     lock)."""
     return interpret_pgtable(mem, pgt.root, Stage.STAGE2, memo=memo)
-
-
-def record_abstraction_iommu(
-    mem: PhysicalMemory, iommu, *, memo: dict | None = None
-) -> GhostIommu:
-    """Abstraction of the state the iommu lock protects: every DMA
-    domain's refcount, attached device set, and shadow stage-2 extension."""
-    domains: dict[int, GhostIommuDomain] = {}
-    for domain_id in sorted(iommu.domains):
-        domain = iommu.domains[domain_id]
-        pgt = interpret_pgtable(mem, domain.s2.root, Stage.STAGE2, memo=memo)
-        domains[domain_id] = GhostIommuDomain(
-            refcount=domain.refcount,
-            devices=tuple(sorted(domain.devices)),
-            pgt=pgt,
-        )
-    return GhostIommu(present=True, domains=domains)
 
 
 def record_abstraction_vms(vm_table) -> GhostVms:

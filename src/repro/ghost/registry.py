@@ -17,8 +17,6 @@ Each subsystem names:
   runs over every registered spec module).
 - ``handler_modules`` — the implementation modules whose handlers the
   ownership/refinement/lockorder passes analyse against those manifests.
-- ``component_keys`` — the ghost-state component keys the subsystem owns,
-  iterated by the checker's baselines and the isolation sweep.
 
 The registry itself is deliberately *not* a spec module: spec modules must
 stay pure, so the lazy ``importlib`` plumbing lives here and spec modules
@@ -27,10 +25,12 @@ only ever import the resolved accessors.
 
 from __future__ import annotations
 
+import functools
 import importlib
 import importlib.util
 from dataclasses import dataclass
 from pathlib import Path
+from types import MappingProxyType
 
 
 @dataclass(frozen=True)
@@ -40,7 +40,6 @@ class Subsystem:
     name: str
     spec_module: str
     handler_modules: tuple[str, ...]
-    component_keys: tuple[str, ...]
 
 
 #: Every registered subsystem, in check order. Adding an entry here is
@@ -50,13 +49,11 @@ SUBSYSTEMS: tuple[Subsystem, ...] = (
         name="mem_protect",
         spec_module="repro.ghost.spec",
         handler_modules=("repro.pkvm.mem_protect", "repro.pkvm.hyp"),
-        component_keys=("host", "pkvm", "vms"),
     ),
     Subsystem(
         name="iommu",
         spec_module="repro.ghost.iommu_spec",
         handler_modules=("repro.pkvm.iommu",),
-        component_keys=("iommu",),
     ),
 )
 
@@ -80,9 +77,11 @@ def _manifest(name: str) -> dict:
     return merged
 
 
-def merged_hypercall_specs() -> dict:
-    """HypercallId -> compute_post function, across all subsystems."""
-    return _manifest("HYPERCALL_SPECS")
+@functools.cache
+def merged_hypercall_specs() -> MappingProxyType:
+    """HypercallId -> compute_post function, across all subsystems:
+    built once, read-only because every dispatch shares it."""
+    return MappingProxyType(_manifest("HYPERCALL_SPECS"))
 
 
 def merged_frame_manifests() -> dict:
@@ -93,15 +92,11 @@ def merged_frame_manifests() -> dict:
 def spec_for_hypercall(call_id: int):
     """The registered compute_post function for ``call_id``, or None.
 
-    Called from the top-level dispatch in ``repro.ghost.spec`` as the
-    cross-subsystem fallback; kept here so spec modules never import each
-    other (each stays independently purity-checkable).
+    The one dispatch table behind ``repro.ghost.spec``'s dispatchers;
+    kept here so spec modules never import each other (each stays
+    independently purity-checkable).
     """
-    for sub in SUBSYSTEMS:
-        for key, fn in getattr(_spec(sub), "HYPERCALL_SPECS", {}).items():
-            if int(key) == call_id:
-                return fn
-    return None
+    return merged_hypercall_specs().get(call_id)
 
 
 def _module_path(module_name: str) -> Path:

@@ -252,15 +252,8 @@ def compute_post_trap(
 def _compute_post_hcall(
     g_post: GhostState, g_pre: GhostState, call: GhostCallData, cpu: int
 ) -> SpecResult:
-    call_id = g_pre.read_gpr(cpu, 0)
-    try:
-        spec = HYPERCALL_SPECS.get(HypercallId(call_id))
-    except ValueError:
-        spec = None
-    if spec is None:
-        # Another registered subsystem's hypercall? (repro.ghost.registry
-        # merges every subsystem's HYPERCALL_SPECS.)
-        spec = spec_for_hypercall(call_id)
+    # repro.ghost.registry merges every subsystem's HYPERCALL_SPECS.
+    spec = spec_for_hypercall(g_pre.read_gpr(cpu, 0))
     if spec is None:
         # Unknown hypercall numbers fail cleanly with -EINVAL.
         return _result(g_post, g_pre, cpu, call, -EINVAL, set())
@@ -1054,8 +1047,8 @@ def compute_post__host_mem_abort(
 # Dispatch table and frame manifests
 # ---------------------------------------------------------------------------
 
-#: Which specification function handles each hypercall (used by the
-#: dispatcher above and by the checker's frame-observation export).
+#: Which specification function handles each hypercall; merged into
+#: the cross-subsystem dispatch table by repro.ghost.registry.
 HYPERCALL_SPECS = {
     HypercallId.HOST_SHARE_HYP: compute_post__pkvm_host_share_hyp,
     HypercallId.HOST_UNSHARE_HYP: compute_post__pkvm_host_unshare_hyp,
@@ -1078,12 +1071,9 @@ def spec_name_for(g_pre: GhostState, call: GhostCallData, cpu: int) -> str:
     dispatch to, or "" when no spec applies (unknown hypercall/EC)."""
     if call.ec is EsrEc.HVC64:
         try:
-            call_id = g_pre.read_gpr(cpu, 0)
-            spec = HYPERCALL_SPECS.get(HypercallId(call_id))
-        except (ValueError, KeyError, IndexError):
+            spec = spec_for_hypercall(g_pre.read_gpr(cpu, 0))
+        except (KeyError, IndexError):
             return ""
-        if spec is None:
-            spec = spec_for_hypercall(call_id)
         return spec.__name__ if spec is not None else ""
     if call.ec in (EsrEc.DATA_ABORT_LOWER, EsrEc.INSTR_ABORT_LOWER):
         return "compute_post__host_mem_abort"

@@ -50,7 +50,12 @@ class AbstractPgtable:
     """
 
     mapping: Mapping = field(default_factory=Mapping)
-    footprint: frozenset[int] = frozenset()
+    #: Behavioural equality is extensional: the mapping only. The
+    #: footprint is internal memory management — it feeds the §4.4
+    #: separation check and the teardown reclaim enumeration, but the
+    #: abstraction deliberately does not constrain its evolution (paper
+    #: §3.1: allocation "should not be reflected in the abstract state").
+    footprint: frozenset[int] = field(default=frozenset(), compare=False)
 
     def copy(self) -> "AbstractPgtable":
         return AbstractPgtable(self.mapping.copy(), self.footprint)
@@ -59,19 +64,6 @@ class AbstractPgtable:
         """Freeze the underlying mapping (cached-snapshot immutability)."""
         self.mapping.freeze()
         return self
-
-    def __eq__(self, other: object) -> bool:
-        # Behavioural equality is extensional: the mapping only. The
-        # footprint is internal memory management — it feeds the §4.4
-        # separation check and the teardown reclaim enumeration, but the
-        # abstraction deliberately does not constrain its evolution
-        # (paper §3.1: allocation "should not be reflected in the
-        # abstract state").
-        if self is other:
-            return True
-        if not isinstance(other, AbstractPgtable):
-            return NotImplemented
-        return self.mapping == other.mapping
 
 
 @dataclass
@@ -88,19 +80,6 @@ class GhostPkvm:
         self.pgt.freeze()
         return self
 
-    def __eq__(self, other: object) -> bool:
-        # The footprint is internal memory management (hyp-pool table
-        # pages), which the abstraction deliberately does not constrain
-        # (§3.1); it participates only in the §4.4 separation check.
-        if self is other:
-            return True
-        if not isinstance(other, GhostPkvm):
-            return NotImplemented
-        return (
-            self.present == other.present
-            and self.pgt.mapping == other.pgt.mapping
-        )
-
 
 @dataclass
 class GhostHost:
@@ -116,7 +95,11 @@ class GhostHost:
     present: bool = False
     annot: Mapping = field(default_factory=Mapping)
     shared: Mapping = field(default_factory=Mapping)
-    footprint: frozenset[int] = frozenset()
+    #: As for AbstractPgtable: the footprint (host stage 2 table pages
+    #: from the hyp pool) is internal memory management, which the
+    #: abstraction deliberately does not constrain (§3.1); it takes part
+    #: only in the §4.4 separation check, not in equality.
+    footprint: frozenset[int] = field(default=frozenset(), compare=False)
 
     def copy(self) -> "GhostHost":
         return GhostHost(
@@ -127,20 +110,6 @@ class GhostHost:
         self.annot.freeze()
         self.shared.freeze()
         return self
-
-    def __eq__(self, other: object) -> bool:
-        # As for GhostPkvm: the footprint (host stage 2 table pages from
-        # the hyp pool) is internal memory management, excluded from the
-        # behavioural comparison.
-        if self is other:
-            return True
-        if not isinstance(other, GhostHost):
-            return NotImplemented
-        return (
-            self.present == other.present
-            and self.annot == other.annot
-            and self.shared == other.shared
-        )
 
 
 @dataclass(frozen=True)
@@ -233,15 +202,6 @@ class GhostIommu:
             fp |= domain.pgt.footprint
         return fp
 
-    def __eq__(self, other: object) -> bool:
-        # As for the other components: footprints are internal memory
-        # management, excluded via AbstractPgtable's extensional __eq__.
-        if self is other:
-            return True
-        if not isinstance(other, GhostIommu):
-            return NotImplemented
-        return self.present == other.present and self.domains == other.domains
-
 
 @dataclass(frozen=True)
 class GhostGlobals:
@@ -301,18 +261,6 @@ class GhostCpuLocal:
     def copy(self) -> "GhostCpuLocal":
         return GhostCpuLocal(
             self.present, self.regs, self.loaded_vcpu, self.stage2_is_host
-        )
-
-    def __eq__(self, other: object) -> bool:
-        if self is other:
-            return True
-        if not isinstance(other, GhostCpuLocal):
-            return NotImplemented
-        return (
-            self.present == other.present
-            and self.regs == other.regs
-            and self.loaded_vcpu == other.loaded_vcpu
-            and self.stage2_is_host == other.stage2_is_host
         )
 
 

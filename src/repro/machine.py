@@ -86,45 +86,6 @@ class Machine:
         """Boot a machine with the default configuration."""
         return cls(**kwargs)
 
-    def config(self) -> dict:
-        """The plain-data configuration that reproduces this machine —
-        what a campaign worker ships alongside its traces."""
-        config = {
-            "nr_cpus": len(self.cpus),
-            "dram_size": self.mem.dram_regions()[-1].size,
-            "bug_names": tuple(self.bugs.enabled()),
-            "ghost": self.ghost_enabled,
-        }
-        if self.checker is not None:
-            # Cache *settings* round-trip; the cache contents themselves
-            # are per-machine and rebuilt from scratch on boot.
-            config["oracle_cache"] = self.checker.cache.enabled
-            config["paranoid"] = self.checker.cache.paranoid
-        return config
-
-    @classmethod
-    def from_config(
-        cls, config: dict, *, obs: Observability | None = None
-    ) -> "Machine":
-        """Boot a machine from a :meth:`config` dict.
-
-        ``obs`` rides alongside rather than inside the config: the config
-        stays plain reproducibility data, while observability is a
-        property of the run (a campaign worker attaches its own bundle to
-        the machine it boots from the shared config).
-        """
-        bug_names = config.get("bug_names", ())
-        bugs = Bugs(**{name: True for name in bug_names}) if bug_names else None
-        return cls(
-            nr_cpus=config.get("nr_cpus", 4),
-            dram_size=config.get("dram_size", 256 * 1024 * 1024),
-            bugs=bugs,
-            ghost=config.get("ghost", True),
-            oracle_cache=config.get("oracle_cache", True),
-            paranoid=config.get("paranoid", False),
-            obs=obs,
-        )
-
     @property
     def ghost_enabled(self) -> bool:
         return self.checker is not None

@@ -81,7 +81,6 @@ class Observability:
         self,
         *,
         tracing: bool = False,
-        trace_max_events: int = 1_000_000,
         trace_id: str = "",
         flight_buffer: int = 0,
         flight_dir: str | Path = ".",
@@ -90,7 +89,7 @@ class Observability:
     ):
         self.metrics = MetricsRegistry()
         self.tracer = Tracer(
-            MemorySink(trace_max_events) if tracing else NullSink(),
+            MemorySink() if tracing else NullSink(),
             pid=worker_id,
             trace_id=trace_id,
         )

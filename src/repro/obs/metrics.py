@@ -401,7 +401,3 @@ class MetricsRegistry:
         lines.append(
             f"{name}_count{self._prom_labels(metric.labels)} {metric.count}"
         )
-
-    def write_prometheus(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write(self.to_prometheus())

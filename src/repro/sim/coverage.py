@@ -1,9 +1,8 @@
 """The campaign's one coverage map, and interleaving-class windows.
 
 :class:`CoverageMap` holds a set of points per key. Its points are the
-oracle's trap classes in random and IOMMU campaigns, hit source lines
-under ``--coverage lines``, and interleaving-class windows in
-concurrency mode. It lives here, in the substrate, because the schedule
+oracle's trap classes in random and IOMMU campaigns and
+interleaving-class windows in concurrency mode. It lives here, in the substrate, because the schedule
 runner (:mod:`repro.sim.explore`) fills it and cannot import
 :mod:`repro.testing`.
 

@@ -14,7 +14,7 @@ import json
 import os
 from pathlib import Path
 
-VERSION = 2
+VERSION = 3
 
 
 def telemetry_path(checkpoint_path: str) -> Path:

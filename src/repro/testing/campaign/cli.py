@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 
 from repro.pkvm.bugs import Bugs
 from repro.testing.campaign.engine import (
@@ -41,21 +42,24 @@ def _parse_bugs(spec: str) -> tuple[str, ...]:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """Each flag's ``dest`` is a :class:`CampaignConfig` field; an absent
+    flag leaves the field at its dataclass default."""
     parser = argparse.ArgumentParser(
         prog="python -m repro.testing.campaign",
         description="Parallel model-guided random-testing campaign",
+        argument_default=argparse.SUPPRESS,
     )
-    parser.add_argument("--workers", type=int, default=2)
+    parser.add_argument("--workers", type=int)
+    parser.add_argument("--budget", type=int, help="total steps, all workers")
     parser.add_argument(
-        "--budget", type=int, default=2000, help="total steps, all workers"
+        "--batch-steps", type=int, help="base steps per batch"
     )
-    parser.add_argument(
-        "--batch-steps", type=int, default=250, help="base steps per batch"
-    )
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--seed", type=int)
     parser.add_argument(
         "--bugs",
-        default="",
+        dest="bug_names",
+        type=_parse_bugs,
+        metavar="BUGS",
         help="comma-separated bug flags to inject, or 'all-synthetic'",
     )
     parser.add_argument("--out", default=None, help="checkpoint/report path")
@@ -67,13 +71,10 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="run batches sequentially in-process (deterministic)",
     )
-    parser.add_argument(
-        "--no-shrink", dest="shrink", action="store_false", default=True
-    )
+    parser.add_argument("--no-shrink", dest="shrink", action="store_false")
     parser.add_argument(
         "--mode",
         choices=["random", "iommu", "concurrency"],
-        default="random",
         help="random input fuzzing (default), the IOMMU-focused action "
         "profile (DMA-domain lifecycle plus host-share interplay), or "
         "PCT schedule fuzzing of a fixed multi-CPU scenario (--budget "
@@ -81,33 +82,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--scenario",
-        default="mixed",
         help="concurrency mode: which scenario trace to fuzz "
         "(vcpu-race, host-fault, mixed)",
     )
     parser.add_argument(
         "--pct-depth",
         type=int,
-        default=3,
         metavar="D",
         help="concurrency mode: PCT depth bound — D-1 priority-change "
         "points per schedule (depth-D bugs need depth D)",
     )
     parser.add_argument(
-        "--pct-cpus",
-        type=int,
-        default=0,
-        metavar="N",
-        help="concurrency mode: simulated CPUs driving the scenario "
-        "(0 = --nr-cpus default)",
-    )
-    parser.add_argument(
         "--coverage",
-        choices=["oracle", "lines", "off"],
-        default="oracle",
-        help="novelty signal: the oracle's trap classes (default), full "
-        "line bitmaps (~20x slower), or none; concurrency mode always "
-        "covers interleaving windows",
+        choices=["oracle", "off"],
+        help="novelty signal: the oracle's trap classes (default) or "
+        "none; concurrency mode always covers interleaving windows",
     )
     parser.add_argument(
         "--no-coverage",
@@ -115,10 +104,10 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_const",
         const="off",
     )
-    parser.add_argument("--max-findings", type=int, default=None)
-    parser.add_argument("--max-batches", type=int, default=None)
+    parser.add_argument("--max-findings", type=int)
+    parser.add_argument("--max-batches", type=int)
     parser.add_argument(
-        "--time-limit", type=float, default=None, help="wall-clock seconds"
+        "--time-limit", type=float, help="wall-clock seconds"
     )
     parser.add_argument(
         "--paranoid",
@@ -127,43 +116,30 @@ def build_parser() -> argparse.ArgumentParser:
         "and assert it matches the incremental result",
     )
     parser.add_argument(
-        "--no-oracle-cache",
-        dest="oracle_cache",
-        action="store_false",
-        default=True,
-        help="disable the incremental abstraction cache (the pre-refactor "
-        "full-recompute oracle path)",
-    )
-    parser.add_argument(
         "--trace-out",
-        default=None,
         metavar="FILE",
         help="enable span tracing and write a merged Chrome trace_event "
         "JSON (load in chrome://tracing or ui.perfetto.dev)",
     )
     parser.add_argument(
         "--metrics-out",
-        default=None,
         metavar="FILE",
         help="write the merged campaign metrics registry as JSON",
     )
     parser.add_argument(
         "--flight-buffer",
         type=int,
-        default=0,
         metavar="N",
         help="per-worker flight-recorder ring size in events (0 = off); "
         "any oracle mismatch dumps the ring to a flight-*.json artifact",
     )
     parser.add_argument(
         "--flight-dir",
-        default=".",
         metavar="DIR",
         help="directory for flight-recorder dump artifacts",
     )
     parser.add_argument(
         "--serve-telemetry",
-        default=None,
         metavar="HOST:PORT",
         help="serve live campaign telemetry over HTTP for the duration "
         "of the run (/metrics /spans /flight /profile /campaign "
@@ -172,21 +148,18 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--profile-hz",
         type=int,
-        default=0,
         metavar="HZ",
         help="sample every worker's stacks at HZ and merge into one "
         "span-attributed fleet profile (0 = off)",
     )
     parser.add_argument(
         "--profile-out",
-        default=None,
         metavar="FILE",
         help="write the merged collapsed-stack profile (flamegraph.pl / "
         "speedscope input); implies --profile-hz 100 when unset",
     )
     parser.add_argument(
         "--seed-corpus",
-        default=None,
         metavar="DIR",
         help="replay every *.trace file in DIR through the oracle before "
         "the random batches (e.g. the refinement pass's concretized "
@@ -194,6 +167,15 @@ def build_parser() -> argparse.ArgumentParser:
         "campaign's deduplicated findings",
     )
     return parser
+
+
+def config_from_args(args: argparse.Namespace) -> CampaignConfig:
+    """The campaign the parsed flags describe: each given flag sets the
+    :class:`CampaignConfig` field of its name."""
+    names = {f.name for f in fields(CampaignConfig)}
+    return CampaignConfig(
+        **{name: value for name, value in vars(args).items() if name in names}
+    )
 
 
 def format_report(report: CampaignReport) -> str:
@@ -233,10 +215,6 @@ def format_report(report: CampaignReport) -> str:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.resume is None and args.workers < 1:
-        raise SystemExit("--workers must be at least 1")
-    if args.resume is None and args.budget < 1:
-        raise SystemExit("--budget must be at least 1")
     if args.resume is not None:
         try:
             engine = CampaignEngine.from_checkpoint(args.resume)
@@ -246,36 +224,14 @@ def main(argv: list[str] | None = None) -> int:
             raise SystemExit(f"cannot resume {args.resume}: {exc}")
         # Telemetry is a property of the run, not the campaign: a resume
         # may serve (or stop serving) regardless of the original flags.
-        if args.serve_telemetry is not None:
+        if "serve_telemetry" in args:
             engine.config.serve_telemetry = args.serve_telemetry
     else:
-        config = CampaignConfig(
-            workers=args.workers,
-            budget=args.budget,
-            batch_steps=args.batch_steps,
-            seed=args.seed,
-            bug_names=_parse_bugs(args.bugs),
-            inline=args.inline,
-            shrink=args.shrink,
-            mode=args.mode,
-            scenario=args.scenario,
-            pct_depth=args.pct_depth,
-            pct_cpus=args.pct_cpus,
-            coverage=args.coverage,
-            max_findings=args.max_findings,
-            max_batches=args.max_batches,
-            time_limit=args.time_limit,
-            oracle_cache=args.oracle_cache,
-            paranoid=args.paranoid,
-            trace_out=args.trace_out,
-            metrics_out=args.metrics_out,
-            flight_buffer=args.flight_buffer,
-            flight_dir=args.flight_dir,
-            seed_corpus=args.seed_corpus,
-            serve_telemetry=args.serve_telemetry,
-            profile_hz=args.profile_hz,
-            profile_out=args.profile_out,
-        )
+        config = config_from_args(args)
+        if config.workers < 1:
+            raise SystemExit("--workers must be at least 1")
+        if config.budget < 1:
+            raise SystemExit("--budget must be at least 1")
         engine = CampaignEngine(config, out=args.out)
     report = engine.run()
     print(format_report(report))

@@ -130,6 +130,10 @@ def mixed_trace(nr_cpus: int = 2) -> Trace:
     return trace
 
 
+#: A campaign builds every scenario for its machine's CPU count, a
+#: trace's default (4); the builders' own default of 2 serves direct use.
+CAMPAIGN_CPUS = Trace.nr_cpus
+
 #: Scenario registry: name -> trace builder taking ``nr_cpus``.
 CONCURRENCY_SCENARIOS = {
     "vcpu-race": vcpu_race_trace,
@@ -212,19 +216,18 @@ def run_concurrency_batch(
     if scenario not in CONCURRENCY_SCENARIOS:
         raise ValueError(f"unknown concurrency scenario {scenario!r}")
     build = CONCURRENCY_SCENARIOS[scenario]
-    nr_cpus = machine_config.get("nr_cpus", 2)
-    bug_names = tuple(machine_config.get("bug_names", ()))
+    bug_names = machine_config["bug_names"]
     racy: set[str] = set()
     # Calibrate once per batch: the PCT step bound k and the scenario's
     # rare-tag windows, merged with the engine's racy-pair feedback.
-    cal_trace = build(nr_cpus)
+    cal_trace = build(CAMPAIGN_CPUS)
     cal_trace.bug_names = bug_names
     pct_steps, rare_tags = calibrate(cal_trace)
     priority_tags = tuple(sorted(set(task.priority_tags) | set(rare_tags)))
 
     for i in range(task.steps):
         sched_seed = task.seed + i
-        trace = build(nr_cpus)
+        trace = build(CAMPAIGN_CPUS)
         trace.bug_names = bug_names
         trace.meta.update(
             worker_id=task.worker_id,

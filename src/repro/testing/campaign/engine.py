@@ -27,7 +27,7 @@ import multiprocessing
 import sys
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from repro.obs.flight import FlightRecorder
 from repro.obs.metrics import MetricsRegistry
@@ -39,6 +39,7 @@ from repro.obs.trace import (
     make_trace_id,
     write_chrome_trace,
 )
+from repro.sim.coverage import CoverageMap
 from repro.testing.campaign import checkpoint as ckpt
 from repro.testing.campaign.findings import DedupIndex, RawFinding
 from repro.testing.campaign.scheduler import BudgetScheduler
@@ -50,12 +51,16 @@ from repro.testing.campaign.worker import (
     run_batch,
     worker_main,
 )
-from repro.testing.coverage import CoverageMap
 
 
 @dataclass
 class CampaignConfig:
-    """Everything that determines a campaign, and nothing that doesn't."""
+    """Everything that determines a campaign, and nothing that doesn't.
+
+    Each field is one campaign option, declared once: the CLI flag of
+    the same name sets it, an absent flag leaves the default here, and a
+    checkpoint saves the whole record.
+    """
 
     workers: int = 2
     #: Total step budget across all workers. In concurrency mode a
@@ -65,23 +70,19 @@ class CampaignConfig:
     batch_steps: int = 250
     seed: int = 0
     bug_names: tuple[str, ...] = ()
-    nr_cpus: int = 4
-    dram_size: int = 256 * 1024 * 1024
     inline: bool = False
     shrink: bool = True
     #: "random" (the model-guided tester), "iommu" (the tester under its
     #: IOMMU-focused action profile), or "concurrency" (PCT schedule
     #: fuzzing of a fixed multi-CPU scenario).
     mode: str = "random"
-    #: Concurrency mode: which scenario trace to fuzz, the PCT depth
-    #: bound (d priority-change points explore depth-d bugs), and how
-    #: many simulated CPUs drive it (0 = ``nr_cpus``).
+    #: Concurrency mode: which scenario trace to fuzz, and the PCT depth
+    #: bound (d priority-change points explore depth-d bugs).
     scenario: str = "mixed"
     pct_depth: int = 3
-    pct_cpus: int = 0
     #: The novelty signal in random and IOMMU mode: "oracle" (the
-    #: checked traps' oracle classes, default), "lines", or "off".
-    #: Concurrency mode always covers interleaving windows.
+    #: checked traps' oracle classes, default) or "off". Concurrency
+    #: mode always covers interleaving windows.
     coverage: str = "oracle"
     #: Stop issuing batches once this many distinct findings exist.
     max_findings: int | None = None
@@ -89,9 +90,7 @@ class CampaignConfig:
     max_batches: int | None = None
     #: Wall-clock cap in seconds.
     time_limit: float | None = None
-    #: Oracle toggles: ``oracle_cache=False`` restores the full-recompute
-    #: path; ``paranoid=True`` recomputes every cache hit and asserts it.
-    oracle_cache: bool = True
+    #: Recompute every oracle cache hit from scratch and assert it.
     paranoid: bool = False
     #: Observability: a merged Chrome trace_event file (workers render as
     #: parallel pid tracks), a merged metrics JSON, and the per-worker
@@ -127,20 +126,12 @@ class CampaignConfig:
         return 100 if self.profile_out is not None else 0
 
     def machine_config(self) -> dict:
-        # Concurrency scenarios run ghost-off (matching the synthetic
-        # registry's race entries: the *schedule*, not the oracle, is
-        # the test subject there).
-        concurrency = self.mode == "concurrency"
-        return {
-            "nr_cpus": (
-                self.pct_cpus or self.nr_cpus if concurrency else self.nr_cpus
-            ),
-            "dram_size": self.dram_size,
-            "bug_names": tuple(self.bug_names),
-            "ghost": not concurrency,
-            "oracle_cache": self.oracle_cache,
-            "paranoid": self.paranoid,
-        }
+        """How every batch's machine differs from ``Machine()``: the
+        injected bugs and the oracle's paranoid mode. Random and IOMMU
+        batches boot it with the oracle on; concurrency scenarios run it
+        with the oracle off (the schedule, not the oracle, is the test
+        subject there)."""
+        return {"bug_names": tuple(self.bug_names), "paranoid": self.paranoid}
 
     def batch_options(self) -> dict:
         """The keyword arguments of every ``run_batch`` call."""
@@ -156,35 +147,7 @@ class CampaignConfig:
         }
 
     def to_jsonable(self) -> dict:
-        return {
-            "workers": self.workers,
-            "budget": self.budget,
-            "batch_steps": self.batch_steps,
-            "seed": self.seed,
-            "bug_names": list(self.bug_names),
-            "nr_cpus": self.nr_cpus,
-            "dram_size": self.dram_size,
-            "inline": self.inline,
-            "shrink": self.shrink,
-            "mode": self.mode,
-            "scenario": self.scenario,
-            "pct_depth": self.pct_depth,
-            "pct_cpus": self.pct_cpus,
-            "coverage": self.coverage,
-            "max_findings": self.max_findings,
-            "max_batches": self.max_batches,
-            "time_limit": self.time_limit,
-            "oracle_cache": self.oracle_cache,
-            "paranoid": self.paranoid,
-            "trace_out": self.trace_out,
-            "metrics_out": self.metrics_out,
-            "flight_buffer": self.flight_buffer,
-            "flight_dir": self.flight_dir,
-            "seed_corpus": self.seed_corpus,
-            "serve_telemetry": self.serve_telemetry,
-            "profile_hz": self.profile_hz,
-            "profile_out": self.profile_out,
-        }
+        return asdict(self)
 
     @staticmethod
     def from_jsonable(data: dict) -> "CampaignConfig":

@@ -12,14 +12,14 @@ and inside worker processes (``worker_main`` loops on a task queue).
 
 from __future__ import annotations
 
-import contextlib
 import time
 from dataclasses import dataclass, field
 
 from repro.machine import Machine
 from repro.obs import Observability
+from repro.pkvm.bugs import Bugs
+from repro.sim.coverage import CoverageMap
 from repro.testing.campaign.findings import FINDING_EXCEPTIONS, RawFinding, make_finding
-from repro.testing.coverage import CoverageMap, CoverageTracker
 from repro.testing.random_tester import RandomTester
 from repro.testing.trace import Trace
 
@@ -66,8 +66,8 @@ class BatchResult:
     hypercalls: int = 0
     rejected: int = 0
     finding: RawFinding | None = None
-    #: The batch's novelty points: oracle trap classes, hit lines, or
-    #: (concurrency mode) interleaving-class windows.
+    #: The batch's novelty points: oracle trap classes or (concurrency
+    #: mode) interleaving-class windows.
     coverage: CoverageMap = field(default_factory=CoverageMap)
     #: Concurrency mode: racy-location yield tags from the lockset
     #: detector.
@@ -124,8 +124,7 @@ def run_batch(
     """Run one batch; never raises on findings — they come back as data.
 
     ``coverage``: "oracle" (the checked traps' oracle classes, see
-    :func:`oracle_class`; the campaign default), "lines" (full line
-    bitmap, ~20x slower), or "off".
+    :func:`oracle_class`; the campaign default) or "off".
 
     ``mode="concurrency"`` runs the schedule fuzzer instead:
     ``task.steps`` PCT schedules of ``scenario`` rather than random
@@ -227,11 +226,15 @@ def _run_steps(
 ) -> None:
     """Random mode: up to ``task.steps`` tester steps on a fresh machine,
     stopping at the first finding."""
-    machine = Machine.from_config(machine_config, obs=obs)
+    bug_names = machine_config["bug_names"]
+    machine = Machine(
+        bugs=Bugs(**dict.fromkeys(bug_names, True)),
+        paranoid=machine_config["paranoid"],
+        obs=obs,
+    )
+    # A Trace's machine shape defaults to Machine()'s: 4 CPUs, 256 MiB.
     trace = Trace(
-        nr_cpus=machine_config.get("nr_cpus", 4),
-        dram_size=machine_config.get("dram_size", 256 * 1024 * 1024),
-        bug_names=tuple(machine_config.get("bug_names", ())),
+        bug_names=bug_names,
         meta={
             "worker_id": task.worker_id,
             "batch_index": task.batch_index,
@@ -239,30 +242,26 @@ def _run_steps(
         },
     )
     tester = RandomTester(machine, seed=task.seed, trace=trace, profile=profile)
-    lines = CoverageTracker() if coverage == "lines" else None
     if coverage == "oracle":
         machine.checker.frame_hook = lambda observation: result.coverage.add(
             "oracle", {oracle_class(observation)}
         )
-    elif coverage not in ("lines", "off"):
+    elif coverage != "off":
         raise ValueError(f"unknown coverage mode {coverage!r}")
-    with lines or contextlib.nullcontext():
-        for i in range(task.steps):
-            result.steps_run = i + 1
-            try:
-                tester.step()
-            except FINDING_EXCEPTIONS as exc:
-                result.finding = make_finding(
-                    exc,
-                    trace,
-                    worker_id=task.worker_id,
-                    batch_index=task.batch_index,
-                    seed=task.seed,
-                    step_index=i,
-                )
-                break
-    if lines is not None:
-        result.coverage = lines.snapshot()
+    for i in range(task.steps):
+        result.steps_run = i + 1
+        try:
+            tester.step()
+        except FINDING_EXCEPTIONS as exc:
+            result.finding = make_finding(
+                exc,
+                trace,
+                worker_id=task.worker_id,
+                batch_index=task.batch_index,
+                seed=task.seed,
+                step_index=i,
+            )
+            break
     result.hypercalls = tester.stats.hypercalls
     result.rejected = tester.stats.rejected_crashy
 

@@ -20,11 +20,7 @@ import threading
 from dataclasses import dataclass, field
 from types import CodeType, FrameType
 
-# The campaign's one coverage map lives in the substrate, which cannot
-# import this package; re-exported here for the tracker's snapshots.
-from repro.sim.coverage import CoverageMap
-
-__all__ = ["CoverageMap", "CoverageTracker"]
+__all__ = ["CoverageTracker"]
 
 #: CO_OPTIMIZED distinguishes real function bodies from module/class-body
 #: code objects, which execute at import time (before tracking starts).
@@ -222,16 +218,6 @@ class CoverageTracker:
 
     def report(self) -> dict[str, ModuleCoverage]:
         return dict(self.modules)
-
-    def snapshot(self) -> CoverageMap:
-        """The hit lines as a mergeable :class:`CoverageMap`, keyed on
-        source-tree-relative filenames so maps from different processes
-        (or checkouts) line up."""
-        snap = CoverageMap()
-        for filename, module in self.modules.items():
-            key = filename.split("src/")[-1]
-            snap.add(key, module.lines_hit & module.lines_total)
-        return snap
 
     def totals(
         self, fragment: str = "", *, reachable_only: bool = False

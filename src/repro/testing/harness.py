@@ -60,13 +60,6 @@ class TestCase:
     machine_kwargs: dict = field(default_factory=dict)
 
 
-def make_machine(
-    *, ghost: bool = True, bugs: Bugs | None = None, **kwargs
-) -> Machine:
-    """Boot a fresh machine for one test."""
-    return Machine(ghost=ghost, bugs=bugs, **kwargs)
-
-
 def run_one(
     test: TestCase,
     *,
@@ -84,7 +77,7 @@ def run_one(
     """
     started = time.perf_counter()
     try:
-        machine = make_machine(
+        machine = Machine(
             ghost=ghost,
             bugs=bugs,
             oracle_cache=oracle_cache,

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from repro.arch.defs import PAGE_SIZE, phys_to_pfn
 from repro.machine import Machine
 from repro.pkvm.defs import EBUSY, HypercallId
+from repro.testing.trace import Trace
 
 
 @dataclass
@@ -30,18 +31,38 @@ class VmHandleInfo:
 
 
 class HypProxy:
-    """Well-behaved and arbitrary invocations of the pKVM hypercall API."""
+    """Well-behaved and arbitrary invocations of the pKVM hypercall API.
 
-    def __init__(self, machine: Machine):
+    Given a ``trace``, the proxy records every machine interaction
+    (hypercalls, host reads and writes, installed guest scripts) before
+    it runs it, so the trace replays the faulting step too.
+    """
+
+    def __init__(self, machine: Machine, trace: Trace | None = None):
         self.machine = machine
         self.host = machine.host
+        self.trace = trace
         self.vms: dict[int, VmHandleInfo] = {}
 
     # -- raw access ----------------------------------------------------------
 
     def hvc(self, call_id: int, *args: int, cpu_index: int = 0) -> int:
         """An arbitrary hypercall: no validation, no bookkeeping."""
+        if self.trace is not None:
+            self.trace.record_hvc(cpu_index, call_id, *args)
         return self.host.hvc(call_id, *args, cpu=self.machine.cpu(cpu_index))
+
+    def read64(self, addr: int, cpu_index: int = 0) -> int:
+        """A host load through the host's own stage 2."""
+        if self.trace is not None:
+            self.trace.record_read(addr, cpu_index)
+        return self.host.read64(addr, cpu=self.machine.cpu(cpu_index))
+
+    def write64(self, addr: int, value: int, cpu_index: int = 0) -> None:
+        """A host store through the host's own stage 2."""
+        if self.trace is not None:
+            self.trace.record_write(addr, value, cpu_index)
+        self.host.write64(addr, value, cpu=self.machine.cpu(cpu_index))
 
     # -- memory helpers --------------------------------------------------------
 
@@ -52,7 +73,11 @@ class HypProxy:
         self, phys: int, values: list[int], cpu_index: int = 0
     ) -> None:
         """Write words into host memory through the host's own stage 2
-        (faulting pages in on demand, as the real kernel would)."""
+        (faulting pages in on demand, as the real kernel would). Every
+        word is recorded before the first is written."""
+        if self.trace is not None:
+            for i, value in enumerate(values):
+                self.trace.record_write(phys + 8 * i, value, cpu_index)
         cpu = self.machine.cpu(cpu_index)
         for i, value in enumerate(values):
             self.host.write64(phys + 8 * i, value, cpu=cpu)
@@ -147,9 +172,8 @@ class HypProxy:
 
     def vcpu_run(self, cpu_index: int = 0) -> tuple[int, int]:
         """Run the loaded vCPU; returns (exit code, aux e.g. fault IPA)."""
-        cpu = self.machine.cpu(cpu_index)
-        ret = self.host.hvc(HypercallId.VCPU_RUN, cpu=cpu)
-        return ret, cpu.read_gpr(2)
+        ret = self.hvc(HypercallId.VCPU_RUN, cpu_index=cpu_index)
+        return ret, self.machine.cpu(cpu_index).read_gpr(2)
 
     def topup_memcache(self, nr: int, cpu_index: int = 0) -> int:
         """Donate ``nr`` fresh pages into the loaded vCPU's memcache."""
@@ -197,6 +221,8 @@ class HypProxy:
         if vm is None:
             raise ValueError(f"no such VM {handle:#x}")
         vcpu = vm.vcpus[vcpu_idx]
+        if self.trace is not None:
+            self.trace.record_script(handle, vcpu_idx, script)
         vcpu.script = list(script)
         vcpu.script_pos = 0
 

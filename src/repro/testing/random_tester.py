@@ -153,7 +153,8 @@ class RandomTester:
         profile: str = "all",
     ):
         self.machine = machine
-        self.proxy = HypProxy(machine)
+        #: Records every machine interaction into ``trace``, if given.
+        self.proxy = HypProxy(machine, trace)
         #: All randomness flows through this injectable generator, so a
         #: campaign shard is reproducible from its ``(campaign seed,
         #: worker id, batch index)``-derived seed alone.
@@ -164,10 +165,6 @@ class RandomTester:
         #: uniformly rather than from the abstract model, and the crash
         #: predictor is disabled — the paper's "too arbitrary" regime.
         self.guided = guided
-        #: Optional recording sink: every machine interaction (hypercalls,
-        #: host touches, params-page writes, guest scripts) is recorded
-        #: before execution, so the trace replays the faulting step too.
-        self.trace = trace
         if profile not in self.ACTION_PROFILES:
             raise ValueError(f"unknown action profile {profile!r}")
         self.profile = profile
@@ -235,22 +232,12 @@ class RandomTester:
 
     def _hvc(self, call_id: int, *args: int) -> int:
         self.stats.hypercalls += 1
-        if self.trace is not None:
-            self.trace.record_hvc(0, int(call_id), *args)
         ret = self.proxy.hvc(call_id, *args)
         if ret >= 0:
             self.stats.ok_returns += 1
         else:
             self.stats.error_returns += 1
         return ret
-
-    def _write_words(self, phys: int, values: list[int]) -> None:
-        """Fill a host page (params/list pages) with recording, so the
-        trace alone can rebuild the inputs a later hypercall reads."""
-        if self.trace is not None:
-            for i, value in enumerate(values):
-                self.trace.record_write(phys + 8 * i, value)
-        self.proxy.write_words(phys, values)
 
     # -- actions ---------------------------------------------------------------
 
@@ -302,14 +289,9 @@ class RandomTester:
             self.stats.rejected_crashy += 1
             return
         if self.rng.random() < 0.5:
-            value = self.rng.getrandbits(64)
-            if self.trace is not None:
-                self.trace.record_write(addr, value)
-            self.machine.host.write64(addr, value)
+            self.proxy.write64(addr, self.rng.getrandbits(64))
         else:
-            if self.trace is not None:
-                self.trace.record_read(addr)
-            self.machine.host.read64(addr)
+            self.proxy.read64(addr)
 
     def _do_touch_bogus(self) -> None:
         """A touch the model predicts is fatal — rejected, not executed."""
@@ -325,7 +307,7 @@ class RandomTester:
         pgd = self._fresh_page()
         nr_vcpus = self.rng.randint(1, 3)
         protected = self.rng.random() < 0.6
-        self._write_words(
+        self.proxy.write_words(
             params, [nr_vcpus, int(protected), phys_to_pfn(pgd)]
         )
         if self._hvc(HypercallId.HOST_SHARE_HYP, phys_to_pfn(params)):
@@ -404,9 +386,6 @@ class RandomTester:
                 self.proxy.set_guest_script(vm.handle, vm.loaded_vcpu, ops)
             except (ValueError, IndexError):
                 pass
-            else:
-                if self.trace is not None:
-                    self.trace.record_script(vm.handle, vm.loaded_vcpu, ops)
         self._hvc(HypercallId.VCPU_RUN)
 
     def _do_map_guest(self) -> None:
@@ -447,7 +426,7 @@ class RandomTester:
         nr = self.rng.randint(1, 6)
         list_page = self._fresh_page()
         pages = [self._fresh_page() for _ in range(nr)]
-        self._write_words(list_page, pages)
+        self.proxy.write_words(list_page, pages)
         if self._hvc(HypercallId.HOST_SHARE_HYP, phys_to_pfn(list_page)):
             return
         ret = self._hvc(HypercallId.MEMCACHE_TOPUP, phys_to_pfn(list_page), nr)
@@ -566,12 +545,8 @@ def run_campaign(
     ghost: bool = True,
     bugs=None,
     guided: bool = True,
-    oracle_cache: bool = True,
-    paranoid: bool = False,
 ) -> RandomRunStats:
     """One random-testing campaign on a fresh machine."""
-    machine = Machine(
-        ghost=ghost, bugs=bugs, oracle_cache=oracle_cache, paranoid=paranoid
-    )
+    machine = Machine(ghost=ghost, bugs=bugs)
     tester = RandomTester(machine, seed=seed, guided=guided)
     return tester.run(steps)

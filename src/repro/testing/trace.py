@@ -252,38 +252,3 @@ class Trace:
         scheduler.run()
         return machine
 
-
-class TracingHost:
-    """Wraps a machine's host, recording every interaction into a Trace.
-
-    Use as a drop-in front-end: drive ``tracing.hvc/write64/read64``
-    instead of the host's, then replay ``tracing.trace`` elsewhere.
-    """
-
-    def __init__(self, machine: Machine):
-        self.machine = machine
-        self.trace = Trace(
-            nr_cpus=len(machine.cpus),
-            dram_size=machine.mem.dram_regions()[-1].size,
-        )
-
-    def hvc(self, call_id: int, *args: int, cpu_index: int = 0) -> int:
-        self.trace.record_hvc(cpu_index, call_id, *args)
-        return self.machine.host.hvc(
-            call_id, *args, cpu=self.machine.cpu(cpu_index)
-        )
-
-    def write64(self, addr: int, value: int) -> None:
-        self.trace.record_write(addr, value)
-        self.machine.host.write64(addr, value)
-
-    def read64(self, addr: int) -> int:
-        self.trace.record_read(addr)
-        return self.machine.host.read64(addr)
-
-    def set_guest_script(self, handle: int, vcpu_idx: int, ops: list) -> None:
-        self.trace.record_script(handle, vcpu_idx, ops)
-        vm = self.machine.pkvm.vm_table.get(handle)
-        vcpu = vm.vcpus[vcpu_idx]
-        vcpu.script = list(ops)
-        vcpu.script_pos = 0

@@ -128,17 +128,6 @@ class TestSeededViolations:
         assert rc == 1
         assert "[spec-purity/nondet-call]" in capsys.readouterr().out
 
-    def test_fail_on_finding_flag_accepted(self):
-        rc = main(
-            [
-                "--fail-on-finding",
-                "purity",
-                "--spec-module",
-                str(FIXTURES / "bad_spec.py"),
-            ]
-        )
-        assert rc == 1
-
 
 class TestJsonReport:
     def test_json_is_machine_readable_and_counts_by_pass(self, capsys):
@@ -331,36 +320,6 @@ class TestRefinementPass:
         )
         assert rc == 0
         assert list(corpus.glob("*.trace"))
-
-
-class TestParallelJobs:
-    ARGS = [
-        "purity",
-        "ownership",
-        "refinement",
-        "--spec-module",
-        str(FIXTURES / "bad_spec.py"),
-    ]
-
-    def test_parallel_run_matches_serial_output(self, capsys):
-        """Findings, their order, and the exit code are identical with a
-        thread pool; only the timing line may differ."""
-        rc_serial = main(self.ARGS)
-        serial = capsys.readouterr().out.splitlines()
-        rc_parallel = main(self.ARGS + ["--jobs", "3"])
-        parallel = capsys.readouterr().out.splitlines()
-        assert rc_serial == rc_parallel == 1
-        strip = lambda lines: [  # noqa: E731
-            ln for ln in lines if not ln.startswith("repro.analysis timing:")
-        ]
-        assert strip(serial) == strip(parallel)
-
-    def test_jobs_must_be_positive(self):
-        import pytest
-
-        with pytest.raises(SystemExit) as exc:
-            main(["purity", "--jobs", "0"])
-        assert exc.value.code == 2
 
 
 class TestCrashedPass:

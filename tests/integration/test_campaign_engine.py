@@ -156,6 +156,26 @@ class TestCli:
         assert state["complete"]
         assert state["summary"]["total_steps"] == 200
 
+    def test_every_field_is_the_flag_of_its_name(self):
+        """Each campaign option is declared once: every CampaignConfig
+        field (bug_names is ``--bugs``) is the dest of a flag, no flag
+        given means CampaignConfig(), and a given flag sets its field."""
+        from dataclasses import fields
+
+        from repro.testing.campaign import cli
+
+        parser = cli.build_parser()
+        dests = {action.dest for action in parser._actions}
+        missing = {f.name for f in fields(CampaignConfig)} - dests
+        assert missing <= {"bug_names"}, f"no flag for {sorted(missing)}"
+        assert cli.config_from_args(parser.parse_args([])) == CampaignConfig()
+        args = parser.parse_args(
+            ["--batch-steps", "7", "--no-shrink", "--bugs", "synth_unshare_leak"]
+        )
+        assert cli.config_from_args(args) == CampaignConfig(
+            batch_steps=7, shrink=False, bug_names=("synth_unshare_leak",)
+        )
+
     def test_cli_rejects_unknown_bug(self):
         import pytest
 

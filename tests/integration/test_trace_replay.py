@@ -8,13 +8,14 @@ from repro.ghost.checker import SpecViolation
 from repro.machine import Machine
 from repro.pkvm.bugs import Bugs
 from repro.pkvm.defs import HypercallId
-from repro.testing.trace import Trace, TracingHost
+from repro.testing.proxy import HypProxy
+from repro.testing.trace import Trace
 
 
-def record_session() -> tuple[TracingHost, dict]:
-    """Drive a small session through the tracing front-end."""
+def record_session() -> tuple[HypProxy, dict]:
+    """Drive a small session through a recording proxy."""
     machine = Machine()
-    tracing = TracingHost(machine)
+    tracing = HypProxy(machine, Trace())
     page = 0x4400_0000  # fixed addresses so the replay is identical
     tracing.write64(page, 0xAB)
     ret_share = tracing.hvc(HypercallId.HOST_SHARE_HYP, phys_to_pfn(page))
@@ -72,11 +73,9 @@ class TestReplay:
 
     def test_replay_with_guest_script(self):
         machine = Machine()
-        tracing = TracingHost(machine)
-        from repro.testing.proxy import HypProxy
-
+        tracing = HypProxy(machine, Trace())
         # build a VM conventionally, then record the script + run via the
-        # tracing front-end (fixed handle: first VM is always 0x1000)
+        # recording proxy (fixed handle: first VM is always 0x1000)
         proxy = HypProxy(machine)
         handle, idx = proxy.create_running_guest(backed_gfns=[0x40])
         tracing.set_guest_script(

@@ -13,7 +13,7 @@ from repro.analysis.frame import (
 )
 from repro.analysis.astutil import spec_module_path
 from repro.ghost.spec import FRAME_MANIFESTS, HYPERCALL_SPECS
-from repro.testing.harness import make_machine
+from repro.machine import Machine
 from repro.testing.proxy import HypProxy
 
 FIXTURE = (
@@ -99,7 +99,7 @@ class TestSeededFixture:
 
 class TestDynamicCrossValidation:
     def test_frame_hook_reports_the_dispatched_spec(self):
-        machine = make_machine(ghost=True)
+        machine = Machine()
         observations = []
         machine.checker.frame_hook = observations.append
         proxy = HypProxy(machine)

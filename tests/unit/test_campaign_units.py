@@ -210,3 +210,12 @@ class TestCheckpointFile:
         save_checkpoint(path, {"version": 1, "coverage": {"lines": {}}})
         with pytest.raises(ValueError, match="version 1"):
             load_checkpoint(path)
+
+    def test_version_two_refused(self, tmp_path):
+        # Version 2 configs carried nr_cpus, dram_size, pct_cpus and
+        # oracle_cache, which CampaignConfig no longer has.
+        path = str(tmp_path / "campaign.json")
+        config = {**CampaignConfig().to_jsonable(), "nr_cpus": 4, "pct_cpus": 0}
+        save_checkpoint(path, {"version": 2, "config": config})
+        with pytest.raises(ValueError, match="version 2"):
+            load_checkpoint(path)

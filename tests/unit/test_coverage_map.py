@@ -2,11 +2,11 @@
 
 Merging must behave like set union per key — associative, commutative,
 idempotent — so the order worker results arrive in can never change the
-campaign-wide map, whether its points are oracle classes, source lines
-or interleaving windows.
+campaign-wide map, whether its points are oracle classes or
+interleaving windows.
 """
 
-from repro.testing.coverage import CoverageMap, CoverageTracker
+from repro.sim.coverage import CoverageMap
 
 
 def _map(**keys) -> CoverageMap:
@@ -69,19 +69,3 @@ class TestSerialisation:
         data = _map(pkvm=[3, 1], oracle=["b", "a"]).to_jsonable()
         assert data == {"oracle": ["a", "b"], "pkvm": [1, 3]}
 
-
-class TestTrackerSnapshot:
-    def test_hit_lines_keyed_by_module(self):
-        from repro.machine import Machine
-
-        with CoverageTracker() as tracker:
-            Machine(nr_cpus=1)
-        snap = tracker.snapshot()
-        assert snap.count() > 10
-        assert all(not key.startswith("/") for key in snap.points)
-        assert all(
-            isinstance(line, int)
-            for lines in snap.points.values()
-            for line in lines
-        )
-        assert (snap | snap) == snap
