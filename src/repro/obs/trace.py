@@ -34,6 +34,7 @@ import json
 import os
 import threading
 import time
+from dataclasses import dataclass
 from typing import Callable
 
 __all__ = [
@@ -63,6 +64,7 @@ def make_trace_id(seed: int | None = None) -> str:
     return f"trace-pid{os.getpid():x}-{time.perf_counter_ns() & 0xFFFFFF:06x}"
 
 
+@dataclass(slots=True, eq=False)
 class Span:
     """One finished span (or instant, when ``dur_us`` is None).
 
@@ -74,67 +76,17 @@ class Span:
     trace id and are told apart by ``pid`` (their worker id).
     """
 
-    __slots__ = (
-        "name", "cat", "ts_us", "dur_us", "tid", "pid", "depth", "args",
-        "trace_id", "span_id", "parent_id",
-    )
-
-    def __init__(
-        self,
-        name,
-        cat,
-        ts_us,
-        dur_us,
-        tid,
-        pid,
-        depth,
-        args,
-        trace_id="",
-        span_id=0,
-        parent_id=0,
-    ):
-        self.name = name
-        self.cat = cat
-        self.ts_us = ts_us
-        self.dur_us = dur_us
-        self.tid = tid
-        self.pid = pid
-        self.depth = depth
-        self.args = args
-        self.trace_id = trace_id
-        self.span_id = span_id
-        self.parent_id = parent_id
-
-    def to_jsonable(self) -> dict:
-        return {
-            "name": self.name,
-            "cat": self.cat,
-            "ts_us": self.ts_us,
-            "dur_us": self.dur_us,
-            "tid": self.tid,
-            "pid": self.pid,
-            "depth": self.depth,
-            "args": self.args,
-            "trace_id": self.trace_id,
-            "span_id": self.span_id,
-            "parent_id": self.parent_id,
-        }
-
-    @staticmethod
-    def from_jsonable(data: dict) -> "Span":
-        return Span(
-            data["name"],
-            data["cat"],
-            data["ts_us"],
-            data["dur_us"],
-            data["tid"],
-            data["pid"],
-            data["depth"],
-            data.get("args") or {},
-            data.get("trace_id", ""),
-            data.get("span_id", 0),
-            data.get("parent_id", 0),
-        )
+    name: str
+    cat: str
+    ts_us: int
+    dur_us: int | None
+    tid: int
+    pid: int
+    depth: int
+    args: dict
+    trace_id: str = ""
+    span_id: int = 0
+    parent_id: int = 0
 
     def to_trace_event(self) -> dict:
         event = {
@@ -478,9 +430,9 @@ def chrome_trace(
 ) -> dict:
     """The Chrome ``trace_event`` JSON object for an arbitrary span list.
 
-    The campaign engine uses this directly: worker spans arrive as
-    shipped data (each worker's ``pid`` is its worker id), not through
-    any live tracer, and still need one merged Perfetto-loadable file.
+    The campaign engine uses this directly: worker spans arrive in batch
+    results (each worker's ``pid`` is its worker id), not through any
+    live tracer, and still need one merged Perfetto-loadable file.
 
     ``process_names`` labels the ``pid`` tracks via ``process_name``
     metadata events, so a merged cross-worker timeline renders with

@@ -21,11 +21,23 @@ import sys
 from dataclasses import fields
 
 from repro.pkvm.bugs import Bugs
+from repro.testing.campaign.concurrency import CONCURRENCY_SCENARIOS
 from repro.testing.campaign.engine import (
     CampaignConfig,
     CampaignEngine,
     CampaignReport,
 )
+
+
+#: The least value of each numeric flag: below it a campaign would issue
+#: empty batches forever or fail inside every batch.
+_LEAST_VALUES = {
+    "workers": 1,
+    "budget": 1,
+    "batch_steps": 1,
+    "pct_depth": 1,
+    "flight_buffer": 0,
+}
 
 
 def _parse_bugs(spec: str) -> tuple[str, ...]:
@@ -82,8 +94,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--scenario",
-        help="concurrency mode: which scenario trace to fuzz "
-        "(vcpu-race, host-fault, mixed)",
+        choices=sorted(CONCURRENCY_SCENARIOS),
+        help="concurrency mode: which scenario trace to fuzz",
     )
     parser.add_argument(
         "--pct-depth",
@@ -228,10 +240,10 @@ def main(argv: list[str] | None = None) -> int:
             engine.config.serve_telemetry = args.serve_telemetry
     else:
         config = config_from_args(args)
-        if config.workers < 1:
-            raise SystemExit("--workers must be at least 1")
-        if config.budget < 1:
-            raise SystemExit("--budget must be at least 1")
+        for name, least in _LEAST_VALUES.items():
+            if getattr(config, name) < least:
+                flag = "--" + name.replace("_", "-")
+                raise SystemExit(f"{flag} must be at least {least}")
         engine = CampaignEngine(config, out=args.out)
     report = engine.run()
     print(format_report(report))

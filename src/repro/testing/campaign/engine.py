@@ -14,16 +14,17 @@ Two execution modes share all of that logic:
   order (the worker with the fewest issued batches goes next), so two
   campaigns with the same config produce byte-identical reports; this is
   the mode the determinism and checkpoint tests pin down.
-- **process pool** — batches run in ``multiprocessing`` workers. Batch
-  *seeds* are still deterministic (they derive from the campaign seed and
-  the batch's lane, not from which OS process ran it); only the
-  coverage-feedback ordering can vary with completion order.
+- **process pool** — batches run on a ``concurrent.futures`` process
+  pool. Batch *seeds* are still deterministic (they derive from the
+  campaign seed and the batch's lane, not from which OS process ran it);
+  only the coverage-feedback ordering can vary with completion order. A
+  batch that raises, or a worker process that dies, ends the campaign
+  with that exception (``BrokenProcessPool`` for a dead worker).
 """
 
 from __future__ import annotations
 
 import json
-import multiprocessing
 import sys
 import threading
 import time
@@ -49,7 +50,6 @@ from repro.testing.campaign.worker import (
     BatchTask,
     batch_seed,
     run_batch,
-    worker_main,
 )
 
 
@@ -213,7 +213,7 @@ class CampaignEngine:
         #: (counters and histogram buckets add, gauges take the max), so
         #: the campaign-wide view is one registry regardless of mode.
         self.metrics = MetricsRegistry()
-        #: Worker spans, re-hydrated; each carries its worker id as pid.
+        #: Worker spans; each carries its worker id as pid.
         self.spans: list[Span] = []
         self.flight_dumps: list[str] = []
         self.batch_records: list[dict] = []
@@ -319,8 +319,7 @@ class CampaignEngine:
         self.racy_tags.update(result.racy_tags)
         if result.metrics:
             self.metrics.merge(result.metrics)
-        if result.spans:
-            self.spans.extend(Span.from_jsonable(s) for s in result.spans)
+        self.spans.extend(result.spans)
         if result.profile:
             self.profile.merge(result.profile)
         self.flight_dumps.extend(result.flight_dumps)
@@ -503,41 +502,29 @@ class CampaignEngine:
             self._absorb(run_batch(machine_config, self._next_task(), **options))
 
     def _run_pool(self) -> None:
-        ctx = multiprocessing.get_context()
-        task_queue: multiprocessing.Queue = ctx.Queue()
-        result_queue: multiprocessing.Queue = ctx.Queue()
-        procs = [
-            ctx.Process(
-                target=worker_main,
-                args=(
-                    self.config.machine_config(),
-                    task_queue,
-                    result_queue,
-                    self.config.batch_options(),
-                ),
-                daemon=True,
-            )
-            for _ in range(self.config.workers)
-        ]
-        for proc in procs:
-            proc.start()
-        in_flight = 0
-        try:
+        """Keep up to ``workers`` batches in flight and absorb each as it
+        completes. A batch that raised re-raises its exception here, and
+        a worker that died raises ``BrokenProcessPool``; either ends the
+        campaign with every batch absorbed so far in the checkpoint."""
+        # Imported here: inline campaigns never load multiprocessing.
+        from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+
+        machine_config = self.config.machine_config()
+        options = self.config.batch_options()
+        with ProcessPoolExecutor(self.config.workers) as pool:
+            in_flight = set()
             while True:
-                while in_flight < self.config.workers and self._should_issue():
-                    task_queue.put(self._next_task())
-                    in_flight += 1
-                if in_flight == 0:
+                while len(in_flight) < self.config.workers and self._should_issue():
+                    in_flight.add(
+                        pool.submit(
+                            run_batch, machine_config, self._next_task(), **options
+                        )
+                    )
+                if not in_flight:
                     break
-                self._absorb(result_queue.get())
-                in_flight -= 1
-        finally:
-            for _ in procs:
-                task_queue.put(None)
-            for proc in procs:
-                proc.join(timeout=30)
-                if proc.is_alive():
-                    proc.terminate()
+                done, in_flight = wait(in_flight, return_when=FIRST_COMPLETED)
+                for future in done:
+                    self._absorb(future.result())
 
     # -- reporting ----------------------------------------------------------
 

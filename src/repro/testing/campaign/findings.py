@@ -15,7 +15,7 @@ different seeds collapses into one finding.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from repro.arch.exceptions import HostCrash, HypervisorPanic
 from repro.ghost.checker import SpecViolation
@@ -95,6 +95,10 @@ def _normalized_message(exc: BaseException) -> str:
     return _HEX.sub("ADDR", str(exc))
 
 
+#: RawFinding fields whose JSON key differs from the field name.
+_JSON_KEYS = {"klass": "class", "trace_text": "trace"}
+
+
 @dataclass
 class RawFinding:
     """One finding as a worker ships it back: classification plus a
@@ -127,45 +131,26 @@ class RawFinding:
         return Trace.loads(self.trace_text)
 
     def to_jsonable(self) -> dict:
-        return {
-            "class": self.klass,
-            "kind": self.kind,
-            "detail": self.detail,
-            "call_name": self.call_name,
-            "signature": list(self.signature),
-            "trace": self.trace_text,
-            "worker_id": self.worker_id,
-            "batch_index": self.batch_index,
-            "seed": self.seed,
-            "step_index": self.step_index,
-            "orig_len": self.orig_len,
-            "shrunk_len": self.shrunk_len,
-            "sched_len": self.sched_len,
-            "shrunk_sched_len": self.shrunk_sched_len,
-            "duplicates": self.duplicates,
-            "flight": self.flight,
+        data = {
+            _JSON_KEYS.get(f.name, f.name): getattr(self, f.name)
+            for f in fields(self)
         }
+        data["signature"] = list(self.signature)
+        return data
 
     @staticmethod
     def from_jsonable(data: dict) -> "RawFinding":
-        return RawFinding(
-            klass=data["class"],
-            kind=data["kind"],
-            detail=data["detail"],
-            call_name=data["call_name"],
-            signature=tuple(data["signature"]),
-            trace_text=data["trace"],
-            worker_id=data["worker_id"],
-            batch_index=data["batch_index"],
-            seed=data["seed"],
-            step_index=data["step_index"],
-            orig_len=data.get("orig_len", 0),
-            shrunk_len=data.get("shrunk_len", 0),
-            sched_len=data.get("sched_len", 0),
-            shrunk_sched_len=data.get("shrunk_sched_len", 0),
-            duplicates=data.get("duplicates", 0),
-            flight=data.get("flight", ""),
+        # A key an older record lacks (``flight``, say) keeps the
+        # field's default.
+        finding = RawFinding(
+            **{
+                f.name: data[key]
+                for f in fields(RawFinding)
+                if (key := _JSON_KEYS.get(f.name, f.name)) in data
+            }
         )
+        finding.signature = tuple(finding.signature)
+        return finding
 
 
 def make_finding(

@@ -7,7 +7,8 @@ ends at its step budget — or early, at the first finding, so the
 recorded trace replays from a clean boot straight into the finding.
 
 The same ``run_batch`` runs inline (deterministic single-process mode)
-and inside worker processes (``worker_main`` loops on a task queue).
+and as a task on the engine's process pool, which pickles its arguments
+and the :class:`BatchResult` it returns.
 """
 
 from __future__ import annotations
@@ -73,9 +74,9 @@ class BatchResult:
     #: detector.
     racy_tags: tuple = ()
     seconds: float = 0.0
-    #: Observability payload, shipped as plain data (picklable through
-    #: the result queue) and deliberately NOT in :meth:`to_jsonable` —
-    #: the checkpoint stays slim; traces/metrics are run artifacts.
+    #: Observability payload (the spans are :class:`~repro.obs.trace.Span`
+    #: objects), deliberately NOT in :meth:`to_jsonable` — the checkpoint
+    #: stays slim; traces/metrics are run artifacts.
     spans: list = field(default_factory=list)
     metrics: dict = field(default_factory=dict)
     flight_dumps: list = field(default_factory=list)
@@ -207,7 +208,7 @@ def run_batch(
         "worker_last_batch_ts", {"worker": str(task.worker_id)}, mode="last"
     ).set(round(time.time(), 3))
     result.seconds = time.perf_counter() - started
-    result.spans = [s.to_jsonable() for s in obs.tracer.spans]
+    result.spans = list(obs.tracer.spans)
     result.metrics = obs.metrics.snapshot()
     result.flight_dumps = [str(p) for p in obs.flight.dumps]
     if obs.profiler is not None:
@@ -264,10 +265,3 @@ def _run_steps(
             break
     result.hypercalls = tester.stats.hypercalls
     result.rejected = tester.stats.rejected_crashy
-
-
-def worker_main(machine_config: dict, task_queue, result_queue, options: dict) -> None:
-    """Process entry point: run each task as ``run_batch(machine_config,
-    task, **options)`` until the None sentinel."""
-    while (task := task_queue.get()) is not None:
-        result_queue.put(run_batch(machine_config, task, **options))

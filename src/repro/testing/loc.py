@@ -96,6 +96,7 @@ CATEGORIES: dict[str, list[str]] = {
         "sim/instrument.py",
     ],
     "observability (tracing/metrics/flight)": [
+        "obs/__init__.py",
         "obs/trace.py",
         "obs/metrics.py",
         "obs/flight.py",

@@ -1,15 +1,25 @@
 """Integration tests of the campaign engine: determinism, checkpoint
-round-trips, and the CLI front end.
+round-trips, the process pool, and the CLI front end.
 
-All campaigns here run inline (sequential, deterministic batch order) so
-reports can be compared for equality; the multiprocess pool path is
-exercised separately by the benchmark and the CI smoke job.
+Campaigns run inline (sequential, deterministic batch order) so reports
+can be compared for equality; ``TestPool`` compares the process pool's
+totals with inline ones and runs every pool campaign under a deadline,
+so a pool that hangs fails the test instead of the whole suite.
 """
 
+import contextlib
 import json
+import multiprocessing
+import os
+import signal
+from concurrent.futures.process import BrokenProcessPool
+from dataclasses import replace
+
+import pytest
 
 from repro.arch.defs import phys_to_pfn
 from repro.pkvm.defs import HypercallId
+from repro.testing.campaign import worker
 from repro.testing.campaign.cli import main
 from repro.testing.campaign.concurrency import DRAM_BASE
 from repro.testing.campaign.engine import (
@@ -32,6 +42,23 @@ def _config(**overrides) -> CampaignConfig:
     )
     base.update(overrides)
     return CampaignConfig(**base)
+
+
+@contextlib.contextmanager
+def deadline(seconds: int):
+    """Raise ``TimeoutError`` in a campaign still running after
+    ``seconds``, so a hang fails its test."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"campaign still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 class TestDeterminism:
@@ -131,6 +158,56 @@ class TestNoBugCampaign:
         assert report.total_hypercalls > 300
 
 
+class TestPool:
+    def test_pool_totals_equal_inline(self, tmp_path):
+        # Coverage off: every batch gets the base budget, so the totals
+        # do not depend on the order the pool completes batches in.
+        config = _config(batch_steps=50, coverage="off")
+        engine = CampaignEngine(
+            replace(config, inline=False, trace_out=str(tmp_path / "t.json"))
+        )
+        with deadline(60):
+            pooled = engine.run()
+        assert pooled.comparable() == run_campaign(config).comparable()
+        # Each worker's spans reach the merged trace.
+        assert {span.pid for span in engine.spans} == {0, 1}
+
+    def test_worker_exception_ends_the_campaign(self):
+        # run_concurrency_batch refuses the scenario inside the worker.
+        config = _config(
+            inline=False, mode="concurrency", scenario="bogus", budget=4,
+            batch_steps=2,
+        )
+        with deadline(30), pytest.raises(ValueError, match="bogus"):
+            CampaignEngine(config).run()
+
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="the patched batch reaches pool workers only by fork",
+    )
+    def test_dead_worker_ends_the_campaign(self, tmp_path, monkeypatch):
+        run_steps = worker._run_steps
+
+        def exit_after_first_batch(machine_config, task, *args, **kwargs):
+            if task.batch_index > 0:
+                os._exit(1)
+            run_steps(machine_config, task, *args, **kwargs)
+
+        config = _config(coverage="off")
+        path = str(tmp_path / "campaign.json")
+        monkeypatch.setattr(worker, "_run_steps", exit_after_first_batch)
+        with deadline(30), pytest.raises(BrokenProcessPool):
+            CampaignEngine(replace(config, inline=False), out=path).run()
+        monkeypatch.undo()
+        # Every batch absorbed before the death is in the checkpoint, and
+        # a resume runs only the rest.
+        absorbed = json.load(open(path))["batches"]
+        assert absorbed and {b["batch_index"] for b in absorbed} == {0}
+        with deadline(60):
+            resumed = CampaignEngine.from_checkpoint(path).run()
+        assert resumed.comparable() == run_campaign(config).comparable()
+
+
 class TestCli:
     def test_cli_runs_and_writes_report(self, tmp_path, capsys):
         out = str(tmp_path / "campaign.json")
@@ -177,10 +254,30 @@ class TestCli:
         )
 
     def test_cli_rejects_unknown_bug(self):
-        import pytest
-
         with pytest.raises(SystemExit, match="unknown bug"):
             main(["--bugs", "no_such_bug"])
+
+    def test_cli_rejects_batch_steps_below_one(self):
+        # Zero-step batches never spend the budget: the campaign would
+        # issue them forever.
+        with deadline(30), pytest.raises(SystemExit, match="--batch-steps"):
+            main(["--inline", "--workers", "1", "--budget", "10",
+                  "--batch-steps", "0"])
+
+    def test_cli_rejects_unknown_scenario(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--inline", "--mode", "concurrency", "--scenario", "bogus"])
+        assert exit_info.value.code == 2
+        assert "invalid choice: 'bogus'" in capsys.readouterr().err
+
+    def test_cli_rejects_pct_depth_below_one(self):
+        with pytest.raises(SystemExit, match="--pct-depth"):
+            main(["--inline", "--mode", "concurrency", "--budget", "2",
+                  "--batch-steps", "1", "--pct-depth", "0"])
+
+    def test_cli_rejects_negative_flight_buffer(self):
+        with pytest.raises(SystemExit, match="--flight-buffer"):
+            main(["--inline", "--budget", "10", "--flight-buffer", "-1"])
 
     def test_cli_resume(self, tmp_path, capsys):
         out = str(tmp_path / "campaign.json")

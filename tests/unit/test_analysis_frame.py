@@ -6,12 +6,14 @@ from pathlib import Path
 
 from repro.analysis.frame import (
     FootprintEngine,
+    check_cache_equivalence,
     check_frames,
     cross_validate_frames,
     pretty_path,
     run_frame_pass,
 )
 from repro.analysis.astutil import spec_module_path
+from repro.arch.memory import PhysicalMemory
 from repro.ghost.spec import FRAME_MANIFESTS, HYPERCALL_SPECS
 from repro.machine import Machine
 from repro.testing.proxy import HypProxy
@@ -137,6 +139,17 @@ class TestDynamicCrossValidation:
         assert any(
             "compute_post__pkvm_host_share_hyp" in f.message for f in findings
         )
+
+    def test_a_cache_blind_to_writes_is_caught(self, monkeypatch):
+        # A write journal that reports nothing leaves the oracle cache
+        # serving stale abstractions, which the uncached replay exposes.
+        assert check_cache_equivalence(suite=False, random_steps=60) == []
+        monkeypatch.setattr(
+            PhysicalMemory, "writes_since", lambda self, since: frozenset()
+        )
+        findings = check_cache_equivalence(suite=False, random_steps=60)
+        assert findings
+        assert {f.rule for f in findings} == {"cache-divergent-observation"}
 
     def test_spec_module_target_skips_the_dynamic_half(self):
         findings = run_frame_pass(FIXTURE, dynamic=True, random_steps=10)

@@ -1,6 +1,7 @@
 """Unit tests for the span tracer (repro.obs.trace)."""
 
 import json
+import pickle
 
 import pytest
 
@@ -161,11 +162,6 @@ class TestExport:
         doc = chrome_trace(spans)
         assert [e["pid"] for e in doc["traceEvents"]] == [0, 1]
 
-    def test_span_jsonable_roundtrip(self):
-        span = Span("n", "c", 10, 5, 1, 2, 3, {"k": "v"})
-        clone = Span.from_jsonable(span.to_jsonable())
-        assert clone.to_jsonable() == span.to_jsonable()
-
     def test_dump_tree_indents_by_depth(self):
         tracer = make_tracer()
         with tracer.span("outer"):
@@ -228,22 +224,19 @@ class TestCorrelation:
         assert inner["args"]["parent_id"] == outer["args"]["span_id"]
         assert "parent_id" not in outer["args"]
 
-    def test_span_jsonable_roundtrip_keeps_ids(self):
+    def test_pickled_span_keeps_its_ids(self):
+        # Campaign workers ship their spans to the engine by pickle.
         tracer = make_tracer(trace_id="t-1")
         with tracer.span("a"):
-            pass
-        (span,) = tracer.spans
-        clone = Span.from_jsonable(span.to_jsonable())
-        assert (clone.trace_id, clone.span_id, clone.parent_id) == (
-            span.trace_id, span.span_id, span.parent_id,
-        )
-
-    def test_pre_correlation_jsonable_loads_with_defaults(self):
-        data = Span("n", "c", 10, 5, 1, 2, 3, {"k": "v"}).to_jsonable()
-        for key in ("trace_id", "span_id", "parent_id"):
-            data.pop(key, None)
-        clone = Span.from_jsonable(data)
-        assert (clone.trace_id, clone.span_id, clone.parent_id) == ("", 0, 0)
+            with tracer.span("b", call="share"):
+                pass
+        for span in tracer.spans:
+            clone = pickle.loads(pickle.dumps(span))
+            assert (clone.trace_id, clone.span_id, clone.parent_id) == (
+                span.trace_id, span.span_id, span.parent_id,
+            )
+            assert clone.to_trace_event() == span.to_trace_event()
+        assert tracer.spans[0].parent_id == tracer.spans[1].span_id
 
     def test_chrome_trace_process_name_metadata(self):
         spans = [
