@@ -24,7 +24,6 @@ from repro.arch.defs import (
     U64_MASK,
     phys_to_pfn,
 )
-from repro.obs.trace import active_tracer
 
 
 @dataclass(frozen=True)
@@ -137,8 +136,9 @@ class PhysicalMemory:
         i = bisect_right(self._journal_epochs, since)
         return frozenset(self._journal_pfns[i:])
 
-    def trim_journal(self, min_epoch: int) -> None:
-        """Forget journal entries at or before ``min_epoch``.
+    def trim_journal(self, min_epoch: int) -> bool:
+        """Forget journal entries at or before ``min_epoch``; returns
+        whether the floor moved (False when it already sat there).
 
         Callers promise never to ask ``writes_since(e)`` for ``e <
         min_epoch`` again — or to accept the slower per-page fallback if
@@ -146,20 +146,12 @@ class PhysicalMemory:
         holds, bounding journal growth over long campaigns.
         """
         if min_epoch <= self._journal_floor:
-            return
+            return False
         i = bisect_right(self._journal_epochs, min_epoch)
-        tracer = active_tracer()
-        if tracer.enabled:
-            tracer.instant(
-                "journal-trim",
-                "memory",
-                entries=i,
-                floor=min_epoch,
-                remaining=len(self._journal_epochs) - i,
-            )
         del self._journal_epochs[:i]
         del self._journal_pfns[:i]
         self._journal_floor = min_epoch
+        return True
 
     @property
     def journal_length(self) -> int:

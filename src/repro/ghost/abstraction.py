@@ -9,9 +9,11 @@ for the §4.4 separation checks.
 
 The per-lock recording functions below each compute the abstraction of
 exactly the state their lock protects, mirroring the implementation
-ownership structure. They read concrete implementation state (that is
-their job); the specification functions in :mod:`repro.ghost.spec` never
-do.
+ownership structure. A page-table lock's component is the interpreted
+table itself, recorded through :class:`repro.ghost.cache.AbstractionCache`
+(the host's through :func:`host_view`). They read concrete
+implementation state (that is their job); the specification functions in
+:mod:`repro.ghost.spec` never do.
 """
 
 from __future__ import annotations
@@ -28,14 +30,12 @@ from repro.arch.pte import OA_MASK, EntryKind, PageState, decode_descriptor
 from repro.arch.cpu import Cpu
 from repro.ghost.maplets import Maplet, Mapping, MapletTarget, extend_run
 from repro.obs.metrics import Counter
-from repro.obs.trace import active_tracer
 from repro.ghost.state import (
     AbstractPgtable,
     GhostCpuLocal,
     GhostGlobals,
     GhostHost,
     GhostLoadedVcpu,
-    GhostPkvm,
     GhostVcpuRef,
     GhostVm,
     GhostVms,
@@ -123,20 +123,6 @@ def interpret_pgtable(
     incremental traversal against.
     """
     walk = _Walk(mem, stage, memo)
-    tracer = active_tracer()
-    if not tracer.enabled:
-        return _traverse(walk, root)
-    with tracer.span(
-        "interpret_pgtable",
-        "oracle",
-        root=hex(root),
-        stage=stage.name,
-        incremental=memo is not None,
-    ):
-        return _traverse(walk, root)
-
-
-def _traverse(walk: _Walk, root: int) -> AbstractPgtable:
     try:
         maplets, phys = _interpret_table(walk, root, START_LEVEL, 0)
     finally:
@@ -439,18 +425,9 @@ def _rescan_table(
 # ---------------------------------------------------------------------------
 
 
-def record_abstraction_pkvm(
-    mem: PhysicalMemory, mp, *, memo: dict | None = None
-) -> GhostPkvm:
-    """Abstraction of the state the pkvm_pgd lock protects."""
-    pgt = interpret_pgtable(mem, mp.pkvm_pgd.root, Stage.STAGE1, memo=memo)
-    return GhostPkvm(present=True, pgt=pgt)
-
-
-def record_abstraction_host(
-    mem: PhysicalMemory, mp, *, loose: bool = True, memo: dict | None = None
-) -> GhostHost:
-    """Abstraction of the state the host_mmu lock protects.
+def host_view(pgt: AbstractPgtable, loose: bool = True) -> GhostHost:
+    """The host component of the host stage 2 ``pgt`` (the state the
+    host_mmu lock protects).
 
     Two mappings (paper §3.1): ``annot`` — pages owned by pKVM or a guest;
     ``shared`` — pages owned-and-shared by the host, or borrowed by it.
@@ -463,10 +440,9 @@ def record_abstraction_host(
     becomes a visible state change the specification cannot predict —
     demonstrating why the paper's host abstraction must be loose.
     """
-    full = interpret_pgtable(mem, mp.host_mmu.root, Stage.STAGE2, memo=memo)
     annot = Mapping()
     shared = Mapping()
-    for maplet in full.mapping:
+    for maplet in pgt.mapping:
         if maplet.target.kind == "annotated":
             annot.extend_coalesce(maplet.va, maplet.nr_pages, maplet.target)
         elif not loose or maplet.target.page_state in (
@@ -475,16 +451,8 @@ def record_abstraction_host(
         ):
             shared.extend_coalesce(maplet.va, maplet.nr_pages, maplet.target)
     return GhostHost(
-        present=True, annot=annot, shared=shared, footprint=full.footprint
+        present=True, annot=annot, shared=shared, footprint=pgt.footprint
     )
-
-
-def record_abstraction_vm_pgt(
-    mem: PhysicalMemory, pgt, *, memo: dict | None = None
-) -> AbstractPgtable:
-    """Abstraction of one guest's stage 2 ``pgt`` (protected by that VM's
-    lock)."""
-    return interpret_pgtable(mem, pgt.root, Stage.STAGE2, memo=memo)
 
 
 def record_abstraction_vms(vm_table) -> GhostVms:

@@ -21,10 +21,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from repro.arch.defs import PAGE_SHIFT
+from repro.arch.defs import PAGE_SHIFT, Stage
 from repro.arch.memory import PhysicalMemory
-from repro.ghost.abstraction import AbstractionError, Memo
+from repro.ghost.abstraction import Memo, interpret_pgtable
+from repro.ghost.state import AbstractPgtable
 from repro.obs.metrics import MetricsRegistry
+from repro.obs.trace import NULL_TRACER
 
 
 class ParanoidMismatchError(Exception):
@@ -53,17 +55,22 @@ class _Entry:
 class AbstractionCache:
     """Per-machine cache of per-root abstraction results.
 
-    ``record(key, root, compute)`` either returns the cached value for
-    ``key`` (when the root matches and no journaled write intersects the
-    recorded footprint) or calls
-    ``compute(memo) -> (value, footprint_phys)``, freezes the value, and
-    caches it. ``memo`` carries the per-subtree traversal memoisation
-    between recomputes of the same tree: entries are self-validating
-    against the write journal and word-diffed forward, so an invalidated
-    tree re-decodes only the table entries that actually changed. Cached
-    values are shared objects: they are frozen so the sharing is safe,
-    and the committed reference copies the checker keeps become
-    pointer-identical on hits, making non-interference checks O(1).
+    ``record(key, root, stage, view)`` either returns the cached value
+    for ``key`` (when the root matches and no journaled write intersects
+    the recorded footprint) or interprets the table at ``root``, derives
+    the value as ``view(pgt)`` (the table itself when ``view`` is None),
+    freezes it, and caches it with the table's footprint. The cache keeps
+    each tree's per-subtree traversal memo between recomputes: entries
+    are self-validating against the write journal and word-diffed
+    forward, so an invalidated tree re-decodes only the table entries
+    that actually changed. Cached values are shared objects: they are
+    frozen so the sharing is safe, and the committed reference copies the
+    checker keeps become pointer-identical on hits, making
+    non-interference checks O(1).
+
+    Every table walk runs under an ``interpret_pgtable`` span, and every
+    journal trim that moves the floor emits a ``journal-trim`` instant,
+    on the tracer of the machine's bundle (none without a bundle).
     """
 
     #: Journal length beyond which we trim to the oldest cached epoch.
@@ -87,6 +94,7 @@ class AbstractionCache:
         #: recorder + tracer); a direct-constructed cache gets metrics of
         #: its own and no flight recorder.
         self.obs = obs
+        self.tracer = obs.tracer if obs is not None else NULL_TRACER
         metrics = obs.metrics if obs is not None else MetricsRegistry()
         self.metrics = metrics
         # Every counter lives in the metrics registry and nowhere else:
@@ -109,11 +117,14 @@ class AbstractionCache:
         self,
         key: str,
         root: int,
-        compute: Callable[[dict | None], tuple[object, frozenset[int]]],
+        stage: Stage,
+        view: Callable[[AbstractPgtable], object] | None = None,
     ):
-        """The cached-abstraction entry point used by checker recorders."""
+        """The abstraction of the table at ``root`` recorded under ``key``:
+        the interpreted table, or ``view`` of it (the host's annot/shared
+        split, the pkvm component)."""
         if not self.enabled:
-            value, _footprint = compute(None)
+            value, _footprint = self._compute(root, stage, view, None)
             return value
         epoch = self.mem.epoch
         memo = Memo(self._decodes)
@@ -138,7 +149,7 @@ class AbstractionCache:
                     entry.epoch = epoch
                     self._hits.inc()
                     if self.paranoid:
-                        self._paranoid_check(key, entry, compute)
+                        self._paranoid_check(key, entry, stage, view)
                     return entry.value
                 self._invalidations.inc()
                 if self.obs is not None:
@@ -152,13 +163,13 @@ class AbstractionCache:
         self._misses.inc()
         if len(memo) > self.MEMO_CAP:
             memo.clear()
-        # A failed compute must leave no entry behind (the cache is never
+        # A failed walk must leave no entry behind (the cache is never
         # poisoned by AbstractionError — the stale entry was already
         # dropped above) and no half-updated memo either: an abort can
         # strike between a child snapshot's update and its parent's, and
         # a later traversal would splice the mismatched pair.
         try:
-            value, footprint = compute(memo)
+            value, footprint = self._compute(root, stage, view, memo)
         except BaseException:
             memo.clear()
             raise
@@ -172,7 +183,7 @@ class AbstractionCache:
             memo=memo,
         )
         if self.paranoid:
-            self._paranoid_check(key, entry, compute)
+            self._paranoid_check(key, entry, stage, view)
         self._entries[key] = entry
         self._entries_gauge.set(len(self._entries))
         self._maybe_trim()
@@ -192,12 +203,32 @@ class AbstractionCache:
         self._entries.clear()
         self._entries_gauge.set(0)
 
-    def _paranoid_check(self, key, entry, compute) -> None:
+    def _compute(self, root: int, stage: Stage, view, memo: Memo | None):
+        """Interpret the table at ``root`` (incrementally through ``memo``,
+        or the full reference traversal when it is None) and derive the
+        value; returns (value, footprint)."""
+        tracer = self.tracer
+        if tracer.enabled:
+            with tracer.span(
+                "interpret_pgtable",
+                "oracle",
+                root=hex(root),
+                stage=stage.name,
+                incremental=memo is not None,
+            ):
+                pgt = interpret_pgtable(self.mem, root, stage, memo=memo)
+        else:
+            pgt = interpret_pgtable(self.mem, root, stage, memo=memo)
+        return (pgt if view is None else view(pgt)), pgt.footprint
+
+    def _paranoid_check(self, key, entry, stage, view) -> None:
         # Recompute with no memo at all: a full from-scratch traversal,
         # checking both the hit/invalidation logic and the memoised
         # incremental re-interpretation.
         self._paranoid_recomputes.inc()
-        fresh_value, fresh_footprint = compute(None)
+        fresh_value, fresh_footprint = self._compute(
+            entry.root, stage, view, None
+        )
         if fresh_value != entry.value:
             self._flight_dump_paranoid(key, entry, "stale value")
             raise ParanoidMismatchError(
@@ -227,11 +258,20 @@ class AbstractionCache:
         )
 
     def _maybe_trim(self) -> None:
-        if self.mem.journal_length <= self.TRIM_THRESHOLD:
+        length = self.mem.journal_length
+        if length <= self.TRIM_THRESHOLD:
             return
         if self._entries:
             floor = min(e.epoch for e in self._entries.values())
         else:
             floor = self.mem.epoch
-        self.mem.trim_journal(floor)
+        if self.mem.trim_journal(floor) and self.tracer.enabled:
+            remaining = self.mem.journal_length
+            self.tracer.instant(
+                "journal-trim",
+                "memory",
+                entries=length - remaining,
+                floor=floor,
+                remaining=remaining,
+            )
         self._journal_trims.inc()

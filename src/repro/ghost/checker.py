@@ -31,10 +31,7 @@ from repro.arch.cpu import Cpu
 from repro.arch.exceptions import Syndrome
 from repro.ghost.abstraction import (
     AbstractionError,
-    interpret_pgtable,
-    record_abstraction_host,
-    record_abstraction_pkvm,
-    record_abstraction_vm_pgt,
+    host_view,
     record_abstraction_vms,
     record_cpu_local,
     record_globals,
@@ -48,6 +45,7 @@ from repro.ghost.spec import SpecAccessError, compute_post_trap, spec_name_for
 from repro.ghost.state import (
     GhostIommu,
     GhostIommuDomain,
+    GhostPkvm,
     GhostState,
     local_key,
     vm_pgt_key,
@@ -136,7 +134,7 @@ class GhostChecker:
         #: home of the oracle's counters, e.g.
         #: ``obs.metrics.value("oracle_checks_run")``), span tracer, and
         #: flight recorder (dumped on any violation).
-        self.obs: Observability = getattr(machine, "obs", None) or Observability()
+        self.obs: Observability = machine.obs
         #: Incremental abstraction cache (invalidation by footprint).
         #: ``oracle_cache=False`` restores the pre-refactor full-recompute
         #: path; ``paranoid=True`` recomputes every hit and asserts the
@@ -229,31 +227,16 @@ class GhostChecker:
     # they are always recomputed (and are cheap).
 
     def _record_host(self):
-        mp = self.machine.pkvm.mp
-
-        def compute(memo):
-            host = record_abstraction_host(
-                self.machine.mem, mp, loose=self.loose_host, memo=memo
-            )
-            return host, host.footprint
-
-        return self.cache.record("host", mp.host_mmu.root, compute)
+        root = self.machine.pkvm.mp.host_mmu.root
+        return self.cache.record(
+            "host", root, Stage.STAGE2, lambda pgt: host_view(pgt, self.loose_host)
+        )
 
     def _record_pkvm(self):
-        mp = self.machine.pkvm.mp
-
-        def compute(memo):
-            pkvm = record_abstraction_pkvm(self.machine.mem, mp, memo=memo)
-            return pkvm, pkvm.pgt.footprint
-
-        return self.cache.record("pkvm", mp.pkvm_pgd.root, compute)
-
-    def _record_vm_pgt(self, handle: int, pgt):
-        def compute(memo):
-            abstract = record_abstraction_vm_pgt(self.machine.mem, pgt, memo=memo)
-            return abstract, abstract.footprint
-
-        return self.cache.record(vm_pgt_key(handle), pgt.root, compute)
+        root = self.machine.pkvm.mp.pkvm_pgd.root
+        return self.cache.record(
+            "pkvm", root, Stage.STAGE1, lambda pgt: GhostPkvm(present=True, pgt=pgt)
+        )
 
     def _record_iommu(self):
         # The refcounts and device sets are live Python objects (always
@@ -263,15 +246,8 @@ class GhostChecker:
         domains: dict[int, GhostIommuDomain] = {}
         for domain_id in sorted(iommu.domains):
             domain = iommu.domains[domain_id]
-
-            def compute(memo, domain=domain):
-                pgt = interpret_pgtable(
-                    self.machine.mem, domain.s2.root, Stage.STAGE2, memo=memo
-                )
-                return pgt, pgt.footprint
-
             pgt = self.cache.record(
-                f"iommu:{domain_id}", domain.s2.root, compute
+                f"iommu:{domain_id}", domain.s2.root, Stage.STAGE2
             )
             domains[domain_id] = GhostIommuDomain(
                 refcount=domain.refcount,
@@ -291,11 +267,10 @@ class GhostChecker:
     def on_vm_created(self, vm) -> None:
         """Called (under the vm_table lock) when a VM is inserted: hook its
         stage 2 lock and commit its (empty) baseline abstraction."""
-        handle, pgt = vm.handle, vm.pgt
-        key = vm_pgt_key(handle)
+        key, pgt = vm_pgt_key(vm.handle), vm.pgt
         # The recorder hangs off ``vm.lock``: capturing ``vm`` itself
         # would make a cycle through the lock's hook list.
-        recorder = lambda: self._record_vm_pgt(handle, pgt)  # noqa: E731
+        recorder = lambda: self.cache.record(key, pgt.root, Stage.STAGE2)  # noqa: E731
         self._hook(vm.lock, key, recorder)
         snapshot = recorder()
         self.committed[key] = snapshot

@@ -43,11 +43,9 @@ class Machine:
         self.boot_seconds = 0.0
         started = time.perf_counter()
         #: Observability bundle (metrics always on; tracing and the
-        #: flight recorder enabled by passing a configured bundle).
-        #: ``install()`` makes the tracer process-active so machine-less
-        #: modules (memory journal, spinlocks, the abstraction traversal)
-        #: trace into the same sink; it is a no-op when tracing is off.
-        self.obs = (obs if obs is not None else Observability()).install()
+        #: flight recorder enabled by passing a configured bundle). Every
+        #: span this machine causes lands in this bundle and no other.
+        self.obs = obs if obs is not None else Observability()
         # Boot runs under its own span so profiler samples taken during
         # machine construction (pKVM init, carveout setup, the first
         # abstraction recording) attribute to a named phase instead of

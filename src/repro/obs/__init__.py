@@ -39,13 +39,7 @@ from repro.obs.flight import FlightRecorder
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.profile import Profile, SamplingProfiler
 from repro.obs.server import TelemetryServer
-from repro.obs.trace import (
-    MemorySink,
-    NullSink,
-    Tracer,
-    active_tracer,
-    set_active_tracer,
-)
+from repro.obs.trace import MemorySink, NullSink, Tracer
 
 __all__ = [
     "Observability",
@@ -58,8 +52,6 @@ __all__ = [
     "Tracer",
     "MemorySink",
     "NullSink",
-    "active_tracer",
-    "set_active_tracer",
 ]
 
 
@@ -108,19 +100,6 @@ class Observability:
     @property
     def tracing(self) -> bool:
         return self.tracer.enabled
-
-    def install(self) -> "Observability":
-        """Make this bundle's tracer the process-active tracer.
-
-        Modules with no machine reference (the abstraction traversal,
-        ``repro.arch.memory``, ``repro.pkvm.spinlock``) trace through
-        :func:`repro.obs.trace.active_tracer`; installing is only needed
-        (and only has an effect) when tracing or span tracking for the
-        profiler is enabled.
-        """
-        if self.tracer.enabled or self.profiler is not None:
-            set_active_tracer(self.tracer)
-        return self
 
     def serve(self, host: str = "127.0.0.1", port: int = 0) -> TelemetryServer:
         """Start (and remember) a telemetry server over this bundle."""

@@ -21,11 +21,13 @@ benchmark (``benchmarks/bench_obs.py``) holds that line. Recording
 sinks are bounded (``max_events``) so a runaway campaign cannot swallow
 the heap; overflow is counted, never silent.
 
-There is deliberately no dependency on anything else in ``repro``:
-observability must never leak into the pure specification
-(``repro.analysis.purity`` enforces this), and low-level modules
-(``repro.arch.memory``, ``repro.pkvm.spinlock``) import this module, so
-it has to sit at the bottom of the import graph.
+There is no process-wide tracer: each machine's
+:class:`repro.obs.Observability` bundle holds its own, and every span a
+machine causes goes to that one (the abstraction cache wraps its table
+walks on its machine's tracer), so a run is explained by its own
+artifacts. There is deliberately no dependency on anything else in
+``repro``: observability must never leak into the pure specification
+(``repro.analysis.purity`` enforces this).
 """
 
 from __future__ import annotations
@@ -43,8 +45,6 @@ __all__ = [
     "Span",
     "Tracer",
     "NULL_TRACER",
-    "active_tracer",
-    "set_active_tracer",
     "chrome_trace",
     "write_chrome_trace",
     "make_trace_id",
@@ -488,19 +488,11 @@ def write_chrome_trace(
         fh.write("\n")
 
 
-#: The process-wide disabled tracer; the active-tracer default.
+#: The shared disabled tracer, e.g. of a cache built without a bundle.
 NULL_TRACER = Tracer(NullSink())
-
-#: Modules with no machine reference (``repro.arch.memory``,
-#: ``repro.pkvm.spinlock``, the abstraction traversal) trace through the
-#: process-active tracer, installed by ``Observability.install()``.
-_active: Tracer = NULL_TRACER
-
-
-def active_tracer() -> Tracer:
-    return _active
 
 
 def set_active_tracer(tracer: Tracer | None) -> None:
-    global _active
-    _active = tracer if tracer is not None else NULL_TRACER
+    """Does nothing: there is no process-wide tracer any more. Kept only
+    because ``perfbench/workloads.py`` still calls it after a traced
+    pass; it goes when that call does."""

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from typing import Callable
 
-from repro.obs.trace import active_tracer
 from repro.sim.sched import current_scheduler, yield_point
 
 AcquireHook = Callable[["HypSpinLock", int], None]
@@ -44,9 +43,7 @@ class HypSpinLock:
 
     def __init__(self, name: str):
         self.name = name
-        # Trace event names and scheduler yield tags, formatted once.
-        self._acquire_event = f"lock-acquire:{name}"
-        self._release_event = f"lock-release:{name}"
+        # Scheduler yield tags, formatted once.
         self._lock_tag = f"lock:{name}"
         self._unlock_tag = f"unlock:{name}"
         self._holder: int | None = None
@@ -81,9 +78,6 @@ class HypSpinLock:
             )
         self._holder = cpu_index
         self.acquisitions += 1
-        tracer = active_tracer()
-        if tracer.enabled:
-            tracer.instant(self._acquire_event, "lock", tid=cpu_index)
         if GLOBAL_ACQUIRE_HOOKS:
             for hook in GLOBAL_ACQUIRE_HOOKS:
                 hook(self, cpu_index)
@@ -100,9 +94,6 @@ class HypSpinLock:
                 f"cpu{cpu_index} releasing {self.name} held by "
                 f"cpu{self._holder}"
             )
-        tracer = active_tracer()
-        if tracer.enabled:
-            tracer.instant(self._release_event, "lock", tid=cpu_index)
         # Hooks observe the lock as still held (their recording must be
         # race-free), but a hook that raises must not leave it held — the
         # exception already aborts the critical section, and a stuck lock

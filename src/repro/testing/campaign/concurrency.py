@@ -211,7 +211,9 @@ def run_concurrency_batch(
 
     Schedule ``i`` is seeded ``task.seed + i``, so any finding names its
     schedule seed *and* carries the recorded decision script; replay
-    needs only the script.
+    needs only the script. Each schedule runs under one ``schedule`` span
+    (carrying that seed) on the batch's tracer; the scenario machines
+    trace into bundles of their own.
     """
     if scenario not in CONCURRENCY_SCENARIOS:
         raise ValueError(f"unknown concurrency scenario {scenario!r}")
@@ -244,13 +246,14 @@ def run_concurrency_batch(
             priority_tags=priority_tags,
             obs=obs,
         )
-        outcome = run_schedule(
-            trace.spawn,
-            scheduler,
-            detect_races=True,
-            scenario_key=scenario,
-            coverage=result.coverage,
-        )
+        with obs.tracer.span("schedule", "campaign", seed=sched_seed):
+            outcome = run_schedule(
+                trace.spawn,
+                scheduler,
+                detect_races=True,
+                scenario_key=scenario,
+                coverage=result.coverage,
+            )
         racy |= racy_tags_from_races(outcome.races)
         if outcome.failed and not isinstance(outcome.error, FINDING_EXCEPTIONS):
             raise outcome.error

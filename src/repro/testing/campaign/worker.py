@@ -154,7 +154,7 @@ def run_batch(
         flight_dir=flight_dir,
         profile_hz=profile_hz,
         worker_id=task.worker_id,
-    ).install()
+    )
     result = BatchResult(
         worker_id=task.worker_id,
         batch_index=task.batch_index,

@@ -20,6 +20,7 @@ from repro.testing.campaign.engine import (
     run_campaign,
 )
 from repro.testing.campaign.shrink import reproduces_schedule
+from repro.testing.campaign.worker import BatchTask, run_batch
 
 
 def _config(**overrides) -> CampaignConfig:
@@ -113,6 +114,22 @@ class TestObservability:
         assert {s.trace_id for s in engine.spans} == {make_trace_id(config.seed)}
         # Every batch also reports its worker's liveness.
         assert set(engine._campaign_status()["workers"]) == {"0", "1"}
+
+    def test_traced_batch_ships_one_schedule_span_per_schedule(self):
+        """The scenario machines trace into bundles of their own, so the
+        batch's trace holds its own spans only: one per schedule run,
+        carrying that schedule's seed."""
+        config = _config(bug_names=())
+        result = run_batch(
+            config.machine_config(),
+            BatchTask(worker_id=0, batch_index=0, seed=5, steps=2),
+            **(config.batch_options() | {"tracing": True}),
+        )
+        assert result.steps_run == 2
+        assert [(s.name, s.args) for s in result.spans] == [
+            ("schedule", {"seed": 5}),
+            ("schedule", {"seed": 6}),
+        ]
 
 
 class TestCheckpoint:

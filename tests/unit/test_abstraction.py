@@ -7,9 +7,8 @@ from repro.arch.memory import PhysicalMemory, default_memory_map
 from repro.arch.pte import PageState
 from repro.ghost.abstraction import (
     AbstractionError,
+    host_view,
     interpret_pgtable,
-    record_abstraction_host,
-    record_abstraction_pkvm,
     record_cpu_local,
     record_globals,
 )
@@ -104,7 +103,7 @@ class TestHostAbstraction:
         pool = HypPool(mem, 0x4800_0000, 512)
         mp = MemProtect(mem, pool, Bugs())
         mp.host_handle_mem_abort(0x4600_0000)  # demand map something
-        ghost = record_abstraction_host(mem, mp)
+        ghost = host_view(interpret_pgtable(mem, mp.host_mmu.root, Stage.STAGE2))
         assert not ghost.annot
         assert not ghost.shared
 
@@ -114,7 +113,7 @@ class TestHostAbstraction:
         mp = MemProtect(mem, pool, Bugs())
         mp.do_share_hyp(0x4100_0000)
         mp.do_donate_hyp(0x4200_0000)
-        ghost = record_abstraction_host(mem, mp)
+        ghost = host_view(interpret_pgtable(mem, mp.host_mmu.root, Stage.STAGE2))
         assert ghost.shared.lookup(0x4100_0000).page_state is PageState.SHARED_OWNED
         assert ghost.annot.lookup(0x4200_0000).owner_id == int(OwnerId.HYP)
         assert ghost.shared.lookup(0x4200_0000) is None
@@ -123,16 +122,16 @@ class TestHostAbstraction:
 class TestMachineLevelRecording:
     def test_pkvm_abstraction_contains_linear_map(self):
         m = Machine(ghost=False)
-        ghost = record_abstraction_pkvm(m.mem, m.pkvm.mp)
+        pgt = interpret_pgtable(m.mem, m.pkvm.mp.pkvm_pgd.root, Stage.STAGE1)
         carve = m.pkvm.carveout
-        target = ghost.pgt.mapping.lookup(hyp_va(carve.base))
+        target = pgt.mapping.lookup(hyp_va(carve.base))
         assert target is not None
         assert target.oa == carve.base
 
     def test_pkvm_abstraction_contains_uart(self):
         m = Machine(ghost=False)
-        ghost = record_abstraction_pkvm(m.mem, m.pkvm.mp)
-        target = ghost.pgt.mapping.lookup(m.pkvm.uart_va)
+        pgt = interpret_pgtable(m.mem, m.pkvm.mp.pkvm_pgd.root, Stage.STAGE1)
+        target = pgt.mapping.lookup(m.pkvm.uart_va)
         assert target is not None
         assert target.memtype is MemType.DEVICE
 

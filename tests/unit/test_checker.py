@@ -5,6 +5,7 @@ import pytest
 
 from repro.ghost.checker import GhostChecker, SpecViolation, Violation
 from repro.machine import Machine
+from repro.obs import Observability
 from repro.pkvm.defs import HypercallId
 
 
@@ -167,3 +168,23 @@ class TestEffectivePre:
         page = machine.host.alloc_page()
         machine.host.hvc(HypercallId.HOST_SHARE_HYP, page >> 12)
         assert machine.checker._records == {}
+
+
+class TestTracing:
+    def test_each_machine_traces_into_its_own_bundle(self):
+        """The oracle's table walks trace on their machine's bundle: a
+        share and unshare on a default machine add nothing to another
+        machine's traced bundle, while a share on that machine records
+        its trap and its walks there."""
+        obs = Observability(tracing=True)
+        traced = Machine(obs=obs)
+        default = Machine()
+        before = len(obs.tracer.spans)
+        page = default.host.alloc_page()
+        default.host.hvc(HypercallId.HOST_SHARE_HYP, page >> 12)
+        default.host.hvc(HypercallId.HOST_UNSHARE_HYP, page >> 12)
+        assert len(obs.tracer.spans) == before
+        page = traced.host.alloc_page()
+        traced.host.hvc(HypercallId.HOST_SHARE_HYP, page >> 12)
+        names = {span.name for span in obs.tracer.spans[before:]}
+        assert {"trap:host_share_hyp", "interpret_pgtable"} <= names

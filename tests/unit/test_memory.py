@@ -225,7 +225,8 @@ class TestWriteJournal:
         mem.write64(DRAM + 4096, 2)
         mid = mem.epoch
         mem.write64(DRAM + 2 * 4096, 3)
-        mem.trim_journal(mid)
+        assert mem.trim_journal(mid)  # the floor moved
+        assert not mem.trim_journal(mid)  # already there: nothing to do
         assert mem.journal_length == 1
         # asking about a pre-trim epoch still gives the exact answer
         assert mem.writes_since(e0) == {

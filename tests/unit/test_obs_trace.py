@@ -10,10 +10,8 @@ from repro.obs.trace import (
     NullSink,
     Span,
     Tracer,
-    active_tracer,
     chrome_trace,
     make_trace_id,
-    set_active_tracer,
 )
 
 
@@ -42,18 +40,6 @@ class TestNullPath:
         of a shared object — no allocation per span."""
         tracer = Tracer(NullSink())
         assert tracer.span("a") is tracer.span("b")
-
-    def test_active_tracer_defaults_to_null(self):
-        set_active_tracer(None)
-        assert not active_tracer().enabled
-
-    def test_install_and_reset(self):
-        tracer = make_tracer()
-        set_active_tracer(tracer)
-        try:
-            assert active_tracer() is tracer
-        finally:
-            set_active_tracer(None)
 
 
 class TestNesting:
