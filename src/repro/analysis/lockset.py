@@ -18,14 +18,21 @@ and read-sharing, as in the original paper:
 - **shared-modified** — written by multiple threads; empty ``C(v)``
   is a race.
 
-Wiring: :meth:`LocksetTracker.attach` registers process-wide observers on
-:mod:`repro.pkvm.spinlock` (every ``HypSpinLock`` acquire/release, so
-per-VM locks created mid-run are covered) and on
-:mod:`repro.sim.instrument` (every ``shared_access`` call site). Events
-from OS threads outside the simulation scheduler — machine boot, ordinary
-single-CPU tests — are ignored: the detector reasons about simulated
-hardware threads only. The cooperative scheduler runs exactly one sim
-thread at a time, so the tracker itself needs no synchronisation.
+Wiring: a tracker rides one :class:`repro.sim.sched.Scheduler` (its
+``lockset`` attribute, set by ``run_schedule(detect_races=True)``) and
+reads only what that scheduler hands it. :meth:`LocksetTracker.on_yield`
+sees every yield point; the ``lock:<name>`` tag a ``HypSpinLock`` yields
+before taking a lock adds it to the thread's held set, and the
+``unlock:<name>`` tag it yields after dropping one removes it, so per-VM
+locks created mid-run are covered. Between such a yield and the take or
+drop the thread only spins, so every access sees the held set of the
+lock operations around it. :meth:`LocksetTracker.on_access` sees every
+``repro.sim.sched.shared_access`` call the scheduler's threads make.
+Events from other schedulers and from OS threads outside any scheduler —
+machine boot, ordinary single-CPU tests — never reach it: the detector
+reasons about one run's simulated hardware threads only. The cooperative
+scheduler runs exactly one sim thread at a time, so the tracker itself
+needs no synchronisation.
 
 The repro deliberately leaves one location unprotected by design:
 ``vcpu_run`` accesses vCPU metadata with no lock because ``vcpu_load``
@@ -38,12 +45,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-
-from repro.analysis.report import Finding
-from repro.pkvm import spinlock
-from repro.pkvm.spinlock import HypSpinLock
-from repro.sim import instrument
-from repro.sim.sched import current_sim_thread
 
 
 class LocationState(enum.Enum):
@@ -81,7 +82,7 @@ class _Location:
 
 @dataclass
 class LocksetTracker:
-    """Lockset state for one scheduled run (attach → run → detach)."""
+    """Lockset state for one scheduled run."""
 
     #: Thread name -> set of lock names currently held.
     held: dict[str, set[str]] = field(default_factory=dict)
@@ -125,57 +126,21 @@ class LocksetTracker:
     def record_release(self, thread: str, lock: str) -> None:
         self.held.setdefault(thread, set()).discard(lock)
 
-    # -- hook plumbing ----------------------------------------------------
+    # -- the scheduler's feed ---------------------------------------------
 
-    def _on_acquire(self, lock: HypSpinLock, cpu_index: int) -> None:
-        thread = current_sim_thread()
-        if thread is not None:
-            self.record_acquire(thread.name, lock.name)
+    def on_yield(self, thread: str, tag: str) -> None:
+        kind, _, lock = tag.partition(":")
+        if kind == "lock":
+            self.record_acquire(thread, lock)
+        elif kind == "unlock":
+            self.record_release(thread, lock)
 
-    def _on_release(self, lock: HypSpinLock, cpu_index: int) -> None:
-        thread = current_sim_thread()
-        if thread is not None:
-            self.record_release(thread.name, lock.name)
-
-    def _on_access(self, location: str, write: bool) -> None:
-        thread = current_sim_thread()
-        if thread is None:
-            return  # boot-time / out-of-scheduler access: single-threaded
-        held = frozenset(self.held.get(thread.name, ()))
-        self.record_access(location, thread=thread.name, held=held, write=write)
-
-    def attach(self) -> "LocksetTracker":
-        spinlock.GLOBAL_ACQUIRE_HOOKS.append(self._on_acquire)
-        spinlock.GLOBAL_RELEASE_HOOKS.append(self._on_release)
-        instrument.register_access_hook(self._on_access)
-        return self
-
-    def detach(self) -> None:
-        if self._on_acquire in spinlock.GLOBAL_ACQUIRE_HOOKS:
-            spinlock.GLOBAL_ACQUIRE_HOOKS.remove(self._on_acquire)
-        if self._on_release in spinlock.GLOBAL_RELEASE_HOOKS:
-            spinlock.GLOBAL_RELEASE_HOOKS.remove(self._on_release)
-        instrument.unregister_access_hook(self._on_access)
-
-    def __enter__(self) -> "LocksetTracker":
-        return self.attach()
-
-    def __exit__(self, *exc) -> None:
-        self.detach()
+    def on_access(self, thread: str, location: str, write: bool) -> None:
+        held = frozenset(self.held.get(thread, ()))
+        self.record_access(location, thread=thread, held=held, write=write)
 
     # -- results ----------------------------------------------------------
 
     def race_strings(self) -> tuple[str, ...]:
         """Stable, deduplicated race descriptions for this run."""
         return tuple(sorted({r.describe() for r in self.races}))
-
-    def findings(self, scenario: str = "") -> list[Finding]:
-        return [
-            Finding(
-                analysis="lockset",
-                rule="empty-lockset",
-                message=r.describe(),
-                file=scenario,
-            )
-            for r in self.races
-        ]

@@ -649,65 +649,14 @@ def _check_refinement_files(
 # ---------------------------------------------------------------------------
 
 
-def _build_share(trace) -> None:
-    from repro.arch.defs import phys_to_pfn
-    from repro.machine import Machine
-    from repro.pkvm.defs import HypercallId
-
-    machine = Machine(nr_cpus=trace.nr_cpus, dram_size=trace.dram_size)
-    page = machine.host.alloc_page()
-    pfn = phys_to_pfn(page)
-    trace.record_hvc(0, int(HypercallId.HOST_SHARE_HYP), pfn)
-    trace.record_hvc(0, int(HypercallId.HOST_SHARE_HYP), pfn)  # error path
-    trace.record_hvc(0, int(HypercallId.HOST_UNSHARE_HYP), pfn)
-
-
-def _build_unshare(trace) -> None:
-    from repro.arch.defs import phys_to_pfn
-    from repro.machine import Machine
-    from repro.pkvm.defs import HypercallId
-
-    machine = Machine(nr_cpus=trace.nr_cpus, dram_size=trace.dram_size)
-    page = machine.host.alloc_page()
-    pfn = phys_to_pfn(page)
-    trace.record_hvc(0, int(HypercallId.HOST_SHARE_HYP), pfn)
-    trace.record_hvc(0, int(HypercallId.HOST_UNSHARE_HYP), pfn)
-    trace.record_hvc(0, int(HypercallId.HOST_SHARE_HYP), pfn)
-
-
-def _build_donate(trace) -> None:
-    from repro.arch.defs import phys_to_pfn
-    from repro.machine import Machine
-    from repro.pkvm.defs import HypercallId
-
-    machine = Machine(nr_cpus=trace.nr_cpus, dram_size=trace.dram_size)
-    params = machine.host.alloc_page()
-    pgd = machine.host.alloc_page()
-    for i, value in enumerate([1, 1, phys_to_pfn(pgd)]):
-        trace.record_write(params + 8 * i, value)
-    trace.record_hvc(0, int(HypercallId.HOST_SHARE_HYP), phys_to_pfn(params))
-    trace.record_hvc(0, int(HypercallId.INIT_VM), phys_to_pfn(params))
-    trace.record_hvc(0, int(HypercallId.HOST_UNSHARE_HYP), phys_to_pfn(params))
-
-
-def _build_error_ret(trace) -> None:
-    from repro.arch.defs import phys_to_pfn
-    from repro.machine import Machine
-    from repro.pkvm.defs import HypercallId
-
-    machine = Machine(nr_cpus=trace.nr_cpus, dram_size=trace.dram_size)
-    page = machine.host.alloc_page()
-    # A pure error path: unsharing a page that was never shared.
-    trace.record_hvc(0, int(HypercallId.HOST_UNSHARE_HYP), phys_to_pfn(page))
-
-
-#: Handler -> the trace builder that drives its success *and* error
-#: paths (the designed workloads that expose each seeded bug).
-_TRACE_BUILDERS = {
-    "do_share_hyp": _build_share,
-    "do_unshare_hyp": _build_unshare,
-    "do_donate_hyp": _build_donate,
-    "_finish_hcall": _build_error_ret,
+#: Handler -> the synthetic bug whose detection scenario
+#: (:data:`repro.testing.synthetic.SCENARIOS`) drives the handler's success
+#: *and* error paths: the designed workload that exposes its seeded bug.
+_TRACE_SCENARIOS = {
+    "do_share_hyp": "synth_share_skip_check",
+    "do_unshare_hyp": "synth_unshare_leak",
+    "do_donate_hyp": "synth_donate_wrong_owner",
+    "_finish_hcall": "synth_missing_ret_write",
 }
 
 
@@ -723,17 +672,22 @@ def concretize_findings(
     valid params page"), so solving them means *constructing* the
     satisfying hypercall sequence on a scratch machine — the bump
     allocator makes the concrete addresses deterministic, so the same
-    sequence replays identically on a fresh machine. One trace per
-    flagged handler; the trace carries the assumed bug flags so a
-    replay runs the same seeded hypervisor the static pass analysed,
-    and ``meta["refinement"]`` records which rules it witnesses.
+    sequence replays identically on a fresh machine. The sequence is the
+    handler's synthetic-bug scenario, recorded as it runs on an unchecked
+    scratch machine. One trace per flagged handler; the trace carries the
+    assumed bug flags so a replay runs the same seeded hypervisor the
+    static pass analysed, and ``meta["refinement"]`` records which rules
+    it witnesses.
     """
+    from repro.machine import Machine
+    from repro.testing.proxy import HypProxy
+    from repro.testing.synthetic import SCENARIOS
     from repro.testing.trace import Trace
 
     assume = tuple(sorted(frozenset(assume_bugs)))
     by_function: dict[str, set[str]] = {}
     for finding in findings:
-        if finding.function in _TRACE_BUILDERS:
+        if finding.function in _TRACE_SCENARIOS:
             by_function.setdefault(finding.function, set()).add(finding.rule)
     traces = []
     for function in sorted(by_function):
@@ -746,6 +700,10 @@ def concretize_findings(
                 }
             },
         )
-        _TRACE_BUILDERS[function](trace)
+        _kind, scenario, _opts = SCENARIOS[_TRACE_SCENARIOS[function]]
+        machine = Machine(
+            nr_cpus=trace.nr_cpus, dram_size=trace.dram_size, ghost=False
+        )
+        scenario(HypProxy(machine, trace))
         traces.append(trace)
     return traces

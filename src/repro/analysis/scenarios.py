@@ -24,7 +24,6 @@ from __future__ import annotations
 
 from typing import Callable
 
-from repro.analysis.lockset import LocksetTracker
 from repro.analysis.report import Finding
 from repro.arch.defs import phys_to_pfn
 from repro.machine import Machine
@@ -126,6 +125,5 @@ def run_lockset_scenario(
 __all__ = [
     "DEFAULT_SCENARIO",
     "SCENARIOS",
-    "LocksetTracker",
     "run_lockset_scenario",
 ]

@@ -43,7 +43,6 @@ from repro.obs.trace import MemorySink, NullSink, Tracer
 
 __all__ = [
     "Observability",
-    "NULL_OBS",
     "FlightRecorder",
     "MetricsRegistry",
     "Profile",
@@ -115,9 +114,3 @@ class Observability:
         if self.server is not None:
             self.server.close()
             self.server = None
-
-
-#: Shared disabled bundle for call sites that need an ``obs`` attribute
-#: before a machine has wired its own (never written to by instrumented
-#: code paths: its metrics are a throwaway registry).
-NULL_OBS = Observability()

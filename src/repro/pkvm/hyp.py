@@ -43,7 +43,6 @@ from repro.pkvm.defs import (
     s64,
     u64,
 )
-from repro.obs import NULL_OBS
 from repro.obs.metrics import LATENCY_BUCKETS_US
 from repro.pkvm.iommu import Iommu
 from repro.pkvm.mem_protect import (
@@ -66,8 +65,7 @@ from repro.pkvm.vm import (
     Vm,
     VmTable,
 )
-from repro.sim.instrument import shared_access
-from repro.sim.sched import yield_point
+from repro.sim.sched import shared_access, yield_point
 
 #: vCPU-run exit reasons returned to the host in x1.
 EXIT_DONE = 0
@@ -95,15 +93,14 @@ class PKvm:
         bugs: Bugs | None = None,
         *,
         carveout_pages: int = 1024,
-        obs=None,
+        obs,
     ):
         self.mem = mem
         self.cpus = cpus
         self.bugs = bugs or Bugs()
         self.ghost = None  # attached by repro.ghost.checker when enabled
-        #: Observability bundle (repro.obs.Observability); the machine
-        #: passes its own, a bare PKvm gets the shared disabled bundle.
-        self.obs = obs if obs is not None else NULL_OBS
+        #: The machine's observability bundle (repro.obs.Observability).
+        self.obs = obs
         self._trap_hists: dict[str, object] = {}
 
         dram = mem.dram_regions()[-1]

@@ -49,8 +49,7 @@ from repro.arch.pte import (
 )
 from repro.pkvm.allocator import OutOfMemory
 from repro.pkvm.defs import EEXIST, EINVAL, ENOMEM, EPERM, OwnerId
-from repro.sim.instrument import shared_access
-from repro.sim.sched import yield_point
+from repro.sim.sched import shared_access, yield_point
 
 
 class VisitKind(enum.Enum):
@@ -128,6 +127,9 @@ class KvmPgtable:
         self.stage = stage
         self.mm_ops = mm_ops
         self.name = name
+        # Race-detector location and scheduler yield tag, formatted once.
+        self._location = f"pgt:{name}"
+        self._pte_tag = f"pte:{name}"
         self.root = mm_ops.alloc_table()
         self.table_pages: set[int] = {self.root}
         #: Non-empty-entry counts per table page, for freeing empty tables.
@@ -142,7 +144,7 @@ class KvmPgtable:
     # -- raw slot access --------------------------------------------------
 
     def read_slot(self, table_pa: int, index: int) -> int:
-        shared_access(f"pgt:{self.name}", write=False)
+        shared_access(self._location, write=False)
         return self.mem.read64(table_pa + 8 * index)
 
     def write_slot(self, table_pa: int, index: int, raw: int, old_raw: int) -> None:
@@ -150,13 +152,13 @@ class KvmPgtable:
             raise AssertionError(
                 f"{self.name}: write outside table footprint at {table_pa:#x}"
             )
-        shared_access(f"pgt:{self.name}", write=True)
+        shared_access(self._location, write=True)
         if old_raw & 1:
             # Break-before-make: invalidate, then (conceptually) TLBI.
             self.mem.write64(table_pa + 8 * index, 0)
             self.tlb_invalidations += 1
         self.mem.write64(table_pa + 8 * index, raw)
-        yield_point(f"pte:{self.name}")
+        yield_point(self._pte_tag)
         self._children[table_pa] = (
             self._children.get(table_pa, 0)
             - int(old_raw != 0)

@@ -9,6 +9,11 @@ to record their abstract mappings").
 Hooks fire *after* acquisition and *before* release, i.e. while the lock is
 held, so the recording itself is race-free — the same place the paper's
 ``host_lock_component`` instrumentation sits.
+
+Under the simulation scheduler a lock also yields ``lock:<name>`` before
+it is taken and ``unlock:<name>`` after it is dropped. Those tags are all
+a race detector needs: the lockset tracker riding the scheduler
+(:mod:`repro.analysis.lockset`) reads its held sets from them.
 """
 
 from __future__ import annotations
@@ -19,13 +24,6 @@ from repro.sim.sched import current_scheduler, yield_point
 
 AcquireHook = Callable[["HypSpinLock", int], None]
 ReleaseHook = Callable[["HypSpinLock", int], None]
-
-#: Process-wide observers notified of *every* lock's acquire/release —
-#: the instrumentation channel for analyses that cannot enumerate the
-#: locks up front (per-VM locks are created mid-run). Fire after the
-#: state change on acquire and before it on release, like instance hooks.
-GLOBAL_ACQUIRE_HOOKS: list[AcquireHook] = []
-GLOBAL_RELEASE_HOOKS: list[ReleaseHook] = []
 
 
 class LockError(Exception):
@@ -78,9 +76,6 @@ class HypSpinLock:
             )
         self._holder = cpu_index
         self.acquisitions += 1
-        if GLOBAL_ACQUIRE_HOOKS:
-            for hook in GLOBAL_ACQUIRE_HOOKS:
-                hook(self, cpu_index)
         for hook in self.on_acquire:
             hook(self, cpu_index)
 
@@ -99,9 +94,6 @@ class HypSpinLock:
         # exception already aborts the critical section, and a stuck lock
         # would turn one failure into a cascade of phantom deadlocks.
         try:
-            if GLOBAL_RELEASE_HOOKS:
-                for hook in GLOBAL_RELEASE_HOOKS:
-                    hook(self, cpu_index)
             for hook in self.on_release:
                 hook(self, cpu_index)
         finally:

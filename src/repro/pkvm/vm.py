@@ -24,8 +24,7 @@ from repro.pkvm.allocator import Memcache
 from repro.pkvm.pgtable import KvmPgtable, MmOps
 from repro.pkvm.defs import OwnerId
 from repro.pkvm.spinlock import HypSpinLock
-from repro.sim.instrument import shared_access
-from repro.sim.sched import yield_point
+from repro.sim.sched import shared_access, yield_point
 
 MAX_VMS = 16
 MAX_VCPUS = 8

@@ -6,7 +6,7 @@ adds the same capability over the deterministic scheduler:
 
 - :func:`run_schedule` — the one execution core. It builds a fresh
   scenario on a scheduler, runs it under whatever policy that scheduler
-  carries (optionally watched by the lockset race detector), classifies
+  carries (optionally with the lockset race detector riding it), classifies
   the outcome and hashes its interleaving-class windows. This module's
   DFS, the concurrency campaign's calibration and PCT batches
   (:mod:`repro.testing.campaign.concurrency`) and the E15 bench all run
@@ -112,29 +112,26 @@ def run_schedule(
     is ignored, so :meth:`repro.testing.trace.Trace.spawn` is a build.
     An exception from the run becomes the outcome's ``error``; one from
     ``build`` is a harness bug and propagates. With ``detect_races``, an
-    Eraser-style lockset tracker (:mod:`repro.analysis.lockset`) watches
-    the run and its reports land in :attr:`ScheduleOutcome.races`. With
-    ``coverage``, the run's windows are added under ``scenario_key``.
+    Eraser-style lockset tracker (:mod:`repro.analysis.lockset`) rides
+    the scheduler as its ``lockset`` and its reports land in
+    :attr:`ScheduleOutcome.races`. With ``coverage``, the run's windows
+    are added under ``scenario_key``.
     """
-    tracker = None
     if detect_races:
         # Imported lazily: the analysis package depends on this module.
         from repro.analysis.lockset import LocksetTracker
 
-        tracker = LocksetTracker().attach()
+        scheduler.lockset = LocksetTracker()
+    build(scheduler)
     error: Exception | None = None
     try:
-        build(scheduler)
-        try:
-            scheduler.run()
-        except Exception as exc:  # noqa: BLE001 - outcome classification
-            error = exc
-    finally:
-        if tracker is not None:
-            tracker.detach()
+        scheduler.run()
+    except Exception as exc:  # noqa: BLE001 - outcome classification
+        error = exc
     windows = windows_of_scheduler(scheduler)
     if coverage is not None:
         coverage.add(scenario_key or "scenario", windows)
+    tracker = scheduler.lockset
     return ScheduleOutcome(
         script=tuple(name for name, _alts in scheduler.decision_log),
         error=error,

@@ -30,13 +30,20 @@ Every policy records its full decision sequence, so any run — however it
 was scheduled — replays bit-identically by feeding
 :meth:`Scheduler.schedule_script` back in under the ``"script"`` policy.
 
+A scheduler may carry a race detector in :attr:`Scheduler.lockset` (an
+Eraser lockset tracker from :mod:`repro.analysis.lockset`). It sees
+exactly what the scheduler sees: every yield point's thread and tag,
+whose ``lock:``/``unlock:`` tags come from the spinlocks, and every
+:func:`shared_access` the scheduler's own threads make.
+
 Threads outside any scheduler (the common single-CPU case) see
-:func:`yield_point` as a no-op, so the hypervisor code is identical whether
-or not a concurrency test is running. The calling thread's
-:class:`SimThread` lives in a thread-local that only simulated threads
-set, so that check takes no lock. A :class:`SimThread` refers to its
-scheduler weakly: a finished scheduler, its threads, their closures and
-the scenario's machine are all freed by reference counting.
+:func:`yield_point` and :func:`shared_access` as no-ops, so the
+hypervisor code is identical whether or not a concurrency test is
+running. The calling thread's :class:`SimThread` lives in a thread-local
+that only simulated threads set, so that check takes no lock. A
+:class:`SimThread` refers to its scheduler weakly: a finished scheduler,
+its threads, their closures and the scenario's machine are all freed by
+reference counting.
 """
 
 from __future__ import annotations
@@ -143,6 +150,9 @@ class Scheduler:
         #: Optional :class:`repro.obs.Observability` bundle; truncation
         #: events count into its metrics registry when attached.
         self.obs = obs
+        #: Optional race detector fed this run's yields and shared
+        #: accesses (``run_schedule(detect_races=True)`` sets one).
+        self.lockset = None
         # -- PCT state ---------------------------------------------------
         #: Yield-point tag fragments to prioritise: a tag matching any of
         #: these becomes an extra candidate priority-change point (the
@@ -208,6 +218,8 @@ class Scheduler:
         elif not self.trace_truncated:
             self.trace_truncated = True
             self._count_truncation("trace")
+        if self.lockset is not None:
+            self.lockset.on_yield(me.name, tag)
         nxt = self._pick_next(me, tag)
         if nxt is not me:
             self._current = nxt
@@ -357,13 +369,18 @@ def current_scheduler() -> Scheduler | None:
     return thread.scheduler if thread is not None else None
 
 
-def current_sim_thread() -> SimThread | None:
-    """The :class:`SimThread` the calling OS thread is simulating, if any."""
-    return _CURRENT.thread
-
-
 def yield_point(tag: str = "") -> None:
     """Yield to the scheduler if the caller is a simulated thread."""
     sched = current_scheduler()
     if sched is not None:
         sched.yield_point(tag)
+
+
+def shared_access(location: str, write: bool = False) -> None:
+    """Report one access to a shared location (``"pgt:host_s2"``, ...)
+    to the race detector of the calling simulated thread's scheduler."""
+    thread = _CURRENT.thread
+    if thread is not None:
+        lockset = thread.scheduler.lockset
+        if lockset is not None:
+            lockset.on_access(thread.name, location, write)

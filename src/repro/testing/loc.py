@@ -93,7 +93,6 @@ CATEGORIES: dict[str, list[str]] = {
         "analysis/scenarios.py",
         "analysis/cli.py",
         "analysis/__main__.py",
-        "sim/instrument.py",
     ],
     "observability (tracing/metrics/flight)": [
         "obs/__init__.py",

@@ -5,8 +5,6 @@ from repro.analysis.scenarios import (
     build_unlocked_init_read,
     run_lockset_scenario,
 )
-from repro.pkvm import spinlock
-from repro.sim import instrument
 from repro.sim.explore import explore
 
 
@@ -44,6 +42,17 @@ class TestDetection:
         assert all(f.analysis == "lockset" for f in findings)
         assert all(f.file == "scenario:unlocked-init-read" for f in findings)
 
+    def test_canned_scenarios_keep_their_findings(self):
+        """The CLI's default budget: no finding on the clean scenario, and
+        exactly the unlocked stage 1 read on the positive control."""
+        assert run_lockset_scenario("share-unshare", max_schedules=32) == []
+        (finding,) = run_lockset_scenario("unlocked-init-read", max_schedules=32)
+        assert (finding.rule, finding.message) == (
+            "empty-lockset",
+            "pgt:hyp_s1: read by cpu1 with empty candidate lockset "
+            "(no lock consistently protects this location)",
+        )
+
 
 class TestDeterminism:
     def test_same_exploration_twice_is_identical(self):
@@ -59,9 +68,3 @@ class TestDeterminism:
         assert outcome_fingerprint(first) == outcome_fingerprint(second)
         assert first.races() == second.races()
         assert first.races() != ()
-
-    def test_no_hooks_leak_across_explorations(self):
-        explore(build_share_unshare, max_schedules=2, detect_races=True)
-        assert instrument.ACCESS_HOOKS == []
-        assert spinlock.GLOBAL_ACQUIRE_HOOKS == []
-        assert spinlock.GLOBAL_RELEASE_HOOKS == []

@@ -9,7 +9,9 @@ so a change to how manifests are read cannot move a finding anchored at
 a manifest key. Paths are stored relative to the checkout.
 
 After an intended change, regenerate with
-``PYTHONPATH=src python tests/unit/test_analysis_goldens.py``.
+``PYTHONPATH=src python tests/unit/test_analysis_goldens.py``. A change
+that only moves source lines still fails, but its message names each
+moved row and gives that command.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from repro.pkvm.bugs import Bugs
 ROOT = Path(__file__).resolve().parents[2]
 FIXTURES = ROOT / "tests" / "fixtures" / "analysis"
 GOLDENS = FIXTURES / "static_goldens.json"
+REGENERATE = "PYTHONPATH=src python tests/unit/test_analysis_goldens.py"
 
 LOCK_TARGETS = {
     "tree": None,
@@ -102,6 +105,27 @@ def capture() -> dict:
     }
 
 
+def _without_lines(rows: list[dict]) -> list[dict]:
+    return [{k: v for k, v in row.items() if k != "line"} for row in rows]
+
+
+def assert_matches_golden(got: list[dict], golden: list[dict]) -> None:
+    """``got`` equals ``golden`` row for row. When the rows differ only
+    in ``line``, the failure lists each moved row and how to regenerate."""
+    if got != golden and _without_lines(got) == _without_lines(golden):
+        moved = "\n".join(
+            f"  {new['file']} {new['function']}: line "
+            f"{old['line']} -> {new['line']}"
+            for old, new in zip(golden, got)
+            if old["line"] != new["line"]
+        )
+        pytest.fail(
+            "findings unchanged but their source lines moved; if the move "
+            f"is intended, regenerate with `{REGENERATE}`:\n{moved}"
+        )
+    assert got == golden
+
+
 @pytest.fixture(scope="module")
 def goldens() -> dict:
     return json.loads(GOLDENS.read_text())
@@ -110,36 +134,46 @@ def goldens() -> dict:
 @pytest.mark.parametrize("target", sorted(LOCK_TARGETS))
 def test_lock_discipline_matches_golden(goldens, target):
     got = _rows(check_lock_discipline(LOCK_TARGETS[target]))
-    assert got == goldens["lock-discipline"][target]
+    assert_matches_golden(got, goldens["lock-discipline"][target])
     assert all(row["column"] == 0 for row in got)
 
 
 @pytest.mark.parametrize("assumed", sorted(_assumptions()))
 def test_ownership_matches_golden(goldens, assumed):
     got = _rows(check_ownership(assume_bugs=_assumptions()[assumed]))
-    assert got == goldens["ownership"][assumed]
+    assert_matches_golden(got, goldens["ownership"][assumed])
 
 
 @pytest.mark.parametrize("assumed", sorted(_assumptions()))
 def test_refinement_matches_golden(goldens, assumed):
     got = _rows(check_refinement(assume_bugs=_assumptions()[assumed]))
-    assert got == goldens["refinement"][assumed]
+    assert_matches_golden(got, goldens["refinement"][assumed])
 
 
 @pytest.mark.parametrize("target", sorted(FRAME_TARGETS))
 def test_frame_matches_golden(goldens, target):
     got = _rows(check_frames(FRAME_TARGETS[target]))
-    assert got == goldens["frame"][target]
+    assert_matches_golden(got, goldens["frame"][target])
 
 
 @pytest.mark.parametrize("fixture", sorted(PASS_FIXTURES))
 def test_fixture_matches_golden(goldens, fixture):
     check, path = PASS_FIXTURES[fixture]
-    assert _rows(check(path)) == goldens["fixtures"][fixture]
+    assert_matches_golden(_rows(check(path)), goldens["fixtures"][fixture])
 
 
 def test_cli_json_findings_match_golden(goldens):
-    assert _cli_json_findings() == goldens["cli-json"]
+    assert_matches_golden(_cli_json_findings(), goldens["cli-json"])
+
+
+def test_moved_rows_fail_naming_each_move():
+    golden = {"file": "src/m.py", "function": "f", "line": 314, "rule": "r"}
+    with pytest.raises(pytest.fail.Exception) as moved:
+        assert_matches_golden([golden | {"line": 311}], [golden])
+    assert "src/m.py f: line 314 -> 311" in str(moved.value)
+    assert REGENERATE in str(moved.value)
+    with pytest.raises(AssertionError):
+        assert_matches_golden([golden | {"line": 311, "rule": "s"}], [golden])
 
 
 if __name__ == "__main__":

@@ -1,11 +1,8 @@
 """Tests for the Eraser-style lockset tracker (repro.analysis.lockset)."""
 
 from repro.analysis.lockset import LocationState, LocksetTracker
-from repro.pkvm import spinlock
 from repro.pkvm.spinlock import HypSpinLock
-from repro.sim import instrument
-from repro.sim.instrument import shared_access
-from repro.sim.sched import Scheduler, yield_point
+from repro.sim.sched import Scheduler, shared_access, yield_point
 
 
 def access(tracker, loc, thread, held=(), write=False):
@@ -86,56 +83,58 @@ class TestStateMachine:
         assert len(t.race_strings()) == 2
 
 
-class TestHookWiring:
-    def test_attach_detach_leave_no_hooks_behind(self):
-        t = LocksetTracker().attach()
-        assert instrument.ACCESS_HOOKS and spinlock.GLOBAL_ACQUIRE_HOOKS
-        t.detach()
-        assert t._on_access not in instrument.ACCESS_HOOKS
-        assert t._on_acquire not in spinlock.GLOBAL_ACQUIRE_HOOKS
-        assert t._on_release not in spinlock.GLOBAL_RELEASE_HOOKS
+def run_racy_writers(sched):
+    """Run two threads writing "v" on ``sched``: "a" under a lock, "b"
+    without one."""
+    lock = HypSpinLock("l")
 
-    def test_non_sim_threads_ignored(self):
-        """Accesses outside the scheduler (boot, plain tests) don't count."""
-        with LocksetTracker() as t:
-            lock = HypSpinLock("l")
+    def locked_writer():
+        for _ in range(3):
             lock.acquire(0)
             shared_access("v", write=True)
             lock.release(0)
+
+    def unlocked_writer():
+        # Repeated accesses with yield points in between: whatever the
+        # interleaving, at least one unlocked write lands after the
+        # location is already shared between the threads.
+        for _ in range(3):
+            shared_access("v", write=True)
+            yield_point("unlocked")
+
+    sched.spawn(locked_writer, "a")
+    sched.spawn(unlocked_writer, "b")
+    sched.run()
+
+
+class TestSchedulerWiring:
+    def test_non_sim_threads_ignored(self):
+        """Accesses outside the scheduler (boot, plain tests) don't count."""
+        sched = Scheduler(policy="rr")
+        sched.lockset = t = LocksetTracker()
+        lock = HypSpinLock("l")
+        lock.acquire(0)
+        shared_access("v", write=True)
+        lock.release(0)
         assert t.locations == {}
         assert t.held == {}
 
     def test_sim_threads_tracked_through_real_locks(self):
-        lock = HypSpinLock("l")
-
-        def locked_writer():
-            for _ in range(3):
-                lock.acquire(0)
-                shared_access("v", write=True)
-                lock.release(0)
-
-        def unlocked_writer():
-            # Repeated accesses with yield points in between: whatever the
-            # interleaving, at least one unlocked write lands after the
-            # location is already shared between the threads.
-            for _ in range(3):
-                shared_access("v", write=True)
-                yield_point("unlocked")
-
-        with LocksetTracker() as t:
-            sched = Scheduler(policy="rr")
-            sched.spawn(locked_writer, "a")
-            sched.spawn(unlocked_writer, "b")
-            sched.run()
+        sched = Scheduler(policy="rr")
+        sched.lockset = t = LocksetTracker()
+        run_racy_writers(sched)
         assert len(t.races) == 1
         report = t.races[0].describe()
         assert "v" in report and "empty candidate lockset" in report
+        assert t.held == {"a": set()}  # every unlock: tag was heard
 
-    def test_findings_carry_scenario_name(self):
-        t = LocksetTracker()
-        access(t, "v", "a", held={"L"}, write=True)
-        access(t, "v", "b", write=True)
-        (finding,) = t.findings("scenario:demo")
-        assert finding.analysis == "lockset"
-        assert finding.rule == "empty-lockset"
-        assert finding.file == "scenario:demo"
+    def test_tracker_hears_only_its_own_scheduler(self):
+        """A run on one scheduler never reaches another's tracker."""
+        idle = Scheduler(policy="rr")
+        idle.lockset = bystander = LocksetTracker()
+        racy = Scheduler(policy="rr")
+        racy.lockset = own = LocksetTracker()
+        run_racy_writers(racy)
+        assert len(own.races) == 1
+        assert bystander.locations == {} and bystander.held == {}
+        assert bystander.races == []
