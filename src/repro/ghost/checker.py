@@ -264,9 +264,10 @@ class GhostChecker:
             lambda _lock, cpu_index: self._on_release(key, recorder, cpu_index)
         )
 
-    def on_vm_created(self, vm) -> None:
-        """Called (under the vm_table lock) when a VM is inserted: hook its
-        stage 2 lock and commit its (empty) baseline abstraction."""
+    def on_vm_created(self, cpu_index: int, vm) -> None:
+        """Called (under the vm_table lock) when ``cpu_index``'s handler
+        inserts a VM: hook its stage 2 lock and commit its (empty)
+        baseline abstraction."""
         key, pgt = vm_pgt_key(vm.handle), vm.pgt
         # The recorder hangs off ``vm.lock``: capturing ``vm`` itself
         # would make a cycle through the lock's hook list.
@@ -275,12 +276,9 @@ class GhostChecker:
         snapshot = recorder()
         self.committed[key] = snapshot
         self._isolation_clean = False
-        record = self._record_for_current_handler()
+        record = self._records.get(cpu_index)
         if record is not None:
             record.post[key] = snapshot
-
-    def on_vm_destroyed(self, vm) -> None:
-        """The dead VM's pgt lock stays hooked: reclaim still takes it."""
 
     def on_iommu_domain_freed(self, domain_id: int) -> None:
         """Called (under the iommu lock) after ``free_domain`` succeeds:
@@ -384,35 +382,19 @@ class GhostChecker:
         self._records[cpu.index] = record
         arena.account_state(2)  # the pre/post recording buffers
 
-    def on_read_once(self, phys: int, value: int) -> None:
-        record = self._record_for_current_handler()
+    # READ_ONCE values, guest events and new VMs belong to the handler
+    # running on the CPU that names itself: several CPUs can be
+    # mid-handler at once.
+
+    def on_read_once(self, cpu_index: int, phys: int, value: int) -> None:
+        record = self._records.get(cpu_index)
         if record is not None:
             record.call.read_once.append((phys, value))
 
-    def on_guest_event(self, event) -> None:
-        record = self._record_for_current_handler()
+    def on_guest_event(self, cpu_index: int, event) -> None:
+        record = self._records.get(cpu_index)
         if record is not None:
             record.call.guest_events.append(event)
-
-    def _record_for_current_handler(self) -> GhostCallRecord | None:
-        # READ_ONCE and guest events happen on the CPU whose handler is
-        # running; with one admitted thread at a time the running handler
-        # is unambiguous, but several CPUs can be mid-handler. The PKvm
-        # call-outs pass no cpu, so locate the record via the machine's
-        # currently executing CPU: the one whose saved context is at EL2.
-        from repro.arch.exceptions import ExceptionLevel
-
-        candidates = [
-            c for c in self.machine.cpus
-            if c.current_el is ExceptionLevel.EL2 and c.index in self._records
-        ]
-        if len(candidates) == 1:
-            return self._records[candidates[0].index]
-        if candidates:
-            # Multiple CPUs mid-handler: attribute to the most recent
-            # record (single-admission means the running one acted last).
-            return self._records[candidates[-1].index]
-        return None
 
     def on_handler_exit(self, cpu: Cpu) -> None:
         record = self._records.pop(cpu.index, None)

@@ -73,9 +73,7 @@ class Machine:
                 )
                 self.checker.attach()
         self.boot_seconds = time.perf_counter() - started
-        # "last" merge mode: the fleet-level value is the most recent
-        # boot, not the slowest one ever seen.
-        self.obs.metrics.gauge("machine_boot_seconds", mode="last").set(
+        self.obs.metrics.gauge("machine_boot_seconds").set(
             round(self.boot_seconds, 6)
         )
 

@@ -1,29 +1,30 @@
 """repro.obs — observability for the oracle, simulator, and campaigns.
 
-Five zero-dependency pieces, bundled per machine by
-:class:`Observability`:
+Four zero-dependency pieces, bundled per machine by
+:class:`Observability`, plus the campaign's telemetry server:
 
 - :mod:`repro.obs.trace` — hierarchical span tracer with Chrome
   ``trace_event`` (Perfetto) export, trace/span correlation ids, and a
   human-readable tree dump;
-- :mod:`repro.obs.metrics` — counters, gauges (with per-gauge merge
-  modes), and fixed-bucket histograms with JSON and Prometheus
-  exporters, mergeable across campaign workers;
+- :mod:`repro.obs.metrics` — counters, gauges, and fixed-bucket
+  histograms with JSON and Prometheus exporters, mergeable across
+  campaign workers (counters and buckets add, gauges take the max);
 - :mod:`repro.obs.flight` — a bounded ring of recent events the oracle
   dumps to a timestamped artifact on any mismatch;
 - :mod:`repro.obs.profile` — a statistical sampling profiler that
   attributes stack samples to the enclosing span and merges across
   workers into one fleet flamegraph;
-- :mod:`repro.obs.server` — an HTTP telemetry endpoint serving the
-  live state of all of the above (``/metrics``, ``/spans``,
-  ``/flight``, ``/profile``, ``/campaign``, ``/healthz``).
+- :mod:`repro.obs.server` — the HTTP endpoint a campaign engine stands
+  up over its merged state (``/metrics``, ``/spans``, ``/flight``,
+  ``/profile``, ``/campaign``, ``/healthz``). It is not imported here:
+  only a served campaign loads it (and ``http.server`` with it).
 
 The default bundle (what ``Machine()`` builds when none is passed) keeps
 metrics live — they are single integer updates and the only home of the
 oracle's counters (``machine.obs.metrics.value("oracle_checks_run")``)
 — but puts tracing behind a :class:`~repro.obs.trace.NullSink`, leaves
-the flight recorder at capacity 0, and attaches no profiler or server,
-so the disabled paths cost one attribute check each
+the flight recorder at capacity 0, and attaches no profiler, so the
+disabled paths cost one attribute check each
 (``benchmarks/bench_obs.py`` holds the line at no measurable overhead).
 
 Observability must never leak into the pure specification:
@@ -38,7 +39,6 @@ from pathlib import Path
 from repro.obs.flight import FlightRecorder
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.profile import Profile, SamplingProfiler
-from repro.obs.server import TelemetryServer
 from repro.obs.trace import MemorySink, NullSink, Tracer
 
 __all__ = [
@@ -47,7 +47,6 @@ __all__ = [
     "MetricsRegistry",
     "Profile",
     "SamplingProfiler",
-    "TelemetryServer",
     "Tracer",
     "MemorySink",
     "NullSink",
@@ -56,16 +55,15 @@ __all__ = [
 
 class Observability:
     """One machine's observability bundle: tracer + metrics + flight,
-    optionally a sampling profiler and a live telemetry server.
+    optionally a sampling profiler.
 
     >>> obs = Observability(tracing=True, flight_buffer=4096, profile_hz=100)
     >>> machine = Machine(obs=obs)
-    >>> server = obs.serve("127.0.0.1", 0)   # live /metrics, /spans, ...
-    >>> ...
+    >>> with obs.profiler:
+    ...     ...
     >>> obs.tracer.write_chrome("trace.json")   # open in ui.perfetto.dev
     >>> obs.metrics.write_json("metrics.json")
     >>> print(obs.profiler.collapsed())         # flamegraph text
-    >>> server.close()
     """
 
     def __init__(
@@ -93,24 +91,8 @@ class Observability:
             if profile_hz > 0
             else None
         )
-        self.server: TelemetryServer | None = None
         self.worker_id = worker_id
 
     @property
     def tracing(self) -> bool:
         return self.tracer.enabled
-
-    def serve(self, host: str = "127.0.0.1", port: int = 0) -> TelemetryServer:
-        """Start (and remember) a telemetry server over this bundle."""
-        if self.server is not None and self.server.running:
-            raise RuntimeError("bundle already serving telemetry")
-        self.server = TelemetryServer.for_bundle(self, host, port).start()
-        return self.server
-
-    def close(self) -> None:
-        """Stop the profiler thread and telemetry server, if running."""
-        if self.profiler is not None:
-            self.profiler.stop()
-        if self.server is not None:
-            self.server.close()
-            self.server = None

@@ -11,7 +11,8 @@ artifact the moment a violation or :class:`ParanoidMismatchError` fires.
 Campaign findings attach the same snapshot, so triage starts from the
 event history without re-running the trace. It is the package's only
 bounded event ring: the campaign engine keeps its heartbeat samples
-(``/campaign``, ``telemetry.jsonl``) in one too.
+(one per merged batch, behind ``/campaign`` and the checkpoint's
+``<name>.telemetry.jsonl``) in one too.
 
 Disabled (capacity 0, the default) the recorder is a single ``if`` per
 event. Enabled, an event is one deque append of a small dict.

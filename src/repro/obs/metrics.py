@@ -21,11 +21,13 @@ Design points:
   merge bucket-by-bucket.
 - **Mergeable snapshots.** ``snapshot()`` is a plain-JSON view; a parent
   registry ``merge()``s worker snapshots: counters and histogram buckets
-  add, gauges take the max (the gauges we keep — peak ghost memory,
-  throughput — are all "high-water" style).
+  add, gauges take the max. That one rule fits every gauge a worker
+  ships: peaks are high-water marks, and ``worker_last_batch_ts`` is a
+  wall-clock time, whose max is the latest batch.
 - **Two exporters.** ``to_jsonable()`` (machine-readable, what
   ``--metrics-out`` writes) and ``to_prometheus()`` (the text exposition
-  format, scrape-ready).
+  format, scrape-ready, safe to call from the telemetry server's thread
+  while the engine merges).
 """
 
 from __future__ import annotations
@@ -37,7 +39,6 @@ from bisect import bisect_left
 __all__ = [
     "Counter",
     "Gauge",
-    "GAUGE_MODES",
     "Histogram",
     "MetricsRegistry",
     "LATENCY_BUCKETS_US",
@@ -75,38 +76,18 @@ class Counter:
         self.value += amount
 
 
-#: Valid gauge merge modes (see :class:`Gauge`).
-GAUGE_MODES = ("max", "last", "sum")
-
-
 class Gauge:
     """A value that goes up and down (or tracks a high-water mark).
 
-    ``mode`` declares how worker snapshots fold into a parent registry:
-
-    - ``"max"`` (default): high-water gauges — peak ghost memory, peak
-      cache entries. The fleet value is the biggest worker value.
-    - ``"last"``: point-in-time gauges — per-worker liveness
-      timestamps, the most recent batch rate. The incoming snapshot
-      wins (it is newer than whatever the parent holds).
-    - ``"sum"``: additive gauges — campaign throughput, step totals.
-      Fleet value is the sum of the shards.
-
-    Before modes existed every gauge max-merged, which silently
-    misreported fleet-level sums and liveness timestamps.
+    Worker snapshots fold into a parent registry by max.
     """
 
-    __slots__ = ("name", "labels", "value", "mode")
+    __slots__ = ("name", "labels", "value")
 
-    def __init__(self, name: str, labels: dict | None = None, mode: str = "max"):
-        if mode not in GAUGE_MODES:
-            raise ValueError(
-                f"gauge {name} mode {mode!r} not one of {GAUGE_MODES}"
-            )
+    def __init__(self, name: str, labels: dict | None = None):
         self.name = name
         self.labels = dict(labels) if labels else {}
         self.value = 0
-        self.mode = mode
 
     def set(self, value) -> None:
         self.value = value
@@ -116,15 +97,6 @@ class Gauge:
 
     def dec(self, amount=1) -> None:
         self.value -= amount
-
-    def fold(self, incoming) -> None:
-        """Merge one snapshot value in, per this gauge's mode."""
-        if self.mode == "max":
-            self.value = max(self.value, incoming)
-        elif self.mode == "last":
-            self.value = incoming
-        else:
-            self.value += incoming
 
 
 class Histogram:
@@ -158,25 +130,6 @@ class Histogram:
         self.count += 1
         self.total += value
 
-    @property
-    def mean(self) -> float:
-        return self.total / self.count if self.count else 0.0
-
-    def quantile(self, q: float) -> float:
-        """Approximate quantile: the upper bound of the bucket holding
-        the q-th observation (+Inf reported as the last finite bound)."""
-        if not 0.0 <= q <= 1.0:
-            raise ValueError(f"quantile {q} outside [0, 1]")
-        if self.count == 0:
-            return 0.0
-        target = q * self.count
-        seen = 0
-        for i, n in enumerate(self.bucket_counts):
-            seen += n
-            if seen >= target and n:
-                return self.bounds[i] if i < len(self.bounds) else self.bounds[-1]
-        return self.bounds[-1]
-
 
 class MetricsRegistry:
     """Get-or-create registry of named (and optionally labelled) metrics."""
@@ -203,33 +156,8 @@ class MetricsRegistry:
     def counter(self, name: str, labels: dict | None = None) -> Counter:
         return self._get(Counter, name, labels)
 
-    def gauge(
-        self, name: str, labels: dict | None = None, *, mode: str | None = None
-    ) -> Gauge:
-        """Get or create a gauge; ``mode`` fixes its merge semantics.
-
-        ``mode=None`` accepts whatever mode the gauge already has (or
-        "max" on creation); passing a mode that contradicts an existing
-        gauge's is an error — merge semantics are part of the metric's
-        identity, not per-call-site.
-        """
-        key = (name, _label_key(labels))
-        metric = self._metrics.get(key)
-        if metric is None:
-            metric = Gauge(name, labels, mode or "max")
-            self._metrics[key] = metric
-            return metric
-        if not isinstance(metric, Gauge):
-            raise TypeError(
-                f"metric {name!r} already registered as "
-                f"{type(metric).__name__}, not Gauge"
-            )
-        if mode is not None and metric.mode != mode:
-            raise ValueError(
-                f"gauge {name!r} re-registered with mode {mode!r}, "
-                f"already {metric.mode!r}"
-            )
-        return metric
+    def gauge(self, name: str, labels: dict | None = None) -> Gauge:
+        return self._get(Gauge, name, labels)
 
     def histogram(self, name: str, bounds, labels: dict | None = None) -> Histogram:
         key = (name, _label_key(labels))
@@ -278,7 +206,7 @@ class MetricsRegistry:
             elif isinstance(metric, Gauge):
                 gauges.append(
                     {"name": metric.name, "labels": metric.labels,
-                     "value": metric.value, "mode": metric.mode}
+                     "value": metric.value}
                 )
             else:
                 histograms.append(
@@ -294,17 +222,13 @@ class MetricsRegistry:
         return {"counters": counters, "gauges": gauges, "histograms": histograms}
 
     def merge(self, snapshot: dict) -> None:
-        """Fold a worker snapshot in: counters/buckets add, gauges fold
-        per their declared mode (max/last/sum; pre-mode snapshots merge
-        as max, the historical behavior)."""
+        """Fold a worker snapshot in: counters/buckets add, gauges take
+        the max."""
         for data in snapshot.get("counters", ()):
             self.counter(data["name"], data["labels"] or None).inc(data["value"])
         for data in snapshot.get("gauges", ()):
-            gauge = self.gauge(
-                data["name"], data["labels"] or None,
-                mode=data.get("mode"),
-            )
-            gauge.fold(data["value"])
+            gauge = self.gauge(data["name"], data["labels"] or None)
+            gauge.value = max(gauge.value, data["value"])
         for data in snapshot.get("histograms", ()):
             hist = self.histogram(
                 data["name"], data["bounds"], data["labels"] or None
@@ -356,9 +280,14 @@ class MetricsRegistry:
         return "{" + body + "}"
 
     def to_prometheus(self) -> str:
-        """The Prometheus text exposition format."""
+        """The Prometheus text exposition format.
+
+        The telemetry server renders this while the engine's merges
+        register new labelled metrics, so the metrics are copied in one
+        C call before the loop walks them.
+        """
         by_name: dict[str, list] = {}
-        for metric in self._metrics.values():
+        for metric in list(self._metrics.values()):
             by_name.setdefault(self._prom_name(metric.name), []).append(metric)
         lines: list[str] = []
         for name in sorted(by_name):

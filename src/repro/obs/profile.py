@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import sys
 import threading
-from typing import Iterable
 
 __all__ = ["Profile", "SamplingProfiler", "NO_SPAN", "IDLE"]
 
@@ -99,13 +98,6 @@ class Profile:
             self.hz = snapshot.get("hz", 0)
         for entry in snapshot.get("stacks", ()):
             self.add(entry["bucket"], entry["stack"], entry["count"])
-
-    @classmethod
-    def merged(cls, snapshots: Iterable[dict]) -> "Profile":
-        profile = cls()
-        for snap in snapshots:
-            profile.merge(snap)
-        return profile
 
     # -- exporters ---------------------------------------------------------
 

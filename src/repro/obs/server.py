@@ -1,12 +1,11 @@
-"""Live telemetry over HTTP: the first running slice of oracle-as-a-service.
+"""Live telemetry over HTTP: watch a campaign while it runs.
 
-Until now ``repro.obs`` was purely passive — spans accumulated in
-memory, metrics were dumped at end-of-run, flight rings hit disk only on
-a violation. This module adds the live half: a stdlib
-``ThreadingHTTPServer`` that serves the *current* state of a run while
-it is still running, so a campaign fleet is scrapeable (Prometheus),
-watchable (Perfetto), and debuggable (flight ring) without waiting for
-the checkpoint.
+Spans accumulate in memory, metrics are dumped at end-of-run, and
+flight rings hit disk only on a violation. This module is the live
+half: a stdlib ``ThreadingHTTPServer`` that serves the *current* state
+of a campaign (``--serve-telemetry HOST:PORT``), so the fleet is
+scrapeable (Prometheus), watchable (Perfetto), and debuggable (flight
+dumps) without waiting for the checkpoint.
 
 Endpoints (all GET):
 
@@ -22,15 +21,15 @@ Endpoints (all GET):
   samples of the engine's heartbeat ring (a bounded
   :class:`~repro.obs.flight.FlightRecorder`).
 
-The server is wired by *callables*, not objects: whoever stands it up
-(a machine's :class:`~repro.obs.Observability` bundle, the campaign
-engine, the test harness) passes one provider per endpoint, and absent
-providers 404. That keeps the server zero-dependency and reusable by
-the future checker-as-a-service frontend.
+The server is wired by *callables*, not objects: the campaign engine
+(``CampaignEngine._start_telemetry``) passes one provider per endpoint,
+each computing its body from the engine's merged state when a request
+asks for it, and absent providers 404.
 
 Everything runs on daemon threads and ``close()`` is synchronous — the
 telemetry-smoke CI job fails if a server thread survives engine
-shutdown.
+shutdown. The module is imported only by a served campaign, so an
+unserved run never loads ``http.server``.
 """
 
 from __future__ import annotations
@@ -141,37 +140,6 @@ class TelemetryServer:
     def __exit__(self, *exc) -> bool:
         self.close()
         return False
-
-    @classmethod
-    def for_bundle(
-        cls,
-        obs,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        *,
-        campaign: Callable[[], dict] | None = None,
-    ) -> "TelemetryServer":
-        """Wire a server to one :class:`~repro.obs.Observability` bundle.
-
-        The standard single-machine setup (also what the harness uses):
-        metrics/spans/flight/profile come live from the bundle; a
-        ``campaign`` provider can be added on top.
-        """
-        profiler = getattr(obs, "profiler", None)
-        return cls(
-            host,
-            port,
-            metrics=obs.metrics.to_prometheus,
-            spans=obs.tracer.to_chrome,
-            flight=lambda: {
-                "capacity": obs.flight.capacity,
-                "events_recorded": obs.flight.seq,
-                "events": obs.flight.snapshot(),
-                "dumps": [str(p) for p in obs.flight.dumps],
-            },
-            profile=(profiler.collapsed if profiler is not None else None),
-            campaign=campaign,
-        )
 
     # -- request handling --------------------------------------------------
 

@@ -6,11 +6,12 @@ exit, ``interpret_pgtable`` walks — but until now that structure only
 existed in prose. This module records it as a tree of timed spans, with
 two exporters:
 
-- **Chrome trace_event JSON** (:meth:`Tracer.to_chrome`): the array-of-
-  events format that ``chrome://tracing`` and https://ui.perfetto.dev
-  load directly. Spans become complete (``"ph": "X"``) events; instants
-  become ``"ph": "i"``. The ``pid`` field carries the campaign worker id
-  so a multi-worker campaign renders as parallel tracks.
+- **Chrome trace_event JSON** (:func:`chrome_trace`,
+  :meth:`Tracer.write_chrome`): the array-of-events format that
+  ``chrome://tracing`` and https://ui.perfetto.dev load directly. Spans
+  become complete (``"ph": "X"``) events; instants become
+  ``"ph": "i"``. The ``pid`` field carries the campaign worker id so a
+  multi-worker campaign renders as parallel tracks.
 - **a human-readable tree** (:meth:`Tracer.dump_tree`) for quick
   terminal triage without leaving the shell.
 
@@ -258,13 +259,10 @@ class _SpanCtx:
 class Tracer:
     """Hierarchical span tracer.
 
-    Use as a context manager factory or a decorator::
+    Use as a context manager factory::
 
         with tracer.span("oracle:check", cat="oracle", call="share_hyp"):
             ...
-
-        @tracer.traced("shrink", cat="campaign")
-        def shrink(...): ...
 
     Nesting depth is tracked per ``tid`` (we use the CPU index as the
     tid, matching how the simulation interleaves handlers), so the tree
@@ -353,43 +351,17 @@ class Tracer:
                 continue
         return {}
 
-    def traced(self, name: str | None = None, cat: str = ""):
-        """Decorator form of :meth:`span`."""
-
-        def decorate(fn):
-            span_name = name or fn.__qualname__
-
-            def wrapper(*args, **kwargs):
-                if not (self.sink.enabled or self._track_open):
-                    return fn(*args, **kwargs)
-                with self.span(span_name, cat):
-                    return fn(*args, **kwargs)
-
-            wrapper.__name__ = fn.__name__
-            wrapper.__qualname__ = fn.__qualname__
-            wrapper.__doc__ = fn.__doc__
-            wrapper.__wrapped__ = fn
-            return wrapper
-
-        return decorate
-
     # -- export ------------------------------------------------------------
 
     @property
     def spans(self) -> list[Span]:
         return getattr(self.sink, "spans", [])
 
-    def to_chrome(self, extra_spans: list[Span] | None = None) -> dict:
-        """The Chrome ``trace_event`` JSON object (Perfetto-loadable)."""
-        spans = list(self.spans)
-        if extra_spans:
-            spans.extend(extra_spans)
-        return chrome_trace(spans, dropped=getattr(self.sink, "dropped", 0))
-
-    def write_chrome(self, path, extra_spans: list[Span] | None = None) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_chrome(extra_spans), fh)
-            fh.write("\n")
+    def write_chrome(self, path) -> None:
+        """Write the recorded spans as a Chrome ``trace_event`` file."""
+        write_chrome_trace(
+            path, self.spans, dropped=getattr(self.sink, "dropped", 0)
+        )
 
     def dump_tree(self) -> str:
         """An indented, per-track text rendering of the recorded spans."""

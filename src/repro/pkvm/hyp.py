@@ -317,17 +317,17 @@ class PKvm:
 
     # -- READ_ONCE of host-owned memory -------------------------------------
 
-    def _read_host_once(self, phys: int) -> int:
+    def _read_host_once(self, cpu: Cpu, phys: int) -> int:
         """Read a word from memory the host still owns and can race on.
 
         The specification cannot predict these values, so they are
-        recorded into the call data (paper §4.3) and the spec function is
-        made parametric on them.
+        recorded into the call data of ``cpu``'s handler (paper §4.3)
+        and the spec function is made parametric on them.
         """
         value = self.mem.read64(phys)
         yield_point("read_once")
         if self.ghost is not None:
-            self.ghost.on_read_once(phys, value)
+            self.ghost.on_read_once(cpu.index, phys, value)
         return value
 
     def _page_is_shared_with_hyp(self, phys: int) -> bool:
@@ -373,9 +373,9 @@ class PKvm:
         if not self._page_is_shared_with_hyp(params_phys):
             self._finish_hcall(cpu, -EPERM)
             return
-        nr_vcpus = self._read_host_once(params_phys)
-        protected = self._read_host_once(params_phys + 8)
-        pgd_pfn = self._read_host_once(params_phys + 16)
+        nr_vcpus = self._read_host_once(cpu, params_phys)
+        protected = self._read_host_once(cpu, params_phys + 8)
+        pgd_pfn = self._read_host_once(cpu, params_phys + 16)
         if not 1 <= nr_vcpus <= MAX_VCPUS:
             self._finish_hcall(cpu, -EINVAL)
             return
@@ -410,7 +410,7 @@ class PKvm:
                     donated_pages=[pgd_phys],
                 )
                 if self.ghost is not None:
-                    self.ghost.on_vm_created(vm)
+                    self.ghost.on_vm_created(cpu.index, vm)
                 return vm
 
             vm = self.vm_table.insert(make_vm)
@@ -514,8 +514,6 @@ class PKvm:
                 finally:
                     vm.lock.release(cpu.index)
                 self.vm_table.remove(vm)
-                if self.ghost is not None:
-                    self.ghost.on_vm_destroyed(vm)
                 ret = 0
         finally:
             self.vm_table.lock.release(cpu.index)
@@ -677,7 +675,7 @@ class PKvm:
                 if self.ghost is not None:
                     pte = lookup(vm.pgt, ipa)
                     self.ghost.on_guest_event(
-                        GuestEvent(kind, ipa=ipa, phys=pte.oa, ret=ret)
+                        cpu.index, GuestEvent(kind, ipa=ipa, phys=pte.oa, ret=ret)
                     )
                 vcpu.script_pos += 1
             elif kind == "halt":
@@ -918,7 +916,7 @@ class PKvm:
                 if len(vcpu.memcache) >= MEMCACHE_CAPACITY:
                     ret = -ENOMEM
                     break
-                addr = self._read_host_once(list_phys + 8 * i)
+                addr = self._read_host_once(cpu, list_phys + 8 * i)
                 if not self.bugs.memcache_alignment and addr % PAGE_SIZE:
                     ret = -EINVAL
                     break

@@ -18,13 +18,15 @@ VERSION = 3
 
 
 def telemetry_path(checkpoint_path: str) -> Path:
-    """Where the heartbeat ring dump lands: beside the checkpoint.
+    """Where the heartbeat ring dump lands: beside the checkpoint, named
+    after it (``campaign.json`` -> ``campaign.telemetry.jsonl``), so
+    campaigns sharing a directory keep their own.
 
     Kept out of the checkpoint itself — telemetry samples are wall-clock
     run artifacts, and the checkpoint must stay byte-comparable across
     equivalent runs.
     """
-    return Path(checkpoint_path).parent / "telemetry.jsonl"
+    return Path(checkpoint_path).with_suffix(".telemetry.jsonl")
 
 
 def save_checkpoint(path: str, state: dict) -> None:

@@ -26,14 +26,12 @@ from __future__ import annotations
 
 import json
 import sys
-import threading
 import time
 from dataclasses import asdict, dataclass, field
 
 from repro.obs.flight import FlightRecorder
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.profile import Profile
-from repro.obs.server import TelemetryServer, parse_hostport
 from repro.obs.trace import (
     Span,
     chrome_trace,
@@ -231,12 +229,11 @@ class CampaignEngine:
         #: Fleet-wide profile: every worker's sampling-profiler snapshot
         #: merges in here (same algebra as the metrics registry).
         self.profile = Profile()
-        #: Bounded ring of heartbeat samples behind ``/campaign`` and the
-        #: ``telemetry.jsonl`` artifact.
+        #: Bounded ring of heartbeat samples, one per merged batch,
+        #: behind ``/campaign`` and the ``<out>.telemetry.jsonl`` artifact.
         self.telemetry = FlightRecorder(512)
-        self._server: TelemetryServer | None = None
-        self._heartbeat: threading.Thread | None = None
-        self._heartbeat_stop = threading.Event()
+        #: The :class:`~repro.obs.server.TelemetryServer` while serving.
+        self._server = None
 
     # -- resume ----------------------------------------------------------
 
@@ -329,9 +326,7 @@ class CampaignEngine:
         self.total_steps += result.steps_run
         self.total_hypercalls += result.hypercalls
         self.total_rejected += result.rejected
-        # One ring sample per merged batch (the heartbeat thread adds
-        # its ~1 Hz cadence on top when the server is up), so
-        # ``telemetry.jsonl`` exists even for unserved runs.
+        # One ring sample per merged batch, served or not.
         self._record_heartbeat()
         if self.out is not None:
             self._save(complete=False)
@@ -360,16 +355,20 @@ class CampaignEngine:
     def _start_telemetry(self, spec: str) -> None:
         """Stand up ``/metrics`` etc. over the engine's *merged* state.
 
-        The providers read engine fields that ``_absorb`` and the
-        heartbeat update; everything they touch is a single attribute
-        read or an append-only structure, so serving concurrently with
-        the merge loop needs no locking.
+        Each provider computes its body from the engine fields that
+        ``_absorb`` updates when a request asks for it. Everything they
+        touch is a single attribute read, an append-only structure, or a
+        container copied in one C call before it is walked, so serving
+        concurrently with the merge loop needs no locking.
         """
+        # Imported here: unserved campaigns never load http.server.
+        from repro.obs.server import TelemetryServer, parse_hostport
+
         host, port = parse_hostport(spec)
         self._server = TelemetryServer(
             host,
             port,
-            metrics=self.metrics.to_prometheus,
+            metrics=self._scrape_metrics,
             spans=lambda: chrome_trace(
                 list(self.spans),
                 process_names=self._process_names(),
@@ -380,28 +379,17 @@ class CampaignEngine:
             campaign=self._campaign_status,
         ).start()
         print(f"telemetry: {self._server.url}", file=sys.stderr)
-        self._heartbeat_stop.clear()
-        self._heartbeat = threading.Thread(
-            target=self._heartbeat_loop, name="obs-heartbeat", daemon=True
-        )
-        self._heartbeat.start()
 
     def _stop_telemetry(self) -> None:
-        if self._heartbeat is not None:
-            self._heartbeat_stop.set()
-            self._heartbeat.join(timeout=5)
-            self._heartbeat = None
         if self._server is not None:
             self._server.close()
             self._server = None
 
-    def _heartbeat_loop(self) -> None:
-        """~1 Hz: refresh the campaign gauges and append a ring sample,
-        so a mid-run ``/metrics`` scrape and ``/campaign`` poll see live
-        numbers instead of end-of-run ones."""
-        while not self._heartbeat_stop.wait(1.0):
-            self._refresh_campaign_gauges()
-            self._record_heartbeat()
+    def _scrape_metrics(self) -> str:
+        """``/metrics``: bring the ``campaign_*`` gauges up to date, then
+        render, so a mid-run scrape sees live numbers."""
+        self._refresh_campaign_gauges()
+        return self.metrics.to_prometheus()
 
     def _process_names(self) -> dict[int, str]:
         return {
@@ -570,31 +558,21 @@ class CampaignEngine:
         return report
 
     def _refresh_campaign_gauges(self) -> None:
-        """Point the ``campaign_*`` gauges at the current merged state.
-
-        Throughput and totals carry ``mode="sum"`` — two campaign shards'
-        metric files merge into fleet totals, where the old max-merge
-        silently reported the bigger shard. Coverage/findings gauges stay
-        high-water (``max``): shards overlap, so adding them overcounts.
-        """
+        """Point the ``campaign_*`` gauges at the current merged state,
+        as the heartbeat sample computes it."""
         m = self.metrics
-        elapsed = self._elapsed()
-        rate = self.total_hypercalls * 3600.0 / elapsed if elapsed else 0.0
-        m.gauge("campaign_hypercalls_per_hour", mode="sum").set(round(rate, 1))
-        m.gauge("campaign_coverage").set(self.coverage.count())
-        m.gauge("campaign_corpus_traces", mode="sum").set(self._corpus_traces)
-        m.gauge("campaign_batches", mode="sum").set(len(self.batch_records))
-        m.gauge("campaign_steps_total", mode="sum").set(self.total_steps)
-        m.gauge("campaign_hypercalls_total", mode="sum").set(
-            self.total_hypercalls
+        sample = self._heartbeat_sample()
+        m.gauge("campaign_hypercalls_per_hour").set(
+            sample["hypercalls_per_hour"]
         )
-        m.gauge("campaign_findings_distinct").set(len(self.dedup))
-        m.gauge("campaign_flight_dumps", mode="sum").set(
-            len(self.flight_dumps)
-        )
-        m.gauge("campaign_cache_hit_rate", mode="last").set(
-            round(self._cache_hit_rate(), 4)
-        )
+        m.gauge("campaign_coverage").set(sample["coverage"])
+        m.gauge("campaign_corpus_traces").set(self._corpus_traces)
+        m.gauge("campaign_batches").set(sample["batches"])
+        m.gauge("campaign_steps_total").set(sample["steps"])
+        m.gauge("campaign_hypercalls_total").set(sample["hypercalls"])
+        m.gauge("campaign_findings_distinct").set(sample["findings"])
+        m.gauge("campaign_flight_dumps").set(len(self.flight_dumps))
+        m.gauge("campaign_cache_hit_rate").set(sample["cache_hit_rate"])
 
     def _export_observability(self, report: CampaignReport) -> None:
         """Campaign-level gauges, plus the merged artifact files."""
@@ -602,7 +580,7 @@ class CampaignEngine:
         m = self.metrics
         # _refresh uses live elapsed time; the report's final rate is the
         # authoritative one.
-        m.gauge("campaign_hypercalls_per_hour", mode="sum").set(
+        m.gauge("campaign_hypercalls_per_hour").set(
             round(report.hypercalls_per_hour, 1)
         )
         if self.profile.total:

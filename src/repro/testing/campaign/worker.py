@@ -202,10 +202,10 @@ def run_batch(
             )
         )
         finding.flight = str(path)
-    # "last" mode: the fleet-level value is each worker's most recent
-    # heartbeat, which is what per-worker liveness means.
+    # Per-worker liveness: a wall-clock time, so the engine's max merge
+    # keeps each worker's most recent batch.
     obs.metrics.gauge(
-        "worker_last_batch_ts", {"worker": str(task.worker_id)}, mode="last"
+        "worker_last_batch_ts", {"worker": str(task.worker_id)}
     ).set(round(time.time(), 3))
     result.seconds = time.perf_counter() - started
     result.spans = list(obs.tracer.spans)

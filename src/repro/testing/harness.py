@@ -127,42 +127,19 @@ def run_tests(
     oracle_cache: bool = True,
     paranoid: bool = False,
     obs: Observability | None = None,
-    serve_telemetry: str | None = None,
 ) -> list[TestResult]:
-    """Run a suite; one fresh machine per test.
-
-    ``serve_telemetry="host:port"`` stands up the live HTTP endpoint
-    over the suite's (shared) bundle for the duration of the run — the
-    same ``/metrics``/``/spans``/``/profile`` surface a campaign engine
-    serves, but for an interactive suite. If no ``obs`` bundle was
-    passed, one is created so every test's machine reports into it; the
-    profiler (when the bundle has one) runs across the whole suite. The
-    server always comes down before this returns.
-    """
-    if serve_telemetry is not None:
-        from repro.obs.server import parse_hostport
-
-        if obs is None:
-            obs = Observability()
-        host, port = parse_hostport(serve_telemetry)
-        if obs.profiler is not None and not obs.profiler.running:
-            obs.profiler.start()
-        obs.serve(host, port)
-    try:
-        return [
-            run_one(
-                t,
-                ghost=ghost,
-                bugs=bugs,
-                oracle_cache=oracle_cache,
-                paranoid=paranoid,
-                obs=obs,
-            )
-            for t in tests
-        ]
-    finally:
-        if serve_telemetry is not None:
-            obs.close()
+    """Run a suite; one fresh machine per test."""
+    return [
+        run_one(
+            t,
+            ghost=ghost,
+            bugs=bugs,
+            oracle_cache=oracle_cache,
+            paranoid=paranoid,
+            obs=obs,
+        )
+        for t in tests
+    ]
 
 
 def summarise(results: list[TestResult]) -> dict[str, int]:

@@ -12,6 +12,8 @@ findings on a clean tree.
 
 import json
 
+import pytest
+
 from repro.obs.trace import make_trace_id
 from repro.testing.campaign.cli import main
 from repro.testing.campaign.engine import (
@@ -40,9 +42,16 @@ def _config(**overrides) -> CampaignConfig:
     return CampaignConfig(**base)
 
 
+@pytest.fixture(scope="module")
+def race_report():
+    """The shrinking vcpu-race campaign, run once for every test that
+    only reads its report (shrinking is nearly all of its cost)."""
+    return run_campaign(_config())
+
+
 class TestDiscoveryAndReplay:
-    def test_finds_race_within_budget_from_pinned_seed(self):
-        report = run_campaign(_config())
+    def test_finds_race_within_budget_from_pinned_seed(self, race_report):
+        report = race_report
         assert len(report.findings) == 1
         finding = report.findings[0]
         assert finding.klass == "HypervisorPanic"
@@ -60,9 +69,8 @@ class TestDiscoveryAndReplay:
         for _ in range(2):  # strict replay is deterministic
             assert reproduces_schedule(trace, schedule, klass=finding.klass)
 
-    def test_schedule_shrinks_to_half_or_less(self):
-        report = run_campaign(_config())
-        finding = report.findings[0]
+    def test_schedule_shrinks_to_half_or_less(self, race_report):
+        finding = race_report.findings[0]
         assert finding.shrunk_sched_len <= finding.sched_len // 2
         shrunk = finding.trace()
         assert len(shrunk.meta["schedule"]) == finding.shrunk_sched_len
@@ -74,10 +82,9 @@ class TestDiscoveryAndReplay:
         assert report.findings == []
         assert report.total_steps == 32
 
-    def test_deterministic_inline(self):
-        a = run_campaign(_config())
-        b = run_campaign(_config())
-        assert a.comparable() == b.comparable()
+    def test_deterministic_inline(self, race_report):
+        again = run_campaign(_config())
+        assert again.comparable() == race_report.comparable()
 
     def test_window_coverage_reported(self):
         report = run_campaign(_config(bug_names=(), budget=32))

@@ -2,8 +2,8 @@
 
 A campaign engine serving ``/metrics``/``/campaign`` while it runs, the
 cross-worker correlated Perfetto timeline, the merged fleet profile, and
-the ``telemetry.jsonl`` heartbeat artifact — the integration surface the
-CI ``telemetry-smoke`` job exercises against the real CLI.
+the ``<checkpoint>.telemetry.jsonl`` heartbeat artifact — the integration
+surface the CI ``telemetry-smoke`` job exercises against the real CLI.
 """
 
 from __future__ import annotations
@@ -12,8 +12,6 @@ import json
 import threading
 import time
 import urllib.request
-
-import pytest
 
 from repro.obs.profile import IDLE, NO_SPAN
 from repro.obs.trace import make_trace_id
@@ -29,7 +27,7 @@ def _obs_threads() -> list[str]:
     return [
         t.name
         for t in threading.enumerate()
-        if t.name in ("obs-telemetry", "obs-profiler", "obs-heartbeat")
+        if t.name in ("obs-telemetry", "obs-profiler")
     ]
 
 
@@ -81,10 +79,10 @@ class TestLiveCampaignTelemetry:
         finally:
             thread.join(timeout=120)
         assert box["report"].total_steps == 600
-        # Server, heartbeat, and profiler all came down with the engine.
+        # Server and profiler both came down with the engine.
         assert _obs_threads() == []
-        # The heartbeat ring landed beside the checkpoint.
-        telemetry = tmp_path / "telemetry.jsonl"
+        # The heartbeat ring landed beside the checkpoint, named after it.
+        telemetry = tmp_path / "campaign.telemetry.jsonl"
         assert telemetry.exists()
         samples = [
             json.loads(line)
@@ -116,9 +114,8 @@ class TestLiveCampaignTelemetry:
                 time.sleep(0.01)
             while not engine.batch_records and thread.is_alive():
                 time.sleep(0.02)
-            # The heartbeat (or a batch merge) keeps campaign_* gauges
-            # current, so a mid-run scrape sees non-zero throughput.
-            engine._refresh_campaign_gauges()
+            # The scrape itself brings the campaign_* gauges up to date,
+            # so a mid-run scrape sees non-zero progress.
             metrics = _get(engine._server.url + "/metrics").decode()
             line = next(
                 l for l in metrics.splitlines()
@@ -128,6 +125,26 @@ class TestLiveCampaignTelemetry:
         finally:
             thread.join(timeout=120)
         assert _obs_threads() == []
+
+    def test_campaigns_sharing_a_directory_keep_their_own_telemetry(
+        self, tmp_path
+    ):
+        steps = {}
+        for name, budget in (("a", 300), ("b", 200)):
+            config = CampaignConfig(
+                workers=1,
+                budget=budget,
+                batch_steps=100,
+                inline=True,
+                shrink=False,
+            )
+            out = str(tmp_path / f"{name}.json")
+            steps[name] = CampaignEngine(config, out=out).run().total_steps
+        assert steps == {"a": 300, "b": 200}
+        for name, total in steps.items():
+            lines = (tmp_path / f"{name}.telemetry.jsonl").read_text()
+            assert json.loads(lines.splitlines()[-1])["steps"] == total
+        assert not (tmp_path / "telemetry.jsonl").exists()
 
 
 class TestCrossWorkerCorrelation:
@@ -210,33 +227,3 @@ class TestFleetProfile:
         assert config.effective_profile_hz == 100
         assert CampaignConfig().effective_profile_hz == 0
         assert CampaignConfig(profile_hz=37).effective_profile_hz == 37
-
-
-class TestHarnessTelemetry:
-    def test_run_tests_serves_and_tears_down(self, monkeypatch):
-        from repro.testing import harness
-        from repro.testing.handwritten import OK_TESTS
-
-        tests = OK_TESTS[:2]
-        seen = {}
-        orig_run_one = harness.run_one
-
-        # Scrape the live endpoint mid-suite: after each test finishes,
-        # the shared bundle's registry already holds its metrics.
-        def spy(test, **kwargs):
-            result = orig_run_one(test, **kwargs)
-            obs = kwargs["obs"]
-            seen["metrics"] = _get(obs.server.url + "/metrics").decode()
-            return result
-
-        monkeypatch.setattr(harness, "run_one", spy)
-        results = harness.run_tests(tests, serve_telemetry="127.0.0.1:0")
-        assert all(r.ok for r in results)
-        assert "oracle_checks_run" in seen["metrics"]
-        assert _obs_threads() == []
-
-    def test_run_tests_rejects_bad_hostport(self):
-        from repro.testing.harness import run_tests
-
-        with pytest.raises(ValueError):
-            run_tests([], serve_telemetry="nonsense")

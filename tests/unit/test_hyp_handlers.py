@@ -82,9 +82,9 @@ class TestReadOnceRecording:
         machine = Machine()
         seen = []
         orig = machine.checker.on_read_once
-        machine.checker.on_read_once = lambda a, v: (
+        machine.checker.on_read_once = lambda cpu_index, a, v: (
             seen.append((a, v)),
-            orig(a, v),
+            orig(cpu_index, a, v),
         )
         from repro.testing.proxy import HypProxy
 
@@ -96,6 +96,26 @@ class TestReadOnceRecording:
         proxy.hvc(HypercallId.INIT_VM, phys_to_pfn(params))
         reads = [(a, v) for a, v in seen if a >= params and a < params + 24]
         assert [v for _a, v in reads] == [2, 1, phys_to_pfn(pgd)]
+
+    def test_concurrent_callouts_reach_their_own_cpus_handler(self):
+        """init_vm on cpu0 racing a share on cpu1: every READ_ONCE value
+        and the new VM belong to cpu0's record, whichever CPU is
+        mid-handler too, so no interleaving skips the init_vm check."""
+        from repro.sim.sched import Scheduler
+        from repro.testing.proxy import HypProxy
+
+        skipped = 0
+        for seed in range(30):
+            machine = Machine()
+            proxy = HypProxy(machine)
+            page = proxy.alloc_page()
+            sched = Scheduler(policy="random", seed=seed)
+            sched.spawn(lambda: proxy.create_vm(cpu_index=0), "create")
+            sched.spawn(lambda: proxy.share_page(page, cpu_index=1), "share")
+            sched.run()
+            assert machine.checker.violations == []
+            skipped += machine.obs.metrics.value("oracle_checks_skipped")
+        assert skipped == 0
 
     def test_guest_cannot_trap_reentrantly(self, machine):
         """Guest execution happens inside the vcpu_run handler; guest ops

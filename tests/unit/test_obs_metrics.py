@@ -1,12 +1,13 @@
 """Unit tests for the metrics registry (repro.obs.metrics)."""
 
 import json
+import sys
+import threading
 
 import pytest
 
 from repro.obs.metrics import (
     Counter,
-    GAUGE_MODES,
     Gauge,
     Histogram,
     LATENCY_BUCKETS_US,
@@ -32,30 +33,6 @@ class TestCounterGauge:
         g.dec(3)
         assert g.value == 12
 
-    def test_gauge_mode_default_and_validation(self):
-        assert Gauge("n").mode == "max"
-        assert set(GAUGE_MODES) == {"max", "last", "sum"}
-        with pytest.raises(ValueError):
-            Gauge("n", mode="median")
-
-    def test_gauge_fold_per_mode(self):
-        g = Gauge("n", mode="max")
-        g.set(10)
-        g.fold(3)
-        assert g.value == 10
-        g.fold(40)
-        assert g.value == 40
-
-        g = Gauge("n", mode="last")
-        g.set(10)
-        g.fold(3)
-        assert g.value == 3
-
-        g = Gauge("n", mode="sum")
-        g.set(10)
-        g.fold(3)
-        assert g.value == 13
-
 
 class TestHistogramBuckets:
     def test_zero_lands_in_first_bucket(self):
@@ -77,63 +54,11 @@ class TestHistogramBuckets:
         assert h.bucket_counts == [0, 0, 2]
         assert h.count == 2
 
-    def test_mean_and_quantile(self):
-        h = Histogram("h", (10, 100, 1000))
-        for v in (5, 50, 500):
-            h.observe(v)
-        assert h.mean == pytest.approx(555 / 3)
-        assert h.quantile(0.0) == 0.0 or h.count  # q=0 defined
-        assert h.quantile(1.0) == 1000
-
-    def test_quantile_overflow_reports_last_finite_bound(self):
-        h = Histogram("h", (10,))
-        h.observe(99)
-        assert h.quantile(0.5) == 10
-
-    def test_empty_histogram(self):
-        h = Histogram("h", (10,))
-        assert h.mean == 0.0
-        assert h.quantile(0.5) == 0.0
-
     def test_bounds_must_ascend(self):
         with pytest.raises(ValueError):
             Histogram("h", (10, 10))
         with pytest.raises(ValueError):
             Histogram("h", ())
-
-
-class TestHistogramQuantileEdges:
-    """The corners the profiler/telemetry tables lean on."""
-
-    def test_empty_every_quantile_is_zero(self):
-        h = Histogram("h", (10, 100))
-        for q in (0.0, 0.5, 1.0):
-            assert h.quantile(q) == 0.0
-
-    def test_q0_and_q1_on_populated_histogram(self):
-        h = Histogram("h", (10, 100, 1000))
-        h.observe(5)
-        h.observe(500)
-        # q=0 resolves to the first non-empty bucket's bound, q=1 to
-        # the last non-empty bucket's bound.
-        assert h.quantile(0.0) == 10
-        assert h.quantile(1.0) == 1000
-
-    def test_all_samples_in_overflow(self):
-        # Every observation above the top bound: any quantile can only
-        # honestly report the last finite bound.
-        h = Histogram("h", (10, 100))
-        for _ in range(5):
-            h.observe(10**6)
-        assert h.quantile(0.0) == 100
-        assert h.quantile(0.5) == 100
-        assert h.quantile(1.0) == 100
-
-    def test_single_observation(self):
-        h = Histogram("h", (10, 100))
-        h.observe(50)
-        assert h.quantile(0.5) == 100
-        assert h.quantile(1.0) == 100
 
 
 class TestRegistry:
@@ -194,42 +119,21 @@ class TestMerge:
         parent.merge(self.make_snapshot())
         assert parent.value("peak") == 100
 
-    def test_gauge_modes_survive_snapshot_merge(self):
-        """Worker gauges declare their merge mode; the parent honors it."""
-        worker = MetricsRegistry()
-        worker.gauge("campaign_steps_total", mode="sum").set(100)
-        worker.gauge("worker_last_batch_ts", mode="last").set(111)
-        worker.gauge("peak").set(50)
-        snap = worker.snapshot()
-
-        parent = MetricsRegistry()
-        parent.merge(snap)
-        parent.merge(snap)
-        assert parent.value("campaign_steps_total") == 200
-        assert parent.value("worker_last_batch_ts") == 111
-        assert parent.value("peak") == 50
-        # The mode itself propagated, not just the folded value.
-        assert parent.get("campaign_steps_total").mode == "sum"
-
-    def test_gauge_mode_conflict_raises(self):
-        reg = MetricsRegistry()
-        reg.gauge("g", mode="sum")
-        with pytest.raises(ValueError):
-            reg.gauge("g", mode="last")
-        # Unspecified mode accepts whatever exists.
-        assert reg.gauge("g").mode == "sum"
-
     def test_pre_mode_snapshot_merges_as_max(self):
-        """Snapshots written before gauge modes existed lack the key."""
+        """Metrics files from before, during and after per-gauge merge
+        modes merge alike: with no ``mode`` key or with any, by max."""
         worker = MetricsRegistry()
         worker.gauge("peak").set(70)
         snap = worker.snapshot()
-        for entry in snap["gauges"]:
-            entry.pop("mode", None)
+        assert "mode" not in snap["gauges"][0]
         parent = MetricsRegistry()
         parent.gauge("peak").set(100)
         parent.merge(snap)
         assert parent.value("peak") == 100
+        for mode in ("last", "sum"):
+            snap["gauges"][0]["mode"] = mode
+            parent.merge(snap)
+            assert parent.value("peak") == 100
 
     def test_histograms_add_bucketwise(self):
         parent = MetricsRegistry()
@@ -300,6 +204,36 @@ class TestExporters:
         reg = MetricsRegistry()
         reg.counter("c", {"k": "a\\nb"}).inc()
         assert 'k="a\\\\nb"' in reg.to_prometheus()
+
+    def test_prometheus_renders_while_another_thread_registers(self):
+        """The telemetry server renders ``/metrics`` on its own thread
+        while the campaign engine's merges register new labelled
+        metrics; a render must never see the registry change size."""
+        reg = MetricsRegistry()
+        errors = []
+        done = threading.Event()
+
+        def render():
+            while not done.is_set():
+                try:
+                    reg.to_prometheus()
+                except RuntimeError as exc:
+                    errors.append(exc)
+                    return
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        renderer = threading.Thread(target=render)
+        renderer.start()
+        try:
+            for i in range(5000):
+                reg.counter("hypercall_calls", {"call": str(i)}).inc()
+        finally:
+            done.set()
+            renderer.join(timeout=30)
+            sys.setswitchinterval(switch)
+        assert not renderer.is_alive()
+        assert errors == []
 
     def test_prometheus_sanitises_metric_names(self):
         reg = MetricsRegistry()

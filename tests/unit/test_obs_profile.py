@@ -49,17 +49,6 @@ def test_snapshot_merge_roundtrip_counts_add():
     assert b.hz == 50
 
 
-def test_merged_classmethod_aggregates_workers():
-    snaps = []
-    for w in range(3):
-        p = Profile(hz=100)
-        p.add("trap:x", "m.f", w + 1)
-        snaps.append(p.snapshot())
-    fleet = Profile.merged(snaps)
-    assert fleet.total == 6
-    assert fleet.samples[("trap:x", "m.f")] == 6
-
-
 def test_top_frames_leaf_vs_inclusive():
     p = Profile()
     p.add("b", "outer.f;inner.g", 3)

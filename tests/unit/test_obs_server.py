@@ -13,7 +13,6 @@ import urllib.request
 
 import pytest
 
-from repro.obs import Observability
 from repro.obs.server import SERVER_THREAD_NAME, TelemetryServer, parse_hostport
 
 
@@ -102,40 +101,3 @@ def test_start_twice_raises():
             server.start()
     finally:
         server.close()
-
-
-def test_for_bundle_serves_live_machine_state():
-    from repro.machine import Machine
-    from repro.pkvm.hyp import HypercallId
-
-    obs = Observability(tracing=True, flight_buffer=64, profile_hz=100)
-    machine = Machine(obs=obs)
-    page = machine.host.alloc_page()
-    machine.host.hvc(HypercallId.HOST_SHARE_HYP, page >> 12)
-    obs.profiler.sample_once()
-    server = obs.serve("127.0.0.1", 0)
-    try:
-        _, _, metrics = _get(server.url + "/metrics")
-        assert b"oracle_checks_run" in metrics
-        _, _, spans = _get(server.url + "/spans")
-        names = {e["name"] for e in json.loads(spans)["traceEvents"]}
-        assert "trap:host_share_hyp" in names
-        _, _, flight = _get(server.url + "/flight")
-        assert json.loads(flight)["events_recorded"] > 0
-        status, _, _ = _get(server.url + "/profile")
-        assert status == 200
-    finally:
-        obs.close()
-    assert obs.server is None
-    # Bundle close stops the profiler too.
-    assert not obs.profiler.running
-
-
-def test_bundle_serve_twice_raises():
-    obs = Observability()
-    obs.serve("127.0.0.1", 0)
-    try:
-        with pytest.raises(RuntimeError):
-            obs.serve("127.0.0.1", 0)
-    finally:
-        obs.close()

@@ -86,37 +86,13 @@ class TestNesting:
         assert tracer.spans[-1].depth == 0
 
 
-class TestDecorator:
-    def test_traced_wraps_and_records(self):
-        tracer = make_tracer()
-
-        @tracer.traced("work", cat="test")
-        def work(x):
-            return x + 1
-
-        assert work(1) == 2
-        (span,) = tracer.spans
-        assert span.name == "work"
-        assert span.cat == "test"
-        assert work.__name__ == "work"
-
-    def test_traced_is_free_when_disabled(self):
-        tracer = Tracer(NullSink())
-
-        @tracer.traced()
-        def work():
-            return 42
-
-        assert work() == 42
-
-
 class TestExport:
     def test_chrome_export_shape(self):
         tracer = make_tracer()
         with tracer.span("hvc", "hypercall", tid=2, call="share"):
             pass
         tracer.instant("mark", "lock")
-        doc = tracer.to_chrome()
+        doc = chrome_trace(tracer.spans)
         events = doc["traceEvents"]
         assert len(events) == 2
         complete = next(e for e in events if e["ph"] == "X")
@@ -202,7 +178,7 @@ class TestCorrelation:
         with tracer.span("outer"):
             with tracer.span("inner", call="share"):
                 pass
-        doc = tracer.to_chrome()
+        doc = chrome_trace(tracer.spans)
         inner = next(e for e in doc["traceEvents"] if e["name"] == "inner")
         outer = next(e for e in doc["traceEvents"] if e["name"] == "outer")
         assert inner["args"]["call"] == "share"
@@ -281,7 +257,8 @@ class TestBounds:
             tracer.instant(f"e{i}")
         assert len(tracer.spans) == 2
         assert tracer.sink.dropped == 3
-        assert tracer.to_chrome()["otherData"]["dropped_events"] == 3
+        doc = chrome_trace(tracer.spans, dropped=tracer.sink.dropped)
+        assert doc["otherData"]["dropped_events"] == 3
 
     def test_clear_resets(self):
         tracer = make_tracer(max_events=1)
