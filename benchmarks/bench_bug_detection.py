@@ -7,44 +7,52 @@ host-pagefault path (4), and the linear-map/IO overlap on large-memory
 devices (5). Paper §5 additionally injects synthetic bugs to confirm the
 testing's discriminating power.
 
-This bench regenerates the full detection matrix: every bug re-injected
+This bench reads both off the differential matrix: every bug re-injected
 at its original site, exercised by its exposing scenario, and caught —
 while the identical scenario is clean on the fixed hypervisor.
 """
 
 import pytest
 
+from repro.analysis.differential import (
+    detections,
+    differential_ok,
+    format_matrix,
+    run_matrix,
+)
 from repro.pkvm.bugs import Bugs
-from repro.testing.synthetic import format_matrix, run_detection_matrix
 from benchmarks.conftest import report
 
 
 @pytest.mark.benchmark(group="bugs")
 def bench_detection_matrix(benchmark):
-    results = benchmark.pedantic(run_detection_matrix, rounds=1, iterations=1)
-    assert all(r.discriminated for r in results)
+    rows = benchmark.pedantic(run_matrix, rounds=1, iterations=1)
+    assert differential_ok(rows), format_matrix(rows)
 
 
 def bench_bug_detection_report(benchmark):
-    results = benchmark.pedantic(run_detection_matrix, rounds=1, iterations=1)
-    paper = [r for r in results if r.kind == "paper"]
-    synth = [r for r in results if r.kind == "synthetic"]
+    rows = benchmark.pedantic(run_matrix, rounds=1, iterations=1)
+    verdicts = detections(rows)
+    paper = [verdicts[bug] for bug in Bugs.paper_bug_names()]
+    synth = [verdicts[bug] for bug in Bugs.synthetic_bug_names()]
     print()
-    print(format_matrix(results))
+    print(format_matrix(rows))
     report(
         "E8",
         "5 real pKVM bugs found (memcache alignment, memcache overflow, "
         "vcpu load/init race, host-pagefault fragility, linear-map overlap)",
-        f"{sum(r.detected_when_buggy for r in paper)}/5 paper bugs detected "
-        f"when injected; all 5 scenarios clean on the fixed hypervisor",
+        f"{sum(injected != 'clean' for injected, _ in paper)}/5 paper bugs "
+        f"detected when injected; "
+        f"{sum(fixed == 'clean' for _, fixed in paper)}/5 scenarios clean on "
+        f"the fixed hypervisor",
     )
     report(
         "E9",
         "synthetic bugs injected to confirm discriminating power; all found",
-        f"{sum(r.detected_when_buggy for r in synth)}/{len(synth)} synthetic "
-        f"bugs detected; {sum(r.clean_when_fixed for r in synth)}/{len(synth)} "
-        f"clean when fixed",
+        f"{sum(injected != 'clean' for injected, _ in synth)}/{len(synth)} "
+        f"synthetic bugs detected; "
+        f"{sum(fixed == 'clean' for _, fixed in synth)}/{len(synth)} clean "
+        f"when fixed",
     )
     assert len(paper) == 5
-    assert all(r.discriminated for r in results)
-    assert set(r.bug for r in paper) == set(Bugs.paper_bug_names())
+    assert differential_ok(rows), format_matrix(rows)

@@ -19,11 +19,17 @@ claims measured here:
   NullSink run, and the samples it collects attribute the oracle hot
   path to named spans.
 
+Each bar is judged on the median of :data:`ROUNDS` interleaved rounds,
+each a NullSink pass, the measured pass and a second NullSink pass: a
+single ~0.4 s pass on a shared host swings by more than the bars.
+
 Results land in ``BENCH_obs.json`` (repo root); CI uploads it as an
 artifact, and EXPERIMENTS.md row E14 quotes it.
 """
 
+import gc
 import json
+import statistics
 import time
 from pathlib import Path
 
@@ -45,6 +51,9 @@ DISABLED_NOISE_BAR = 1.05
 PROFILER_OVERHEAD_BAR = 1.05
 PROFILE_HZ = 100
 
+#: Interleaved rounds behind each bar's median.
+ROUNDS = 15
+
 
 def _merge_results(update: dict) -> None:
     data = {}
@@ -60,6 +69,7 @@ def _merge_results(update: dict) -> None:
 def _run_suite(obs_factory) -> float:
     """One checked handwritten-suite pass; a fresh bundle per run so a
     recording sink never accumulates across measurements."""
+    gc.collect()  # no pass pays for collecting the previous one's garbage
     start = time.perf_counter()
     results = run_tests(ALL_TESTS, obs=obs_factory())
     elapsed = time.perf_counter() - start
@@ -67,11 +77,30 @@ def _run_suite(obs_factory) -> float:
     return elapsed
 
 
+def _interleaved(run_measured) -> tuple[list[float], list, list[float]]:
+    """:data:`ROUNDS` rounds of a NullSink pass, ``run_measured()`` and a
+    second NullSink pass, after one untimed warmup pass that pays import
+    and allocator warmup: slow phases on a shared host drift into every
+    series, not just one."""
+    _run_suite(Observability)
+    first, measured, second = [], [], []
+    for _ in range(ROUNDS):
+        first.append(_run_suite(Observability))
+        measured.append(run_measured())
+        second.append(_run_suite(Observability))
+    return first, measured, second
+
+
+def _median_ratio(times, first, second) -> float:
+    """The median over rounds of each measured pass against the mean of
+    its round's two NullSink passes."""
+    return statistics.median(
+        t / ((a + b) / 2) for t, a, b in zip(times, first, second)
+    )
+
+
 def bench_obs_overhead(benchmark, tmp_path):
     """The headline: NullSink default vs everything-on."""
-
-    def null_obs():
-        return Observability()
 
     def full_obs():
         return Observability(
@@ -80,42 +109,29 @@ def bench_obs_overhead(benchmark, tmp_path):
             flight_dir=tmp_path,
         )
 
-    def measure():
-        # One untimed warmup pass: the very first suite run pays import
-        # and allocator warmup that would otherwise inflate base_a and
-        # read as instrumentation noise.  The measured runs interleave
-        # NullSink and enabled passes so slow background phases on a
-        # shared box drift into both series, not just one.
-        _run_suite(null_obs)
-        null_times: list[float] = []
-        full_times: list[float] = []
-        for _ in range(3):
-            null_times.append(_run_suite(null_obs))
-            full_times.append(_run_suite(full_obs))
-            null_times.append(_run_suite(null_obs))
-        return min(null_times[0::2]), min(full_times), min(null_times[1::2])
-
-    base_a, enabled, base_b = benchmark.pedantic(
-        measure, rounds=1, iterations=1
+    first, enabled, second = benchmark.pedantic(
+        lambda: _interleaved(lambda: _run_suite(full_obs)), rounds=1, iterations=1
     )
-    baseline = min(base_a, base_b)
-    enabled_ratio = enabled / baseline if baseline else float("inf")
-    disabled_spread = max(base_a, base_b) / baseline if baseline else 1.0
+    baseline = statistics.median(first + second)
+    enabled_ratio = _median_ratio(enabled, first, second)
+    drift = statistics.median(b / a for a, b in zip(first, second))
+    disabled_spread = max(drift, 1 / drift)
 
     report(
         "E14",
         "observability must be free when off and a bounded tax when on "
         f"(bars: disabled <= {DISABLED_NOISE_BAR:.2f}x noise, "
         f"enabled <= {ENABLED_OVERHEAD_BAR:.2f}x)",
-        f"checked suite: {baseline:.2f}s NullSink baseline, "
-        f"{enabled:.2f}s with tracing+metrics+flight "
-        f"({(enabled_ratio - 1) * 100:+.1f}%), NullSink run-to-run "
-        f"spread {(disabled_spread - 1) * 100:+.1f}%",
+        f"checked suite, medians of {ROUNDS} rounds: {baseline:.2f}s "
+        f"NullSink baseline, {statistics.median(enabled):.2f}s with "
+        f"tracing+metrics+flight ({(enabled_ratio - 1) * 100:+.1f}%), "
+        f"NullSink run-to-run spread {(disabled_spread - 1) * 100:+.1f}%",
     )
     _merge_results(
         {
+            "rounds": ROUNDS,
             "suite_seconds_obs_off": round(baseline, 4),
-            "suite_seconds_obs_on": round(enabled, 4),
+            "suite_seconds_obs_on": round(statistics.median(enabled), 4),
             "enabled_overhead_ratio": round(enabled_ratio, 4),
             "disabled_noise_ratio": round(disabled_spread, 4),
             "suite_tests": len(ALL_TESTS),
@@ -137,12 +153,10 @@ def bench_obs_profiler_overhead(benchmark):
     (the evidence the interpreter-fast-path work starts from)."""
     from repro.obs.profile import IDLE, NO_SPAN
 
-    def null_obs():
-        return Observability()
-
     def profiled_run():
         # Deployment mode: profiler on, tracing off — attribution rides
         # on open-span tracking over a NullSink.
+        gc.collect()  # as in _run_suite
         obs = Observability(profile_hz=PROFILE_HZ)
         obs.profiler.start()
         try:
@@ -154,22 +168,13 @@ def bench_obs_profiler_overhead(benchmark):
         assert all(r.ok for r in results)
         return elapsed, obs.profiler
 
-    def measure():
-        # Interleaved baseline/profiled passes, as in bench_obs_overhead.
-        _run_suite(null_obs)  # untimed warmup
-        base_times: list[float] = []
-        prof_runs = []
-        for _ in range(3):
-            base_times.append(_run_suite(null_obs))
-            prof_runs.append(profiled_run())
-        base_times.append(_run_suite(null_obs))
-        profiled, profiler = min(prof_runs, key=lambda r: r[0])
-        return min(base_times), profiled, profiler
-
-    baseline, profiled, profiler = benchmark.pedantic(
-        measure, rounds=1, iterations=1
+    first, runs, second = benchmark.pedantic(
+        lambda: _interleaved(profiled_run), rounds=1, iterations=1
     )
-    ratio = profiled / baseline if baseline else float("inf")
+    baseline = statistics.median(first + second)
+    times = [elapsed for elapsed, _profiler in runs]
+    ratio = _median_ratio(times, first, second)
+    profiled, profiler = sorted(runs, key=lambda run: run[0])[ROUNDS // 2]
     attribution = profiler.attribution()
     hot_buckets = {
         bucket: count
@@ -186,8 +191,8 @@ def bench_obs_profiler_overhead(benchmark):
         f"the {PROFILE_HZ} Hz sampling profiler must cost <= "
         f"{(PROFILER_OVERHEAD_BAR - 1) * 100:.0f}% and attribute the "
         "oracle hot path to named spans",
-        f"checked suite: {baseline:.2f}s baseline, {profiled:.2f}s "
-        f"profiled ({(ratio - 1) * 100:+.1f}%); "
+        f"checked suite, medians of {ROUNDS} rounds: {baseline:.2f}s "
+        f"baseline, {profiled:.2f}s profiled ({(ratio - 1) * 100:+.1f}%); "
         f"{profiler.total} samples, "
         f"{attribution['attributed_fraction'] * 100:.0f}% of oracle-phase "
         f"samples span-attributed; hot buckets: {table or 'none'}",

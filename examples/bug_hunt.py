@@ -5,13 +5,14 @@ Each bug is re-injected at its original site (the fixed checks are
 guarded by bug flags), its exposing scenario is run, and the oracle — or,
 for the two concurrency bugs, the crash it provokes under the
 deterministic scheduler — catches it. The same scenarios run clean on the
-fixed hypervisor.
+fixed hypervisor. Every verdict is a row of the differential matrix
+(``python -m repro.analysis --differential`` prints them all).
 
 Run:  python examples/bug_hunt.py
 """
 
+from repro.analysis.differential import detections, differential_ok, run_matrix
 from repro.pkvm.bugs import Bugs
-from repro.testing.synthetic import SCENARIOS, _run_scenario
 
 PAPER_BUG_STORIES = {
     "memcache_alignment": (
@@ -39,26 +40,25 @@ PAPER_BUG_STORIES = {
 
 
 def main() -> None:
+    rows = run_matrix()
+    verdicts = detections(rows)
     print("Re-finding the paper's five pKVM bugs (§6)\n" + "=" * 60)
-    all_found = True
     for bug in Bugs.paper_bug_names():
         print(f"\n{PAPER_BUG_STORIES[bug]}")
-        detected, how = _run_scenario(bug, bug)
-        clean, _ = _run_scenario(None, bug)
-        verdict = "FOUND" if detected else "missed"
-        print(f"  injected : {verdict} via {how}")
-        print(f"  fixed    : {'clean' if not clean else 'still flagged (!)'}")
-        all_found &= detected and not clean
+        injected, fixed = verdicts[bug]
+        found = "FOUND" if injected != "clean" else "missed"
+        print(f"  injected : {found} via {injected}")
+        print(f"  fixed    : {'clean' if fixed == 'clean' else 'still flagged (!)'}")
 
     print("\n" + "=" * 60)
-    synth = [n for n, (k, _s, _o) in SCENARIOS.items() if k == "synthetic"]
+    synth = Bugs.synthetic_bug_names()
     print(f"Synthetic discrimination check ({len(synth)} injected bugs):")
     for bug in synth:
-        detected, how = _run_scenario(bug, bug)
-        print(f"  {bug:<28} {'FOUND' if detected else 'missed':<7} ({how})")
-        all_found &= detected
+        injected, _fixed = verdicts[bug]
+        found = "FOUND" if injected != "clean" else "missed"
+        print(f"  {bug:<28} {found:<7} ({injected})")
 
-    print("\nall bugs discriminated:", all_found)
+    print("\nall bugs discriminated:", differential_ok(rows))
 
 
 if __name__ == "__main__":

@@ -649,8 +649,8 @@ def _check_refinement_files(
 # ---------------------------------------------------------------------------
 
 
-#: Handler -> the synthetic bug whose detection scenario
-#: (:data:`repro.testing.synthetic.SCENARIOS`) drives the handler's success
+#: Handler -> the synthetic bug whose detection scenario (its entry in
+#: :data:`repro.analysis.differential.MATRIX`) drives the handler's success
 #: *and* error paths: the designed workload that exposes its seeded bug.
 _TRACE_SCENARIOS = {
     "do_share_hyp": "synth_share_skip_check",
@@ -679,9 +679,9 @@ def concretize_findings(
     static pass analysed, and ``meta["refinement"]`` records which rules
     it witnesses.
     """
+    from repro.analysis.differential import MATRIX
     from repro.machine import Machine
     from repro.testing.proxy import HypProxy
-    from repro.testing.synthetic import SCENARIOS
     from repro.testing.trace import Trace
 
     assume = tuple(sorted(frozenset(assume_bugs)))
@@ -700,10 +700,9 @@ def concretize_findings(
                 }
             },
         )
-        _kind, scenario, _opts = SCENARIOS[_TRACE_SCENARIOS[function]]
         machine = Machine(
             nr_cpus=trace.nr_cpus, dram_size=trace.dram_size, ghost=False
         )
-        scenario(HypProxy(machine, trace))
+        MATRIX[_TRACE_SCENARIOS[function]].test.body(HypProxy(machine, trace))
         traces.append(trace)
     return traces

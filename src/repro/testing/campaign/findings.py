@@ -17,15 +17,10 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field, fields
 
-from repro.arch.exceptions import HostCrash, HypervisorPanic
 from repro.ghost.checker import SpecViolation
 from repro.pkvm.defs import HypercallId
+from repro.testing.harness import FINDING_EXCEPTIONS
 from repro.testing.trace import Trace
-
-#: The exceptions every campaign, replay and differential site treats as
-#: findings (§5: spec disagreements, hypervisor panics, and host crashes
-#: the model failed to predict); anything else propagates.
-FINDING_EXCEPTIONS = (SpecViolation, HypervisorPanic, HostCrash)
 
 _HEX = re.compile(r"0x[0-9a-fA-F]+")
 _BRACKET_INDEX = re.compile(r"\[[^\]]*\]")

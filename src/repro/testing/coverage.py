@@ -3,8 +3,8 @@
 The paper could not use the kernel's GCOV at EL2 and had to re-engineer
 instrumentation hooks and move coverage data across address spaces (§5).
 Our analogue: the standard Python tracing tools (``coverage.py``) are not
-in this offline environment, so this module implements line, branch (arc),
-and function coverage directly on ``sys.settrace``, scoped to chosen
+in this offline environment, so this module implements line and function
+coverage directly on ``sys.settrace``, scoped to chosen
 packages — by default the hypervisor implementation and the ghost
 specification, the two coverage targets §5 reports (100% of the reachable
 share-handler call graph; 92% of spec functions).
@@ -122,7 +122,6 @@ class ModuleCoverage:
     lines_hit: set[int] = field(default_factory=set)
     functions_total: set[str] = field(default_factory=set)
     functions_hit: set[str] = field(default_factory=set)
-    arcs_hit: set[tuple[int, int]] = field(default_factory=set)
     #: Lines unreachable on the fixed hypervisor (bug arms, panics).
     unreachable: set[int] = field(default_factory=set)
 
@@ -133,19 +132,12 @@ class ModuleCoverage:
         hit = len(self.lines_hit & self.lines_total)
         return 100.0 * hit / len(self.lines_total)
 
-    @property
-    def function_percent(self) -> float:
-        if not self.functions_total:
-            return 100.0
-        hit = len(self.functions_hit & self.functions_total)
-        return 100.0 * hit / len(self.functions_total)
-
     def missed_lines(self) -> list[int]:
         return sorted(self.lines_total - self.lines_hit)
 
 
 class CoverageTracker:
-    """Line/arc/function coverage for modules under chosen path fragments.
+    """Line and function coverage for modules under chosen path fragments.
 
     Usage::
 
@@ -157,7 +149,6 @@ class CoverageTracker:
     def __init__(self, path_fragments: list[str] | None = None):
         self.path_fragments = path_fragments or ["repro/pkvm", "repro/ghost"]
         self.modules: dict[str, ModuleCoverage] = {}
-        self._last_line: dict[int, int] = {}
         self._prev_trace = None
 
     # -- scoping ------------------------------------------------------------
@@ -191,17 +182,9 @@ class CoverageTracker:
             return None  # do not trace into this frame's lines
         module = self._module(filename)
         if event == "call":
-            name = frame.f_code.co_qualname
-            module.functions_hit.add(name)
-            self._last_line[id(frame)] = frame.f_lineno
+            module.functions_hit.add(frame.f_code.co_qualname)
         elif event == "line":
             module.lines_hit.add(frame.f_lineno)
-            prev = self._last_line.get(id(frame))
-            if prev is not None and prev != frame.f_lineno:
-                module.arcs_hit.add((prev, frame.f_lineno))
-            self._last_line[id(frame)] = frame.f_lineno
-        elif event == "return":
-            self._last_line.pop(id(frame), None)
         return self._trace
 
     def __enter__(self) -> "CoverageTracker":

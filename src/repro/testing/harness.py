@@ -1,9 +1,10 @@
 """Machine construction and a small test runner.
 
-The handwritten suite and the synthetic-bug harness both need the same
-loop: boot a machine, run a test body against a proxy, classify what
-happened (passed / spec violation / hypervisor panic / host crash), and
-carry timing for the overhead measurements.
+The handwritten suite and the bug-detection scenarios of the
+differential matrix (``repro.analysis.differential``) share one loop,
+:func:`run_one`: boot a machine, run a test body against a proxy,
+classify what happened (passed / spec violation / hypervisor panic /
+host crash), and carry timing for the overhead measurements.
 """
 
 from __future__ import annotations
@@ -32,6 +33,26 @@ class TestOutcome(enum.Enum):
     ERROR = "error"              # unexpected infrastructure error
 
 
+#: Finding class -> its outcome. The outcome's value names the verdict,
+#: suffixed with the violation kind for a spec violation.
+FINDING_OUTCOMES = {
+    SpecViolation: TestOutcome.SPEC_VIOLATION,
+    HypervisorPanic: TestOutcome.HYP_PANIC,
+    HostCrash: TestOutcome.HOST_CRASH,
+}
+
+#: The exceptions every campaign, replay and differential site treats as
+#: findings (§5: spec disagreements, hypervisor panics, and host crashes
+#: the model failed to predict).
+FINDING_EXCEPTIONS = tuple(FINDING_OUTCOMES)
+
+
+def _verdict(outcome: TestOutcome, kind: str) -> str:
+    if outcome is TestOutcome.PASSED:
+        return "clean"
+    return f"{outcome.value}:{kind}" if kind else outcome.value
+
+
 @dataclass
 class TestResult:
     __test__ = False  # not a pytest class, despite the name
@@ -40,10 +61,18 @@ class TestResult:
     outcome: TestOutcome
     seconds: float
     detail: str = ""
+    #: The violation kind of a spec-violation outcome.
+    kind: str = ""
 
     @property
     def ok(self) -> bool:
         return self.outcome is TestOutcome.PASSED
+
+    @property
+    def verdict(self) -> str:
+        """``clean``, ``hyp-panic``, ``host-crash``,
+        ``spec-violation:<kind>``, ``failed`` or ``error``."""
+        return _verdict(self.outcome, self.kind)
 
 
 @dataclass
@@ -56,8 +85,35 @@ class TestCase:
     body: Callable[[HypProxy], None]
     #: "ok" (error-free path), "error" (error path), "concurrent".
     category: str = "ok"
-    #: Machine keyword overrides (e.g. more CPUs for concurrent tests).
+    #: Machine keyword overrides (e.g. more CPUs for concurrent tests,
+    #: or ``ghost=False`` for a scenario judged without the oracle).
     machine_kwargs: dict = field(default_factory=dict)
+
+
+def _classify(run: Callable[[], Machine]) -> tuple[TestOutcome, str, str]:
+    """(outcome, violation kind, detail) of ``run``, which builds a
+    machine, drives it and returns it."""
+    try:
+        machine = run()
+    except FINDING_EXCEPTIONS as exc:
+        return FINDING_OUTCOMES[type(exc)], getattr(exc, "kind", ""), str(exc)
+    except AssertionError as exc:
+        return TestOutcome.FAILED, "", str(exc)
+    except Exception as exc:  # noqa: BLE001 - classified for the report
+        return TestOutcome.ERROR, "", f"{type(exc).__name__}: {exc}"
+    # A fail-fast checker raises; a collecting one needs a final look.
+    violations = machine.checker.violations if machine.checker is not None else []
+    if violations:
+        detail = "; ".join(str(v) for v in violations[:3])
+        return TestOutcome.SPEC_VIOLATION, violations[0].kind, detail
+    return TestOutcome.PASSED, "", ""
+
+
+def oracle_verdict(run: Callable[[], Machine]) -> str:
+    """The verdict on ``run``, which builds its own machine (a trace's
+    ``replay``), drives it and returns it."""
+    outcome, kind, _detail = _classify(run)
+    return _verdict(outcome, kind)
 
 
 def run_one(
@@ -75,48 +131,18 @@ def run_one(
     metrics accumulate, while spans/flight events interleave with a
     per-machine pid staying constant (the bundle owns the track ids).
     """
-    started = time.perf_counter()
-    try:
-        machine = Machine(
-            ghost=ghost,
-            bugs=bugs,
-            oracle_cache=oracle_cache,
-            paranoid=paranoid,
-            obs=obs,
-            **test.machine_kwargs,
-        )
-        proxy = HypProxy(machine)
-        test.body(proxy)
-    except SpecViolation as exc:
-        return _result(test, TestOutcome.SPEC_VIOLATION, started, str(exc))
-    except HypervisorPanic as exc:
-        return _result(test, TestOutcome.HYP_PANIC, started, str(exc))
-    except HostCrash as exc:
-        return _result(test, TestOutcome.HOST_CRASH, started, str(exc))
-    except AssertionError as exc:
-        return _result(test, TestOutcome.FAILED, started, str(exc))
-    except Exception as exc:  # noqa: BLE001 - classified for the report
-        return _result(test, TestOutcome.ERROR, started, f"{type(exc).__name__}: {exc}")
-    # A fail-fast checker raises; a collecting one needs a final look.
-    if ghost and machine.checker is not None and machine.checker.violations:
-        return _result(
-            test,
-            TestOutcome.SPEC_VIOLATION,
-            started,
-            "; ".join(str(v) for v in machine.checker.violations[:3]),
-        )
-    return _result(test, TestOutcome.PASSED, started)
-
-
-def _result(
-    test: TestCase, outcome: TestOutcome, started: float, detail: str = ""
-) -> TestResult:
-    return TestResult(
-        name=test.name,
-        outcome=outcome,
-        seconds=time.perf_counter() - started,
-        detail=detail,
+    options = dict(
+        ghost=ghost, bugs=bugs, oracle_cache=oracle_cache, paranoid=paranoid, obs=obs
     )
+
+    def run() -> Machine:
+        machine = Machine(**{**options, **test.machine_kwargs})
+        test.body(HypProxy(machine))
+        return machine
+
+    started = time.perf_counter()
+    outcome, kind, detail = _classify(run)
+    return TestResult(test.name, outcome, time.perf_counter() - started, detail, kind)
 
 
 def run_tests(

@@ -134,13 +134,6 @@ class TestCoverageTooling:
         module = next(iter(cov.report().values()))
         assert "MemProtect.do_share_hyp" in module.functions_hit
 
-    def test_arcs_recorded(self):
-        with CoverageTracker(["repro/pkvm/mem_protect"]) as cov:
-            machine = Machine(ghost=False)
-            machine.host.hvc(0xC600_0001, machine.host.alloc_page() >> 12)
-        module = next(iter(cov.report().values()))
-        assert module.arcs_hit
-
     def test_format_table(self):
         with CoverageTracker(["repro/pkvm/spinlock"]) as cov:
             Machine(ghost=False)

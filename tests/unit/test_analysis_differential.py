@@ -1,12 +1,16 @@
 """Tests for the differential matrix (repro.analysis.differential): the
-static passes vs. the dynamic oracle, one row per synthetic bug and
-check. The whole matrix, oracle replays included, runs here too."""
+static passes vs. the dynamic oracle, one row per registry bug and
+check. The whole matrix, oracle replays included, runs once per test
+run (the ``matrix_rows`` fixture) for these tests and E8/E9's."""
+
+from dataclasses import fields
 
 import pytest
 
 from repro.analysis import differential
 from repro.analysis.differential import (
     CLEAN,
+    FIXED,
     IOMMU_BUG,
     MATRIX,
     POST_MISMATCH,
@@ -18,12 +22,11 @@ from repro.analysis.differential import (
     refinement_differential_ok,
     run_differential,
     run_iommu_differential,
-    run_matrix,
     run_refinement_differential,
 )
 from repro.pkvm.bugs import Bugs
 
-PATH_SHAPED = [bug for bug, stance in MATRIX.items() if not stance.dynamic_only]
+PATH_SHAPED = [bug for bug, entry in MATRIX.items() if not entry.dynamic_only]
 
 
 def row(**overrides):
@@ -41,22 +44,22 @@ def row(**overrides):
 class TestWholeMatrix:
     """Every row, with the oracle replays: the contract CI gates on."""
 
-    @pytest.fixture(scope="class")
-    def rows(self):
-        return run_matrix()
+    @pytest.fixture
+    def rows(self, matrix_rows):
+        return matrix_rows
 
     def test_every_row_agrees(self, rows):
         assert differential_ok(rows), format_matrix(rows)
         assert [(r.bug, r.check) for r in rows] == plan()
 
     def test_path_shaped_rows_confirm_as_post_mismatch(self, rows):
-        replayed = [r for r in rows if r.bug in PATH_SHAPED]
+        replayed = [r for r in rows if r.bug in PATH_SHAPED and r.check != FIXED]
         assert len(replayed) == 12
         for r in replayed:
             assert [got for _want, got in r.replays] == [POST_MISMATCH], r
 
     def test_iommu_bug_confirms_under_the_oracle_and_bare(self, rows):
-        (r,) = [r for r in rows if r.bug == IOMMU_BUG]
+        (r,) = [r for r in rows if r.bug == IOMMU_BUG and r.check != FIXED]
         assert [got for _want, got in r.replays] == [POST_MISMATCH, "hyp-panic"]
 
     def test_formatter_prints_one_fixed_width_line_per_row(self, rows):
@@ -83,23 +86,30 @@ class TestStaticSide:
             assert MATRIX[bug].ownership in results[bug].rules, bug
 
     def test_registry_coverage_is_complete(self):
-        """Every synthetic bug in the registry has an entry: a designed
-        rule for some pass, or a written dynamic-only reason (never
-        both) — a new synth_* flag must take a stance."""
-        assert set(MATRIX) == set(Bugs.synthetic_bug_names())
-        for bug, stance in MATRIX.items():
-            assert stance.checks, bug
-            rules = stance.ownership or stance.refinement
-            assert bool(rules) != bool(stance.dynamic_only.strip()), bug
+        """The one table is total over the registry: every ``Bugs``
+        field has exactly one entry (keyword arguments cannot list one
+        twice) with a designed rule for some pass, or a written
+        dynamic-only reason (never both) — a new flag must take a
+        stance."""
+        assert list(MATRIX) == [f.name for f in fields(Bugs)]
+        for bug, entry in MATRIX.items():
+            assert entry.checks, bug
+            rules = entry.ownership or entry.refinement
+            assert bool(rules) != bool(entry.dynamic_only.strip()), bug
+
+    def test_a_flag_without_an_entry_fails(self, monkeypatch):
+        monkeypatch.delitem(MATRIX, "synth_unshare_leak")
+        with pytest.raises(KeyError, match="synth_unshare_leak"):
+            plan()
 
     def test_iommu_bug_is_documented_dynamic_only(self):
         """The jetson-pkvm refcount/init-ordering bug is a missing data
         write, invisible to the transition-focused static passes — its
         stance must be an explicit dynamic-only entry with a rationale,
         confirmed by the real panic on a bare machine."""
-        stance = MATRIX[IOMMU_BUG]
-        assert "init" in stance.dynamic_only
-        assert stance.bare == "hyp-panic"
+        entry = MATRIX[IOMMU_BUG]
+        assert "init" in entry.dynamic_only
+        assert entry.bare == "hyp-panic"
 
     def test_formatting_marks_agreement(self):
         text = format_matrix(run_differential(dynamic=False))
