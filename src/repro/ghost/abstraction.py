@@ -53,14 +53,18 @@ class Memo(dict):
     A dict of :class:`_MemoEntry` records keyed by ``(table_pa, level,
     va_partial)``, owned by :class:`repro.ghost.cache.AbstractionCache`.
     ``decodes`` is the metrics counter each traversal charges its
-    descriptor decodes to, once per traversal.
+    descriptor decodes to, once per traversal. ``changed`` is what the
+    last traversal through this memo re-decoded: the input-address
+    ``(va, end)`` spans outside which its mapping equals the one the
+    traversal before it returned, or None when it walked the tree afresh.
     """
 
-    __slots__ = ("decodes",)
+    __slots__ = ("decodes", "changed")
 
     def __init__(self, decodes: Counter | None = None):
         super().__init__()
         self.decodes = decodes
+        self.changed: list[tuple[int, int]] | None = None
 
 
 class _MemoEntry:
@@ -93,9 +97,10 @@ class _MemoEntry:
 class _Walk:
     """What every table visit of one traversal shares: the inputs, the
     tables on the current path (a table reached again is a cycle), the
-    journal lookups already made, and the descriptors decoded so far."""
+    journal lookups already made, the descriptors decoded so far, and
+    the input-address spans re-decoded so far."""
 
-    __slots__ = ("mem", "stage", "memo", "path", "dirty", "decodes")
+    __slots__ = ("mem", "stage", "memo", "path", "dirty", "decodes", "changed")
 
     def __init__(self, mem: PhysicalMemory, stage: Stage, memo: dict | None):
         self.mem = mem
@@ -105,6 +110,7 @@ class _Walk:
         #: epoch -> pages written since, shared by every subtree check.
         self.dirty: dict[int, frozenset[int]] = {}
         self.decodes = 0
+        self.changed: list[tuple[int, int]] = []
 
 
 def interpret_pgtable(
@@ -120,15 +126,19 @@ def interpret_pgtable(
     only the first word of each run of entries that coalesce. With
     ``memo=None`` this is the paper's plain Fig. 2 full traversal,
     decoding every entry: the reference that paranoid mode checks the
-    incremental traversal against.
+    incremental traversal against. A memoised traversal leaves the spans
+    it re-decoded in ``memo.changed``.
     """
     walk = _Walk(mem, stage, memo)
+    fresh = memo is None or (root, START_LEVEL, 0) not in memo
     try:
         maplets, phys = _interpret_table(walk, root, START_LEVEL, 0)
     finally:
         decodes = getattr(walk.memo, "decodes", None)
         if decodes is not None:
             decodes.inc(walk.decodes)
+    if memo is not None:
+        memo.changed = None if fresh else walk.changed
     return AbstractPgtable(Mapping(list(maplets)), phys)
 
 
@@ -371,7 +381,9 @@ def _rescan_table(
     :meth:`Mapping.splice`: O(log n + k) for a segment of n maplets and
     a run of k. So in the common case, where the page itself is
     untouched and only a descendant moved, a rescan costs one splice per
-    dirty child and no decodes at all.
+    dirty child and no decodes at all. Each re-decoded stretch, and each
+    child walked afresh (one with no memo entry), is a span in
+    ``walk.changed``; a child rescanned in place adds its own.
     """
     words = walk.mem.page_words_view(table_pa >> PAGE_SHIFT)
     memo = walk.memo
@@ -397,11 +409,14 @@ def _rescan_table(
             run, child_phys = _interpret_table(walk, child_pa, level + 1, va)
             _add_footprint(phys, child_phys)
             end = va + entry_size
+            if child is None:
+                walk.changed.append((va, end))
         else:
             run = _decode_runs(
                 walk, words, lo, hi, table_pa, level, va_partial, phys, children
             )
             end = va_partial + hi * entry_size
+            walk.changed.append((va, end))
         if seg is None:
             seg = Mapping(list(entry.maplets))
         seg.splice(va, end, run)
@@ -440,18 +455,25 @@ def host_view(pgt: AbstractPgtable, loose: bool = True) -> GhostHost:
     becomes a visible state change the specification cannot predict —
     demonstrating why the paper's host abstraction must be loose.
     """
-    annot = Mapping()
-    shared = Mapping()
+    # Both lists keep the table's own maplets. Two maplets that meet in
+    # either list met in the table too (nothing fits between them), and
+    # the table's mapping is maximally coalesced, so neither list needs
+    # re-coalescing, and an unchanged maplet stays the same object.
+    annot = []
+    shared = []
     for maplet in pgt.mapping:
         if maplet.target.kind == "annotated":
-            annot.extend_coalesce(maplet.va, maplet.nr_pages, maplet.target)
+            annot.append(maplet)
         elif not loose or maplet.target.page_state in (
             PageState.SHARED_OWNED,
             PageState.SHARED_BORROWED,
         ):
-            shared.extend_coalesce(maplet.va, maplet.nr_pages, maplet.target)
+            shared.append(maplet)
     return GhostHost(
-        present=True, annot=annot, shared=shared, footprint=pgt.footprint
+        present=True,
+        annot=Mapping(annot),
+        shared=Mapping(shared),
+        footprint=pgt.footprint,
     )
 
 

@@ -18,6 +18,7 @@ approximates the read set.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import Callable
 
@@ -50,6 +51,10 @@ class _Entry:
     #: self-validating (each carries its own epoch and word snapshot), so
     #: the traversal word-diffs stale ones forward instead of rescanning.
     memo: Memo
+    #: How ``value`` came to be, newest first: ``(weak reference to a
+    #: value this entry held, the spans its walk re-decoded)``, the spans
+    #: None where that walk started afresh. See :meth:`AbstractionCache.changes`.
+    history: tuple = ()
 
 
 class AbstractionCache:
@@ -78,6 +83,8 @@ class AbstractionCache:
     #: Memo entries per tree beyond which we start over (each entry keeps
     #: a 512-word snapshot; a tree this big means pathological churn).
     MEMO_CAP = 4096
+    #: Recomputes per entry whose re-decoded spans :meth:`changes` keeps.
+    HISTORY = 16
 
     def __init__(
         self,
@@ -128,6 +135,7 @@ class AbstractionCache:
             return value
         epoch = self.mem.epoch
         memo = Memo(self._decodes)
+        history = ()
         entry = self._entries.get(key)
         if entry is not None:
             if entry.root != root:
@@ -159,6 +167,7 @@ class AbstractionCache:
                         dirty_pages=len(dirty & entry.pfns),
                     )
                 memo = entry.memo
+                history = entry.history[: self.HISTORY - 1]
                 del self._entries[key]
         self._misses.inc()
         if len(memo) > self.MEMO_CAP:
@@ -174,6 +183,8 @@ class AbstractionCache:
             memo.clear()
             raise
         frozen = value.freeze() if hasattr(value, "freeze") else value
+        if memo.changed is None:
+            history = ()
         entry = _Entry(
             root=root,
             epoch=epoch,
@@ -181,6 +192,7 @@ class AbstractionCache:
             value=frozen,
             footprint=footprint,
             memo=memo,
+            history=((weakref.ref(frozen), memo.changed), *history),
         )
         if self.paranoid:
             self._paranoid_check(key, entry, stage, view)
@@ -188,6 +200,32 @@ class AbstractionCache:
         self._entries_gauge.set(len(self._entries))
         self._maybe_trim()
         return frozen
+
+    def changes(self, key: str, old, new) -> list[tuple[int, int]] | None:
+        """Input-address ``(va, end)`` spans outside which ``old`` and
+        ``new``, two values recorded under ``key`` (``old`` the earlier),
+        map every page alike: the spans the walks between them re-decoded.
+
+        None when the cache cannot tell: ``new`` and ``old`` are not both
+        among the entry's last :attr:`HISTORY` values, or a walk between
+        them started afresh (the first one, a root change, a cleared
+        memo). O(history) for however many pages the tables hold.
+        """
+        entry = self._entries.get(key)
+        if entry is None:
+            return None
+        spans = None
+        for ref, delta in entry.history:
+            value = ref()
+            if spans is not None and value is old:
+                return spans
+            if value is new:
+                spans = []
+            if spans is not None:
+                if delta is None:
+                    return None
+                spans.extend(delta)
+        return None
 
     def footprint_of(self, key: str) -> frozenset[int] | None:
         """The cached footprint (physical table-page addresses) for a key."""

@@ -38,9 +38,10 @@ from repro.ghost.abstraction import (
 )
 from repro.arch.defs import Stage
 from repro.ghost.arena import arena
-from repro.ghost.cache import AbstractionCache
+from repro.ghost.cache import AbstractionCache, ParanoidMismatchError
 from repro.ghost.calldata import GhostCallData
 from repro.ghost.diff import diff_components
+from repro.ghost.isolation import IsolationSweep
 from repro.ghost.spec import SpecAccessError, compute_post_trap, spec_name_for
 from repro.ghost.state import (
     GhostIommu,
@@ -174,6 +175,8 @@ class GhostChecker:
         # changed (by identity) since the last clean sweep, the sweep
         # would recompute the same verdict and can be skipped.
         self._isolation_clean = False
+        #: The sweep's state between sweeps (what it last checked clean).
+        self._isolation = IsolationSweep()
         #: UART-backed report printer (attached with the machine's UART).
         self.console = None
         #: Optional export hook: called with a :class:`FrameObservation`
@@ -553,172 +556,40 @@ class GhostChecker:
                     )
 
     def _check_isolation(self) -> None:
-        """The §3.1 memory-isolation property over the committed state:
-        "a partition of physical memory pages, where each partition has a
-        single owner ... but might also be shared with another entity".
+        """The §3.1 memory-isolation property over the committed state
+        (the six pairings are listed in :mod:`repro.ghost.isolation`).
 
-        Concretely, pairings between components must be consistent:
-
-        - a page the host has shared-and-owns is borrowed by pKVM (and
-          vice versa);
-        - a page the host borrows is shared-and-owned by some guest;
-        - a page annotated away to pKVM is mapped (owned) at its hyp VA;
-        - a page annotated to a guest is in that guest's stage 2 (owned)
-          or awaiting reclaim after its VM's teardown;
-        - the host's annotation and sharing domains are disjoint;
-        - every page a DMA domain's shadow stage 2 can reach is borrowed
-          (SHARED_BORROWED) from a host page that is shared-and-owned and
-          not annotated away — no device reaches a page the host donated.
+        Incremental: after a clean sweep, only the dirty windows, the
+        pages where a sweep input moved, are re-checked. The full sweep
+        runs on the first sweep, after a sweep that reported (so a
+        standing violation is reported again) and with the abstraction
+        cache off (the reference path). Paranoid mode also runs the full
+        sweep after every incremental one and fails loudly
+        (:class:`ParanoidMismatchError`) if their verdicts differ.
         """
-        from repro.arch.defs import PAGE_SIZE
-        from repro.arch.pte import PageState
-        from repro.pkvm.defs import OwnerId
-
         self._m_isolation_runs.inc()
-        host = self.committed.get("host")
-        pkvm = self.committed.get("pkvm")
-        vms = self.committed.get("vms")
-        if host is None or pkvm is None or vms is None:
-            return
-        hyp_map = pkvm.pgt.mapping
         offset = self.globals_.hyp_va_offset
-
-        if host.annot.domain_overlaps(host.shared):
-            self._report(
-                "isolation",
-                "a page is both annotated away from the host and in a "
-                "host sharing relation",
-                component="host",
-            )
-
-        # Index guest physical pages: owner id -> {phys: state}.
-        guest_phys: dict[int, dict[int, PageState]] = {}
-        for vm in vms.vms.values():
-            pgt = self.committed.get(vm_pgt_key(vm.handle))
-            if pgt is None:
-                continue
-            owner = int(OwnerId.GUEST) + vm.index
-            pages = guest_phys.setdefault(owner, {})
-            for maplet in pgt.mapping:
-                if maplet.target.kind != "mapped":
-                    continue
-                for i in range(maplet.nr_pages):
-                    pages[maplet.target.oa + i * PAGE_SIZE] = (
-                        maplet.target.page_state
-                    )
-
-        # Index DMA-reachable pages and check the DMA-isolation invariant:
-        # every page a device can translate to must be borrowed from a
-        # host page that is still shared-and-owned (never donated away).
-        iommu = self.committed.get("iommu")
-        dma_borrowed: set[int] = set()
-        if iommu is not None:
-            for domain_id, domain in iommu.domains.items():
-                for maplet in domain.pgt.mapping:
-                    if maplet.target.kind != "mapped":
-                        continue
-                    for i in range(maplet.nr_pages):
-                        phys = maplet.target.oa + i * PAGE_SIZE
-                        if (
-                            maplet.target.page_state
-                            is PageState.SHARED_BORROWED
-                        ):
-                            dma_borrowed.add(phys)
-                        host_side = host.shared.lookup(phys)
-                        lent = (
-                            maplet.target.page_state
-                            is PageState.SHARED_BORROWED
-                            and host_side is not None
-                            and host_side.page_state
-                            is PageState.SHARED_OWNED
-                            and host.annot.lookup(phys) is None
-                        )
-                        if not lent:
-                            self._report(
-                                "isolation",
-                                f"device in iommu domain {domain_id} can "
-                                f"DMA to {phys:#x}, which the host does "
-                                "not share-and-own",
-                                component="iommu",
-                            )
-
-        for maplet in host.shared:
-            for i in range(maplet.nr_pages):
-                phys = maplet.va + i * PAGE_SIZE
-                state = maplet.target.page_state
-                if state is PageState.SHARED_OWNED:
-                    # someone must be borrowing it: pKVM (share_hyp) or a
-                    # non-protected guest (share_guest) — or the borrower
-                    # was just torn down and withdrawal is pending.
-                    hyp_side = hyp_map.lookup(phys + offset)
-                    hyp_borrows = (
-                        hyp_side is not None
-                        and hyp_side.page_state is PageState.SHARED_BORROWED
-                    )
-                    guest_borrows = any(
-                        pages.get(phys) is PageState.SHARED_BORROWED
-                        for pages in guest_phys.values()
-                    )
-                    pending = phys in vms.reclaimable
-                    iommu_borrows = phys in dma_borrowed
-                    if not (
-                        hyp_borrows or guest_borrows or iommu_borrows or pending
-                    ):
-                        self._report(
-                            "isolation",
-                            f"host shares {phys:#x} but no one borrows it",
-                            component="host",
-                        )
-                elif state is PageState.SHARED_BORROWED:
-                    lender = any(
-                        pages.get(phys) is PageState.SHARED_OWNED
-                        for pages in guest_phys.values()
-                    )
-                    if not lender and phys not in vms.reclaimable:
-                        self._report(
-                            "isolation",
-                            f"host borrows {phys:#x} but no guest "
-                            "shares it",
-                            component="host",
-                        )
-
-        for maplet in host.annot:
-            owner = maplet.target.owner_id
-            if owner == int(OwnerId.HYP):
-                # Range-wise: the whole annotated run must be mapped OWNED
-                # at its hyp VA (one query per overlapping hyp maplet, not
-                # one per page — the carveout alone is thousands of pages).
-                covered = 0
-                for _va, run_nr, target in hyp_map.runs_in(
-                    maplet.va + offset, maplet.nr_pages
-                ):
-                    if (
-                        target.kind == "mapped"
-                        and target.page_state is PageState.OWNED
-                    ):
-                        covered += run_nr
-                if covered != maplet.nr_pages:
-                    self._report(
-                        "isolation",
-                        f"pages annotated to pKVM at {maplet.va:#x} "
-                        f"(+{maplet.nr_pages}p) are not all owned in its "
-                        "stage 1",
-                        component="pkvm",
-                    )
-                continue
-            if owner >= int(OwnerId.GUEST):
-                for i in range(maplet.nr_pages):
-                    phys = maplet.va + i * PAGE_SIZE
-                    owned = guest_phys.get(owner, {}).get(phys)
-                    reclaimable = phys in vms.reclaimable
-                    if owned is not PageState.OWNED and not reclaimable:
-                        self._report(
-                            "isolation",
-                            f"{phys:#x} is annotated to guest owner "
-                            f"{owner} but not in that guest's stage 2 "
-                            "(and not awaiting reclaim)",
-                            component="vms",
-                        )
+        # With the cache off every sweep is a machine's first: full.
+        sweep = self._isolation if self.cache.enabled else IsolationSweep()
+        found, windows = sweep.run(self.committed, offset, self.cache.changes)
+        if windows is not None and self.cache.paranoid:
+            full, _ = IsolationSweep().run(self.committed, offset)
+            if full != found:
+                flight = self.obs.flight
+                flight.record(
+                    "paranoid-mismatch", component="isolation", what="sweep"
+                )
+                flight.dump(
+                    "paranoid-mismatch",
+                    extra={"component": "isolation", "what": "sweep"},
+                )
+                raise ParanoidMismatchError(
+                    f"incremental isolation sweep over {len(windows)} "
+                    "window(s) disagrees with the full sweep.\n"
+                    f"incremental: {found!r}\nfull:        {full!r}"
+                )
+        for kind, detail, component in found:
+            self._report(kind, detail, component=component)
 
     # -- reporting --------------------------------------------------------
 

@@ -238,9 +238,7 @@ class Mapping:
         cross-component invariant checks use instead of per-page lookups.
         """
         end = va + nr_pages * PAGE_SIZE
-        for maplet in self._maplets[self._first_ending_after(va):]:
-            if maplet.va >= end:
-                break
+        for maplet in self.maplets_in(va, end):
             run_start = max(va, maplet.va)
             run_end = min(end, maplet.end)
             yield (
@@ -248,6 +246,13 @@ class Mapping:
                 (run_end - run_start) // PAGE_SIZE,
                 maplet.target_at(run_start),
             )
+
+    def maplets_in(self, va: int, end: int) -> list[Maplet]:
+        """The maplets overlapping ``[va, end)``, whole (not clipped to
+        the range): O(log n) plus a slice of the overlapping ones."""
+        maplets = self._maplets
+        lo = self._first_ending_after(va)
+        return maplets[lo : bisect_left(maplets, end, lo, key=_START)]
 
     def _find(self, va: int) -> int | None:
         idx = self._first_ending_after(va)
@@ -419,6 +424,29 @@ def extend_run(run: list[Maplet], maplets: Sequence[Maplet]) -> None:
         run.extend(maplets[1:])
     else:
         run.extend(maplets)
+
+
+def changed_spans(a: Mapping, b: Mapping) -> list[tuple[int, int]]:
+    """The ascending, merged ``[va, end)`` spans on which ``a`` and ``b``
+    map some page differently (or only one of them maps it).
+
+    Range-wise: the maplet edges of both cut the address space into
+    pieces that each mapping covers wholly or not at all, so one lookup
+    per piece and side decides the whole piece. O((n + m) log n); the
+    isolation sweep's fallback when the abstraction cache cannot say
+    what moved.
+    """
+    if a == b:
+        return []
+    cuts = sorted({e for m in (*a, *b) for e in (m.va, m.end)})
+    spans: list[tuple[int, int]] = []
+    for lo, hi in zip(cuts, cuts[1:]):
+        if a.lookup(lo) != b.lookup(lo):
+            if spans and spans[-1][1] == lo:
+                spans[-1] = (spans[-1][0], hi)
+            else:
+                spans.append((lo, hi))
+    return spans
 
 
 def _page_difference(a: Mapping, b: Mapping) -> list[Maplet]:

@@ -48,6 +48,7 @@ CATEGORIES: dict[str, list[str]] = {
     "spec: abstraction recording": [
         "ghost/abstraction.py",
         "ghost/checker.py",
+        "ghost/isolation.py",
         "ghost/cache.py",
     ],
     "spec: abstract data types": ["ghost/maplets.py", "ghost/state.py"],

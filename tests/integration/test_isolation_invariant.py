@@ -9,6 +9,8 @@ import pytest
 
 from repro.arch.defs import PAGE_SIZE, Perms
 from repro.arch.pte import PageState
+from repro.ghost.cache import ParanoidMismatchError
+from repro.ghost.isolation import IsolationSweep
 from repro.machine import Machine
 from repro.pkvm.defs import HypercallId
 from repro.pkvm.mem_protect import hyp_va
@@ -39,16 +41,21 @@ def poke(machine):
     machine.host.hvc(HypercallId.HOST_SHARE_HYP, page >> 12)
 
 
+def share_with_no_borrower(machine):
+    """Corrupt: the host stage 2 shares a page no one borrows."""
+    page = machine.host.alloc_page()
+    map_range(
+        machine.pkvm.mp.host_mmu,
+        page,
+        PAGE_SIZE,
+        page,
+        MapAttrs(Perms.rwx(), page_state=PageState.SHARED_OWNED),
+    )
+
+
 class TestIsolationTrips:
     def test_share_with_no_borrower(self, machine):
-        page = machine.host.alloc_page()
-        map_range(
-            machine.pkvm.mp.host_mmu,
-            page,
-            PAGE_SIZE,
-            page,
-            MapAttrs(Perms.rwx(), page_state=PageState.SHARED_OWNED),
-        )
+        share_with_no_borrower(machine)
         poke(machine)
         assert violations_of_kind(machine, "isolation")
 
@@ -131,3 +138,38 @@ class TestIsolationHolds:
         before = sweeps(machine)
         poke(machine)
         assert sweeps(machine) == before
+
+
+class TestIncrementalSweep:
+    """After a clean sweep only the dirty windows are re-checked; the
+    full sweep runs after a sweep that reported and with the cache off."""
+
+    def test_a_standing_violation_is_reported_at_every_sweep(self, machine):
+        share_with_no_borrower(machine)
+        counts = []
+        for _ in range(4):
+            poke(machine)
+            counts.append(len(violations_of_kind(machine, "isolation")))
+        assert counts == [1, 2, 3, 4]
+
+    def test_paranoid_catches_a_window_that_misses_the_change(self, monkeypatch):
+        machine = Machine(paranoid=True)
+        machine.checker.fail_fast = False
+        poke(machine)  # the first sweep is full, and clean
+        monkeypatch.setattr(IsolationSweep, "dirty_windows", lambda self, *a: [])
+        share_with_no_borrower(machine)
+        with pytest.raises(ParanoidMismatchError, match="full sweep"):
+            poke(machine)
+
+    def test_cache_off_runs_the_full_sweep(self, monkeypatch):
+        machine = Machine(oracle_cache=False)
+        machine.checker.fail_fast = False
+        poke(machine)
+        asked = []
+        monkeypatch.setattr(
+            IsolationSweep, "dirty_windows", lambda self, *a: asked.append(a) or []
+        )
+        share_with_no_borrower(machine)
+        poke(machine)
+        assert asked == []
+        assert violations_of_kind(machine, "isolation")

@@ -36,6 +36,7 @@ from repro.arch.pte import (
     make_table_descriptor,
 )
 from repro.ghost.abstraction import AbstractionError, Memo, interpret_pgtable
+from repro.ghost.maplets import changed_spans
 
 #: Table pages are carved from DRAM upwards from here.
 TABLE_BASE = 0x4100_0000
@@ -204,3 +205,39 @@ def test_rescan_after_random_writes_matches_reference(data):
         if rescanned[0] == "error":
             # the cache drops its memo after a failed traversal
             return
+
+
+def covers(spans, changed) -> bool:
+    """Whether every ``changed`` span lies inside the union of ``spans``."""
+    merged = []
+    for lo, hi in sorted(spans):
+        if merged and lo <= merged[-1][1]:
+            merged[-1] = (merged[-1][0], max(hi, merged[-1][1]))
+        else:
+            merged.append((lo, hi))
+    return all(
+        any(lo <= c_lo and c_hi <= hi for lo, hi in merged) for c_lo, c_hi in changed
+    )
+
+
+@given(st.data())
+@SETTINGS
+def test_rescan_reports_every_changed_span(data):
+    """``memo.changed`` after a rescan covers every page whose mapping
+    moved since the traversal before it (None only for a fresh walk):
+    the spans the isolation sweep takes its dirty windows from."""
+    tables = Tables(data.draw)
+    root = tables.new_table(0, 0)
+    memo = Memo()
+    before = outcome(tables.mem, root, tables.stage, memo)
+    assert memo.changed is None
+    if before[0] == "error":
+        return
+    for _ in range(data.draw(st.integers(1, 3))):
+        for _ in range(data.draw(st.integers(1, 6))):
+            tables.mutate()
+        after = outcome(tables.mem, root, tables.stage, memo)
+        if after[0] == "error":
+            return
+        assert covers(memo.changed, changed_spans(before[1], after[1]))
+        before = after

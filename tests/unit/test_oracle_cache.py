@@ -133,6 +133,46 @@ class TestIncrementalEquivalence:
         assert value == fresh(pgt)
 
 
+class TestChanges:
+    """``changes(key, old, new)``: the input spans the walks between two
+    recorded values re-decoded, or None when the cache cannot tell."""
+
+    def test_spans_between_two_values_cover_the_edits(self, pgt):
+        cache = AbstractionCache(pgt.mem)
+        map_range(pgt, 0x1000, PAGE_SIZE, DRAM, RWX)
+        v0 = cache.record("t", pgt.root, Stage.STAGE2)
+        map_range(pgt, 0x5000, PAGE_SIZE, DRAM + PAGE_SIZE, RWX)
+        v1 = cache.record("t", pgt.root, Stage.STAGE2)
+        unmap_range(pgt, 0x1000, PAGE_SIZE)
+        v2 = cache.record("t", pgt.root, Stage.STAGE2)
+        assert cache.changes("t", v1, v2) == [(0x1000, 0x2000)]
+        assert sorted(cache.changes("t", v0, v2)) == [
+            (0x1000, 0x2000),
+            (0x5000, 0x6000),
+        ]
+        assert cache.changes("t", v0, v1) == [(0x5000, 0x6000)]
+
+    def test_none_when_it_cannot_tell(self, pgt):
+        cache = AbstractionCache(pgt.mem)
+        v0 = cache.record("t", pgt.root, Stage.STAGE2)
+        map_range(pgt, 0x1000, PAGE_SIZE, DRAM, RWX)
+        v1 = cache.record("t", pgt.root, Stage.STAGE2)
+        assert cache.changes("t", fresh(pgt), v1) is None  # never recorded
+        assert cache.changes("other", v0, v1) is None  # no such entry
+        cache.drop("t")
+        assert cache.changes("t", v0, v1) is None
+        v2 = cache.record("t", pgt.root, Stage.STAGE2)  # walked afresh
+        assert cache.changes("t", v1, v2) is None
+
+    def test_history_is_bounded(self, pgt):
+        cache = AbstractionCache(pgt.mem)
+        first = cache.record("t", pgt.root, Stage.STAGE2)
+        for n in range(cache.HISTORY):
+            map_range(pgt, (n + 1) * PAGE_SIZE, PAGE_SIZE, DRAM + n * PAGE_SIZE, RWX)
+            last = cache.record("t", pgt.root, Stage.STAGE2)
+        assert cache.changes("t", first, last) is None
+
+
 class TestErrorPaths:
     def test_abstraction_error_does_not_poison_the_cache(self, pgt):
         from repro.arch.pte import PTE_TYPE, PTE_VALID, SW_PAGE_STATE_SHIFT
