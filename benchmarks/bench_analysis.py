@@ -32,7 +32,7 @@ from repro.analysis.scenarios import DEFAULT_SCENARIO, run_lockset_scenario
 #: observed total is a few seconds; the margin absorbs slow runners.
 BUDGET_SECONDS = 60.0
 
-#: E16: refinement-pass exploration budget. The four manifest pairs
+#: E16: refinement-pass exploration budget. The six manifest pairs
 #: explore a few dozen paths today; the ceiling catches a handler
 #: refactor that multiplies the path count without yet timing out.
 REFINEMENT_PATHS_CEILING = 512

@@ -1,4 +1,4 @@
-"""E11 — campaign-engine scaling: hypercalls/hour at 1 vs N workers.
+"""E17 — campaign-engine scaling: hypercalls/hour at 1 vs N workers.
 
 The paper sustains its random tester for 24-hour campaigns (§5); the
 campaign engine exists so such budgets amortise over worker processes.
@@ -54,7 +54,7 @@ def bench_campaign_scaling_report(benchmark):
         else 0.0
     )
     report(
-        "E11",
+        "E17",
         "campaigns sustained for 24h runs (~200k hypercalls/hour in QEMU)",
         f"1 worker: {single.hypercalls_per_hour:,.0f}/hr; "
         f"{workers} workers: {multi.hypercalls_per_hour:,.0f}/hr "

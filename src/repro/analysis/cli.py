@@ -144,11 +144,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--frame-dynamic",
-        choices=("off", "suite", "full"),
+        choices=("off", "full"),
         default="full",
         help="dynamic cross-validation for the frame pass: replay the "
         "handwritten suite plus a random campaign (full, the default), "
-        "the suite only, or neither (off). Forced off by --spec-module.",
+        "or neither (off). Forced off by --spec-module.",
     )
     parser.add_argument(
         "--frame-random-steps",
@@ -156,13 +156,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=200,
         metavar="N",
         help="length of the frame pass's random campaign (default: 200)",
-    )
-    parser.add_argument(
-        "--frame-seed",
-        type=int,
-        default=0,
-        metavar="SEED",
-        help="seed for the frame pass's random campaign (default: 0)",
     )
     parser.add_argument(
         "--differential",
@@ -220,11 +213,8 @@ def _pass_thunks(args) -> dict:
         ),
         "frame": lambda: run_frame_pass(
             args.spec_module,
-            dynamic=args.frame_dynamic != "off",
-            random_steps=(
-                args.frame_random_steps if args.frame_dynamic == "full" else 0
-            ),
-            seed=args.frame_seed,
+            dynamic=args.frame_dynamic == "full",
+            random_steps=args.frame_random_steps,
         ),
         "bitfields": lambda: check_pte_codec(args.pte_module),
         "ownership": lambda: check_ownership(args.pkvm_root, args.spec_module),

@@ -796,18 +796,13 @@ def run_frame_pass(
     *,
     dynamic: bool = True,
     random_steps: int = 200,
-    seed: int = 0,
 ) -> list[Finding]:
     """The full pass: static inference + (on the real tree) the dynamic
-    cross-validation and the cache-equivalence replay. ``--spec-module``
-    targets skip the dynamic half — an unmerged spec file has no machine
-    to replay."""
+    cross-validation and the cache-equivalence replay, whose random
+    campaign keeps seed 0. ``--spec-module`` targets skip the dynamic
+    half — an unmerged spec file has no machine to replay."""
     findings = check_frames(source_path)
     if dynamic and source_path is None:
-        findings.extend(
-            cross_validate_frames(random_steps=random_steps, seed=seed)
-        )
-        findings.extend(
-            check_cache_equivalence(random_steps=random_steps, seed=seed)
-        )
+        findings.extend(cross_validate_frames(random_steps=random_steps))
+        findings.extend(check_cache_equivalence(random_steps=random_steps))
     return findings

@@ -75,7 +75,8 @@ def check_file(path: Path) -> list[Finding]:
             continue
         interp = _LockRules(module.path, fn, class_name)
         interp.run()
-        findings.extend(interp.findings)
+        if not interp.bailed:
+            findings.extend(interp.findings)
     # Paths re-derive the same violation; findings are value objects, so
     # dedupe structurally.
     deduped = sorted(set(findings), key=Finding.sort_key)
@@ -98,14 +99,21 @@ class _LockRules(PathInterp):
     """The lock-discipline rules over one function's paths. Findings are
     line-granular (no column), and every bug-gate arm is live."""
 
-    analysis = "lock-discipline"
-    columns = False
-
     def __init__(self, filename: str, fn: ast.FunctionDef, class_name: str | None):
         super().__init__(filename, fn, class_name, assume=None)
+        self.findings: list[Finding] = []
 
-    def on_bail(self) -> None:
-        self.findings.clear()
+    def _report(self, rule: str, message: str, node: ast.AST) -> None:
+        self.findings.append(
+            Finding(
+                analysis="lock-discipline",
+                rule=rule,
+                message=message,
+                file=self.filename,
+                line=node.lineno,
+                function=self.fn.name,
+            )
+        )
 
     def on_lock_op(
         self, kind: str, name: str, node: ast.Call, path: PathState

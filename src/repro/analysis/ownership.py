@@ -8,9 +8,10 @@ and checks every path against the declared transition system
 :func:`~repro.analysis.astutil.read_manifest` and never imported, like
 the frame manifests). The path enumeration itself — env
 bindings, dominating checks, write effects, held locks, outcome
-classification, bug-flag resolution via ``assume_bugs`` — lives in the
-shared :mod:`repro.analysis.symexec` interpreter (also the base of the
-refinement pass); this module supplies the ownership judgement on top.
+classification, bug-flag resolution via ``assume_bugs`` — is a
+:class:`~repro.analysis.symexec.PathRecord` per function, the kind of
+record the refinement pass judges too; this module's rules are
+functions over it.
 
 Rules (SARIF ids ``ownership/<rule>``):
 
@@ -51,136 +52,136 @@ from repro.analysis.astutil import (
     read_manifest,
 )
 from repro.analysis.report import Finding
-from repro.analysis.symexec import PathInterp, PathState, pass_targets
+from repro.analysis.symexec import Exit, PathRecord, Write, pass_targets
 from repro.ghost.spec import OwnershipRule
 
 
 # ---------------------------------------------------------------------------
-# The ownership judgement over the shared interpreter
+# The ownership judgement over one function's path record
 # ---------------------------------------------------------------------------
 
 
-class _FnInterp(PathInterp):
-    """Interpret one function's paths, applying every ownership rule.
+def _judge(record: PathRecord, rules: dict[str, OwnershipRule]) -> list[Finding]:
+    """Every ownership finding in one recorded function.
 
-    Functions named in the manifest get the transition-system rules;
-    every function gets lock-coverage at op call sites, the return-code
-    write-back rule (``_hcall_*`` / ``_finish_hcall``), and the
-    unmanifested-write rule for page-table primitives outside ops.
+    A function named in the manifest gets the transition-system rules
+    on each exit; every function gets lock coverage at its op call
+    sites, the return-code write-back rule (``_hcall_*`` /
+    ``_finish_hcall``), and the unmanifested-write rule for page-table
+    primitives outside ops. A function past the path budget reports
+    nothing.
     """
+    if record.bailed:
+        return []
+    name = record.fn.name
+    findings: list[Finding] = []
 
-    analysis = "ownership"
-
-    def __init__(
-        self,
-        filename: str,
-        fn: ast.FunctionDef,
-        class_name: str | None,
-        rules: dict[str, OwnershipRule],
-        assume: frozenset,
-    ):
-        super().__init__(filename, fn, class_name, assume)
-        self.rules = rules
-        self.rule = rules.get(fn.name)
-
-    def on_bail(self) -> None:
-        self.findings.clear()
-
-    def on_unmanifested_write(
-        self, name: str, table: str, node: ast.Call
-    ) -> None:
-        self._report(
-            "unmanifested-write",
-            f"{name}() on {table!r} outside any OWNERSHIP_EDGES op "
-            f"(page-table writes belong to declared operations)",
-            node,
+    def report(rule: str, message: str, at: ast.AST | Write) -> None:
+        if isinstance(at, Write):
+            line, column = at.line, at.column
+        else:
+            line, column = at.lineno, at.col_offset + 1
+        findings.append(
+            Finding(
+                analysis="ownership",
+                rule=rule,
+                message=message,
+                file=record.filename,
+                line=line,
+                function=name,
+                column=column,
+            )
         )
 
-    def on_op_call(self, op: str, node: ast.Call, path: PathState) -> None:
-        rule = self.rules[op]
-        missing = sorted(set(rule.locks) - set(path.held))
+    for primitive, write in record.stray_writes:
+        report(
+            "unmanifested-write",
+            f"{primitive}() on {write.table!r} outside any OWNERSHIP_EDGES op "
+            f"(page-table writes belong to declared operations)",
+            write,
+        )
+    for call in record.op_calls:
+        missing = sorted(set(rules[call.op].locks) - set(call.held))
         if missing:
-            self._report(
+            report(
                 "unlocked-transition",
-                f"call to {op}() without holding declared lock(s) "
+                f"call to {call.op}() without holding declared lock(s) "
                 f"{', '.join(missing)} (held: "
-                f"{', '.join(path.held) or 'none'})",
-                node,
+                f"{', '.join(call.held) or 'none'})",
+                call.node,
             )
-
-    def on_exit(self, node: ast.AST, path: PathState, outcome: str) -> None:
-        if self.rule is not None:
-            self._check_op_path(node, path, outcome)
-        if self.fn.name.startswith("_hcall_") and not path.finished:
-            self._report(
+    rule = rules.get(name)
+    for path in record.exits:
+        if rule is not None:
+            _check_op_path(name, rule, path, report)
+        if name.startswith("_hcall_") and not path.finished:
+            report(
                 "missing-ret-write",
-                f"{self.fn.name} has a path that never reaches "
+                f"{name} has a path that never reaches "
                 "_finish_hcall (the return code is not written back)",
-                node,
+                path.node,
             )
-        if self.fn.name == "_finish_hcall" and not path.wrote_regs:
-            self._report(
+        if name == "_finish_hcall" and not path.wrote_regs:
+            report(
                 "missing-ret-write",
                 "_finish_hcall has a path that never stores the return "
                 "registers (the write-back must happen on all paths)",
-                node,
+                path.node,
             )
+    return findings
 
-    def _check_op_path(
-        self, node: ast.AST, path: PathState, outcome: str
-    ) -> None:
-        rule = self.rule
-        assert rule is not None
-        applied = [w for w in path.writes if w.happened]
-        for write in applied:
-            success = rule.success.get(write.table)
-            rollback = rule.rollback.get(write.table)
-            if success is None and rollback is None:
-                self._report(
-                    "undeclared-transition",
-                    f"{self.fn.name} writes table {write.table!r} "
-                    f"({write.effect}), which its OwnershipRule does not "
-                    "declare",
-                    write,
-                )
-                continue
-            allowed = {success}
-            if outcome == "error":
-                allowed.add(rollback)
-            allowed.discard(None)
-            if write.effect not in allowed:
-                self._report(
-                    "wrong-transition",
-                    f"{self.fn.name} applies {write.effect} to "
-                    f"{write.table}, but the declared "
-                    f"{'effects are' if len(allowed) > 1 else 'effect is'} "
-                    f"{', '.join(sorted(allowed))} "
-                    f"({outcome} path)",
-                    write,
-                )
-            needed = rule.checks.get(write.table)
-            if needed is not None and (write.table, needed) not in write.checks:
-                self._report(
-                    "unchecked-transition",
-                    f"{self.fn.name} writes {write.table} without first "
-                    f"verifying its state is {needed} (declared check "
-                    "not on this path)",
-                    write,
-                )
-        if outcome in ("success", "maybe") and rule.paired and applied:
-            touched = {w.table for w in applied}
-            paired = set(rule.paired)
-            if touched & paired and not paired <= touched:
-                missing = sorted(paired - touched)
-                anchor = applied[0]
-                self._report(
-                    "missing-paired-effect",
-                    f"{self.fn.name} has a {outcome} path touching "
-                    f"{', '.join(sorted(touched & paired))} but not "
-                    f"paired table(s) {', '.join(missing)} "
-                    "(both halves must land together)",
-                    anchor,
-                )
+
+def _check_op_path(name: str, rule: OwnershipRule, path: Exit, report) -> None:
+    """The transition-system rules on one path exit of the op ``name``."""
+    outcome = path.outcome
+    for write in path.writes:
+        success = rule.success.get(write.table)
+        rollback = rule.rollback.get(write.table)
+        if success is None and rollback is None:
+            report(
+                "undeclared-transition",
+                f"{name} writes table {write.table!r} "
+                f"({write.effect}), which its OwnershipRule does not "
+                "declare",
+                write,
+            )
+            continue
+        allowed = {success}
+        if outcome == "error":
+            allowed.add(rollback)
+        allowed.discard(None)
+        if write.effect not in allowed:
+            report(
+                "wrong-transition",
+                f"{name} applies {write.effect} to "
+                f"{write.table}, but the declared "
+                f"{'effects are' if len(allowed) > 1 else 'effect is'} "
+                f"{', '.join(sorted(allowed))} "
+                f"({outcome} path)",
+                write,
+            )
+        needed = rule.checks.get(write.table)
+        if needed is not None and (write.table, needed) not in write.checks:
+            report(
+                "unchecked-transition",
+                f"{name} writes {write.table} without first "
+                f"verifying its state is {needed} (declared check "
+                "not on this path)",
+                write,
+            )
+    if outcome in ("success", "maybe") and rule.paired and path.writes:
+        touched = {w.table for w in path.writes}
+        paired = set(rule.paired)
+        if touched & paired and not paired <= touched:
+            missing = sorted(paired - touched)
+            report(
+                "missing-paired-effect",
+                f"{name} has a {outcome} path touching "
+                f"{', '.join(sorted(touched & paired))} but not "
+                f"paired table(s) {', '.join(missing)} "
+                "(both halves must land together)",
+                path.writes[0],
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -227,9 +228,9 @@ def _check_ownership_files(
         module = load_module_ast(file_path)
         module_findings: list[Finding] = []
         for fn, class_name in iter_functions(module.tree):
-            interp = _FnInterp(module.path, fn, class_name, rules, assume)
-            interp.run()
-            module_findings.extend(interp.findings)
+            record = PathRecord(module.path, fn, class_name, assume, rules)
+            record.run()
+            module_findings.extend(_judge(record, rules))
         # Paths re-derive the same violation; findings are value objects,
         # so dedupe structurally before pragma filtering.
         deduped = sorted(set(module_findings), key=Finding.sort_key)

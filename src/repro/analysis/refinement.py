@@ -4,12 +4,13 @@ Every earlier pass checks a *projection* of the oracle spec (frames, PTE
 layouts, ownership transitions). This pass — number seven — checks the
 handlers against the spec itself, in the two-implementations-one-referee
 style of contract testing: bounded symbolic execution enumerates each
-hypercall handler's paths (the shared :mod:`repro.analysis.symexec`
-interpreter, with PTE words modelled in its bitvector domain), and each
-path's symbolic post-state is compared against a statically-extracted
-summary of the ``compute_post`` function the :data:`REFINEMENT_SPECS`
-manifest in ``repro.ghost.spec`` pairs it with. The manifest is parsed
-from the AST and never imported, like the frame and ownership manifests.
+hypercall handler's paths into a
+:class:`~repro.analysis.symexec.PathRecord` (the ownership pass judges
+the same kind of record), and each path's symbolic post-state is compared
+against a statically-extracted summary of the ``compute_post`` function
+the :data:`REFINEMENT_SPECS` manifest in ``repro.ghost.spec`` pairs it
+with. The manifest is parsed from the AST and never imported, like the
+frame and ownership manifests.
 
 Three summaries are compared per pair:
 
@@ -29,11 +30,7 @@ Three summaries are compared per pair:
   ``post-mismatch``.
 
 A handler whose path count exceeds the symbolic budget reports
-``symbolic-timeout`` instead of analysing imprecisely. The pass also
-anchors its own soundness: for every ``PageState`` the concrete codec's
-``make_page_descriptor`` word must :func:`symbolic_decode
-<repro.analysis.symexec.symbolic_decode>` back to the same state
-(``post-mismatch`` on the codec module when it does not).
+``symbolic-timeout`` instead of analysing imprecisely.
 
 Findings are *concretized* by :func:`concretize_findings`: each flagged
 handler's path condition is solved to a concrete hypercall
@@ -60,12 +57,9 @@ from repro.analysis.astutil import (
 from repro.analysis.report import Finding
 from repro.analysis.symexec import (
     WRITE_CALLS,
-    BitVec,
-    PathInterp,
-    PathState,
+    PathRecord,
     pass_targets,
     resolve_condition,
-    symbolic_decode,
 )
 
 #: The "any value" return label: a pass-through of an unmodelled callee.
@@ -249,7 +243,7 @@ class _ReturnLabeler:
 
 
 # ---------------------------------------------------------------------------
-# Spec-side post-state extraction
+# Post-state extraction
 # ---------------------------------------------------------------------------
 
 
@@ -299,47 +293,6 @@ def _spec_writes_regs(fn: ast.FunctionDef) -> bool:
                 if isinstance(target, ast.Attribute) and target.attr == "regs":
                     return True
     return False
-
-
-# ---------------------------------------------------------------------------
-# Handler-side symbolic execution
-# ---------------------------------------------------------------------------
-
-
-class _RefinementInterp(PathInterp):
-    """Enumerate one handler's paths, collecting exits for refinement.
-
-    Unlike the ownership pass there is no per-op manifest: every function
-    under analysis records its write effects (``rule`` is a sentinel so
-    the shared interpreter treats all writes as manifested here — the
-    ownership pass owns the unmanifested-write judgement)."""
-
-    analysis = "refinement"
-
-    def __init__(self, filename, fn, class_name, assume):
-        super().__init__(filename, fn, class_name, assume)
-        self.rule = True  # sentinel: record writes; no op manifest
-        #: (outcome, applied writes, wrote_regs, exit node)
-        self.exits: list[tuple] = []
-        self.timed_out = False
-
-    def on_bail(self) -> None:
-        self.timed_out = True
-        self.exits.clear()
-
-    def on_exit(self, node: ast.AST, path: PathState, outcome: str) -> None:
-        applied = tuple(w for w in path.writes if w.happened)
-        self.exits.append((outcome, applied, path.wrote_regs, node))
-
-
-def _handler_effects(writes) -> frozenset[tuple[str, str, str | None]]:
-    """Translate a path's page-table writes into ghost mutations."""
-    out: set[tuple[str, str, str | None]] = set()
-    for write in writes:
-        ghost = GHOST_OF.get((write.table, write.effect))
-        if ghost is not None:
-            out.add(ghost)
-    return frozenset(out)
 
 
 # ---------------------------------------------------------------------------
@@ -408,10 +361,9 @@ def _check_pair(
                 )
 
     # 2. Symbolic execution of the handler's paths.
-    interp = _RefinementInterp(module_path, handler, class_name, assume)
-    interp.run()
-    stats["paths_explored"] += len(interp.exits)
-    if interp.timed_out:
+    record = PathRecord(module_path, handler, class_name, assume)
+    record.run()
+    if record.bailed:
         stats["timeouts"] += 1
         findings.append(
             _finding(
@@ -425,14 +377,23 @@ def _check_pair(
             )
         )
         return findings
+    stats["paths_explored"] += len(record.exits)
+    return findings + _post_findings(record, spec_fn)
 
-    # 3. Success-path ghost effects vs. the spec's post-state.
+
+def _post_findings(record: PathRecord, spec_fn: ast.FunctionDef) -> list[Finding]:
+    """The handler's recorded exits against the spec's post-state: the
+    ghost effects of each success path, and the return-register
+    write-back on every path when the spec stores the registers."""
+    handler = record.fn
+    findings: list[Finding] = []
     spec_effects = _spec_effects(spec_fn)
-    for outcome, writes, _wrote_regs, node in interp.exits:
-        if outcome != "success":
+    for path in record.exits:
+        if path.outcome != "success":
             continue
-        got = _handler_effects(writes)
-        for path_, op, label in sorted(
+        # The path's page-table writes, as ghost mutations.
+        got = {GHOST_OF.get((w.table, w.effect)) for w in path.writes} - {None}
+        for ghost_path, op, label in sorted(
             spec_effects - got, key=lambda e: (e[0], e[1], e[2] or "")
         ):
             what = f"{op}({label})" if label else f"{op}()"
@@ -440,87 +401,47 @@ def _check_pair(
                 _finding(
                     "post-mismatch",
                     f"a success path of {handler.name} never applies the "
-                    f"declared g_post.{path_}.{what} (spec effect missing "
+                    f"declared g_post.{ghost_path}.{what} (spec effect missing "
                     "from the code)",
-                    module_path,
-                    getattr(node, "lineno", handler.lineno),
+                    record.filename,
+                    path.node.lineno,
                     handler.name,
                 )
             )
         extra = got - spec_effects
-        if extra:
-            for write in writes:
-                ghost = GHOST_OF.get((write.table, write.effect))
-                if ghost in extra:
-                    path_, op, label = ghost
-                    what = f"{op}({label})" if label else f"{op}()"
-                    findings.append(
-                        _finding(
-                            "post-mismatch",
-                            f"a success path of {handler.name} applies "
-                            f"g_post.{path_}.{what} ({write.effect} on "
-                            f"{write.table}), which {spec_fn.name} does "
-                            "not declare",
-                            module_path,
-                            write.line,
-                            handler.name,
-                            write.column,
-                        )
-                    )
-
-    # 4. The return-register write-back obligation.
+        for write in path.writes:
+            ghost = GHOST_OF.get((write.table, write.effect))
+            if ghost not in extra:
+                continue
+            ghost_path, op, label = ghost
+            what = f"{op}({label})" if label else f"{op}()"
+            findings.append(
+                _finding(
+                    "post-mismatch",
+                    f"a success path of {handler.name} applies "
+                    f"g_post.{ghost_path}.{what} ({write.effect} on "
+                    f"{write.table}), which {spec_fn.name} does not "
+                    "declare",
+                    record.filename,
+                    write.line,
+                    handler.name,
+                    write.column,
+                )
+            )
     if _spec_writes_regs(spec_fn):
-        for _outcome, _writes, wrote_regs, node in interp.exits:
-            if not wrote_regs:
+        for path in record.exits:
+            if not path.wrote_regs:
                 findings.append(
                     _finding(
                         "post-mismatch",
                         f"{spec_fn.name} stores the return registers, but "
                         f"{handler.name} has a path that exits without "
                         "writing them back",
-                        module_path,
-                        getattr(node, "lineno", handler.lineno),
+                        record.filename,
+                        path.node.lineno,
                         handler.name,
                     )
                 )
-    return findings
-
-
-def _check_codec_agreement(codec=None) -> list[Finding]:
-    """Anchor the symbolic PTE domain: every ``PageState`` must survive a
-    concrete encode -> symbolic decode round-trip bit-for-bit."""
-    if codec is None:
-        from repro.analysis.bitfields import load_codec
-
-        codec = load_codec()
-    findings: list[Finding] = []
-    states = codec.get("PageState")
-    make_page = codec.get("make_page_descriptor")
-    perms_cls = codec.get("Perms")
-    memtype_cls = codec.get("MemType")
-    stage_cls = codec.get("Stage")
-    leaf_level = codec.get("LEAF_LEVEL", 3)
-    if None in (states, make_page, perms_cls, memtype_cls, stage_cls):
-        return findings
-    for state in states:
-        word = make_page(
-            0, stage_cls.STAGE2, perms_cls.rw(), memtype_cls.NORMAL, state
-        )
-        sym = symbolic_decode(
-            BitVec.const(word), leaf_level, stage_cls.STAGE2, codec
-        )
-        if sym.page_state != state:
-            findings.append(
-                _finding(
-                    "post-mismatch",
-                    f"symbolic decode of the concrete {state.name} page "
-                    f"descriptor yields page_state={sym.page_state!r} — "
-                    "the bitvector domain disagrees with the codec",
-                    str(codec.path),
-                    codec.line("SW_PAGE_STATE_MASK"),
-                    "symbolic_decode",
-                )
-            )
     return findings
 
 
@@ -552,10 +473,6 @@ def check_refinement(
         findings.extend(
             _check_refinement_files(files, manifest_file, assume, stats)
         )
-    if pkvm_root_path is None or not Path(pkvm_root_path).is_file():
-        # A single fixture file brings no codec; the installed one is
-        # not at issue there.
-        findings.extend(_check_codec_agreement())
     return findings
 
 

@@ -8,32 +8,25 @@ path-sensitive abstract interpreter over explicit control flow
 (if/loops/try-finally, loop bodies 0-or-1 times) that tracks page-table
 write effects, permission checks, the stack of held locks, and the
 return-code write-back, resolving ``self.bugs.<flag>`` conditions
-against an ``assume_bugs`` set. This module is that core; each pass is a
-rule set that hooks path exits, ``raise`` exits, lock operations, op
-call sites, unmanifested writes, and path-explosion bails. The global
-lock order and the lock-operation recogniser live here too, since the
-interpreter maintains the held-lock stack every rule set reads.
-
-It also hosts the **bitvector domain** the refinement pass evaluates
-PTE words in: :class:`BitVec` is a 64-bit word with per-bit knowledge
-(a three-valued 0/1/unknown per bit), and :func:`symbolic_decode`
-mirrors ``repro.arch.pte.decode_descriptor`` over it, pulling every
-mask and shift from the live codec via the bitfields pass's
-:func:`repro.analysis.bitfields.load_codec` so a fixture codec can be
-substituted. On a fully-known word the symbolic decode must agree with
-the concrete codec bit-for-bit — a hypothesis property test enforces
-exactly that at every level and stage.
+against an ``assume_bugs`` set. This module is that core,
+:class:`PathInterp`. The lock-discipline rules hook its lock operations
+and exits directly, on every gate arm. The ownership and refinement
+passes judge a :class:`PathRecord` instead: one function's paths under
+``assume``, kept as data (its exits, its calls to declared ops, its
+page-table writes outside any op), so each pass's rules are plain
+functions over such a record. The global lock order and the
+lock-operation recogniser live here too, since the interpreter
+maintains the held-lock stack every rule reads.
 """
 
 from __future__ import annotations
 
 import ast
+from collections.abc import Container
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 from repro.analysis.astutil import access_path, pkvm_root, spec_module_path
-from repro.analysis.report import Finding
-from repro.arch.defs import U64_MASK
 
 #: Page-table write primitives (repro.pkvm.pgtable) -> effect kind.
 WRITE_CALLS = {
@@ -233,229 +226,6 @@ def pass_targets(
 
 
 # ---------------------------------------------------------------------------
-# The bitvector domain (64-bit words with per-bit knowledge)
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class BitVec:
-    """A 64-bit word where each bit is 0, 1, or unknown.
-
-    ``known`` marks the bits whose value is certain; ``value`` holds
-    those bits (unknown positions are normalised to 0, so
-    ``value & ~known == 0`` always). The operations below are exact on
-    fully-known words and sound on partial ones: a result bit is known
-    only when the inputs force it (``x & 0`` is known-0 even when ``x``
-    is unknown; ``x | 1`` is known-1 likewise).
-    """
-
-    value: int
-    known: int
-
-    @staticmethod
-    def const(value: int) -> "BitVec":
-        return BitVec(value & U64_MASK, U64_MASK)
-
-    @staticmethod
-    def top() -> "BitVec":
-        """A fully-unknown word."""
-        return BitVec(0, 0)
-
-    @property
-    def is_const(self) -> bool:
-        return self.known == U64_MASK
-
-    def __and__(self, other: "BitVec") -> "BitVec":
-        known_zero = (self.known & ~self.value) | (other.known & ~other.value)
-        known_one = self.value & other.value
-        return BitVec(known_one, (known_zero | known_one) & U64_MASK)
-
-    def __or__(self, other: "BitVec") -> "BitVec":
-        known_one = self.value | other.value
-        known_zero = (self.known & ~self.value) & (other.known & ~other.value)
-        return BitVec(known_one, (known_one | known_zero) & U64_MASK)
-
-    def __invert__(self) -> "BitVec":
-        return BitVec(self.known & ~self.value & U64_MASK, self.known)
-
-    def shl(self, n: int) -> "BitVec":
-        """Logical left shift; vacated low bits become known zeros."""
-        value = (self.value << n) & U64_MASK
-        known = ((self.known << n) | ((1 << n) - 1)) & U64_MASK
-        return BitVec(value, known)
-
-    def shr(self, n: int) -> "BitVec":
-        """Logical right shift; vacated high bits become known zeros."""
-        value = self.value >> n
-        known = (self.known >> n) | (U64_MASK & ~(U64_MASK >> n))
-        return BitVec(value, known & U64_MASK)
-
-    def test(self, mask: int) -> bool | None:
-        """Three-valued ``bool(word & mask)``."""
-        mask &= U64_MASK
-        if self.value & mask:
-            return True
-        if self.known & mask == mask:
-            return False
-        return None
-
-    def extract(self, mask: int, shift: int = 0) -> int | None:
-        """The field ``(word & mask) >> shift`` when fully known."""
-        mask &= U64_MASK
-        if self.known & mask == mask:
-            return (self.value & mask) >> shift
-        return None
-
-    def eq(self, value: int) -> bool | None:
-        """Three-valued equality against a constant."""
-        value &= U64_MASK
-        if (value & self.known) != self.value:
-            return False
-        if self.is_const:
-            return True
-        return None
-
-
-@dataclass(frozen=True)
-class SymDecodedPte:
-    """:class:`repro.arch.pte.DecodedPte` over the bitvector domain.
-
-    Every field is ``None`` when the word's known bits do not determine
-    it. On a fully-known word no field may be ``None`` and each must
-    equal the concrete decode (the refinement pass's soundness anchor).
-    """
-
-    kind: object | None
-    level: int
-    oa: int | None = 0
-    perms: object | None = None
-    memtype: object | None = None
-    page_state: object | None = None
-    af: bool | None = False
-    owner_id: int | None = 0
-
-
-def symbolic_decode(word: BitVec, level: int, stage, codec=None) -> SymDecodedPte:
-    """Decode one descriptor word in the bitvector domain.
-
-    Mirrors ``repro.arch.pte.entry_kind`` / ``decode_descriptor`` using
-    the masks, shifts, and enums of the live codec module (``codec`` is
-    a :func:`repro.analysis.bitfields.load_codec` result; ``None`` loads
-    the installed ``repro.arch.pte``). A page-state field whose raw
-    value is not a ``PageState`` decodes as ``None`` — the concrete
-    codec raises there, so agreement is only claimed where the concrete
-    decode is defined.
-    """
-    if codec is None:
-        from repro.analysis.bitfields import load_codec
-
-        codec = load_codec()
-    c = codec.get
-    kinds = c("EntryKind")
-    states = c("PageState")
-    perms_cls = c("Perms")
-    memtype_cls = c("MemType")
-    leaf_level = c("LEAF_LEVEL", 3)
-    supports_block = c("level_supports_block", lambda level: level in (1, 2))
-    stage1 = getattr(c("Stage", None), "STAGE1", None)
-    # Non-leaf DecodedPte fields default exactly as the concrete dataclass
-    # does, so a fully-known word determines every symbolic field.
-    defaults = dict(
-        perms=perms_cls.none(), memtype=memtype_cls.NORMAL,
-        page_state=states(0), af=False, owner_id=0,
-    )
-
-    unknown = SymDecodedPte(
-        kind=None, level=level, oa=None, perms=None, memtype=None,
-        page_state=None, af=None, owner_id=None,
-    )
-    valid = word.test(c("PTE_VALID", 1))
-    if valid is None:
-        return unknown
-    if valid is False:
-        annotated = word.test(c("INVALID_OWNER_MASK", 0xFF << 2))
-        if annotated is None:
-            return unknown
-        if annotated:
-            owner = word.extract(
-                c("INVALID_OWNER_MASK", 0xFF << 2),
-                c("INVALID_OWNER_SHIFT", 2),
-            )
-            return SymDecodedPte(
-                kind=kinds.INVALID_ANNOTATED, level=level,
-                **{**defaults, "owner_id": owner},
-            )
-        return SymDecodedPte(kind=kinds.INVALID, level=level, **defaults)
-    typed = word.test(c("PTE_TYPE", 2))
-    if typed is None:
-        return unknown
-    if typed:
-        if level == leaf_level:
-            kind = kinds.PAGE
-        else:
-            oa = word.extract(c("OA_MASK", 0))
-            return SymDecodedPte(
-                kind=kinds.TABLE, level=level, oa=oa, **defaults
-            )
-    else:
-        if not supports_block(level):
-            return SymDecodedPte(kind=kinds.INVALID, level=level, **defaults)
-        kind = kinds.BLOCK
-
-    # A leaf: attributes, output address, software bits.
-    xn = word.test(c("PTE_XN", 1 << 54))
-    if stage is stage1:
-        rdonly = word.test(c("S1_AP_RDONLY", 1 << 7))
-        readable: bool | None = True
-        writable = None if rdonly is None else not rdonly
-        attridx = word.extract(
-            c("S1_ATTRIDX_MASK", 0), c("S1_ATTRIDX_SHIFT", 2)
-        )
-        if attridx is None:
-            memtype = None
-        elif attridx == c("S1_ATTRIDX_DEVICE", 1):
-            memtype = memtype_cls.DEVICE
-        else:
-            memtype = memtype_cls.NORMAL
-    else:
-        readable = word.test(c("S2AP_R", 1 << 6))
-        writable = word.test(c("S2AP_W", 1 << 7))
-        memattr = word.extract(
-            c("S2_MEMATTR_MASK", 0), c("S2_MEMATTR_SHIFT", 2)
-        )
-        if memattr is None:
-            memtype = None
-        elif memattr == c("S2_MEMATTR_DEVICE", 1):
-            memtype = memtype_cls.DEVICE
-        else:
-            memtype = memtype_cls.NORMAL
-    if readable is None or writable is None or xn is None:
-        perms = None
-    else:
-        perms = perms_cls(readable, writable, not xn)
-    raw_state = word.extract(
-        c("SW_PAGE_STATE_MASK", 0), c("SW_PAGE_STATE_SHIFT", 55)
-    )
-    if raw_state is None:
-        page_state = None
-    else:
-        try:
-            page_state = states(raw_state)
-        except ValueError:
-            page_state = None  # concrete decode raises here
-    oa_for_level = c("oa_mask_for_level", lambda level: 0)
-    return SymDecodedPte(
-        kind=kind,
-        level=level,
-        oa=word.extract(oa_for_level(level)),
-        perms=perms,
-        memtype=memtype,
-        page_state=page_state,
-        af=word.test(c("PTE_AF", 1 << 10)),
-    )
-
-
-# ---------------------------------------------------------------------------
 # The path interpreter
 # ---------------------------------------------------------------------------
 
@@ -503,26 +273,23 @@ class PathInterp:
 
     The base class enumerates paths and maintains the abstract state
     (env bindings, dominating checks, write effects, held locks, the
-    return-register write-back). Hook points:
+    return-register write-back). A parameter named in
+    :data:`PARAM_TABLES` or :data:`PARAM_OWNERS` enters bound to its
+    table or owner. Hook points:
 
-    - ``analysis`` — the pass name stamped on findings, and ``columns``
-      — whether findings carry a source column (0 when False);
-    - ``self.rules`` / ``self.rule`` — the op manifest (if any): calls
-      to names in ``rules`` trigger :meth:`on_op_call`, and a write in a
-      function with ``rule is None`` triggers
-      :meth:`on_unmanifested_write` instead of being recorded;
     - :meth:`on_lock_op` — called at each lock operation, before the
       held-lock stack is updated;
+    - :meth:`call` — the abstract value of a call that is not a lock
+      operation, after its arguments were evaluated;
     - :meth:`on_exit` — called once per ``return`` or fall-through path
       exit with the classified outcome (``success``/``error``/``maybe``),
       and :meth:`on_raise` once per ``raise`` exit (a panic path, which
-      asserts no outcome), both after pending ``finally`` bodies ran;
-    - :meth:`on_bail` — called when the path count exceeds
-      :data:`MAX_STATES` (the symbolic budget).
-    """
+      asserts no outcome), both after pending ``finally`` bodies ran.
 
-    analysis = "symexec"
-    columns = True
+    ``bailed`` is set when the path count exceeds :data:`MAX_STATES`
+    (the symbolic budget); the function is then not analysed, and what
+    the hooks saw before is incomplete.
+    """
 
     def __init__(
         self,
@@ -535,31 +302,23 @@ class PathInterp:
         self.fn = fn
         self.class_name = class_name
         self.assume = assume
-        self.rules: dict = {}
-        self.rule = None
-        self.findings: list[Finding] = []
         self.finally_stack: list[list[ast.stmt]] = []
         self.bailed = False
 
     def run(self) -> None:
         entry = PathState()
-        self.seed_entry(entry)
+        for arg in self.fn.args.posonlyargs + self.fn.args.args:
+            if arg.arg in PARAM_TABLES:
+                entry.env[arg.arg] = ("table", PARAM_TABLES[arg.arg])
+            elif arg.arg in PARAM_OWNERS:
+                entry.env[arg.arg] = ("owner", PARAM_OWNERS[arg.arg])
         fallthrough = self.exec_block(self.fn.body, [entry])
         if self.bailed:
-            self.on_bail()
             return
         for path in fallthrough:
             self._classify_exit(self.fn, path, value=None)
 
     # -- hooks -------------------------------------------------------------
-
-    def seed_entry(self, entry: PathState) -> None:
-        if self.rule is not None:
-            for arg in self.fn.args.posonlyargs + self.fn.args.args:
-                if arg.arg in PARAM_TABLES:
-                    entry.env[arg.arg] = ("table", PARAM_TABLES[arg.arg])
-                elif arg.arg in PARAM_OWNERS:
-                    entry.env[arg.arg] = ("owner", PARAM_OWNERS[arg.arg])
 
     def on_exit(self, node: ast.AST, path: PathState, outcome: str) -> None:
         """One non-panic path reached an exit with ``outcome``."""
@@ -571,39 +330,6 @@ class PathInterp:
         self, kind: str, name: str, node: ast.Call, path: PathState
     ) -> None:
         """``path`` is about to ``acquire``/``release`` lock ``name``."""
-
-    def on_bail(self) -> None:
-        """The function exceeded the path budget."""
-
-    def on_op_call(self, op: str, node: ast.Call, path: PathState) -> None:
-        """A declared op is invoked at ``node`` with ``path``'s locks."""
-
-    def on_unmanifested_write(
-        self, name: str, table: str, node: ast.Call
-    ) -> None:
-        """A page-table primitive ran outside any declared op."""
-
-    # -- reporting ---------------------------------------------------------
-
-    def _report(self, rule: str, message: str, node) -> None:
-        if isinstance(node, Write):
-            line, column = node.line, node.column
-        else:
-            line = getattr(node, "lineno", 0)
-            column = getattr(node, "col_offset", -1) + 1
-        if not self.columns:
-            column = 0
-        self.findings.append(
-            Finding(
-                analysis=self.analysis,
-                rule=rule,
-                message=message,
-                file=self.filename,
-                line=line,
-                function=self.fn.name,
-                column=column,
-            )
-        )
 
     # -- block/statement execution ----------------------------------------
 
@@ -812,17 +538,14 @@ class PathInterp:
             elif name not in path.held:
                 path.held = path.held + (name,)
             return None
-        name = self._call_name(node)
         arg_values = [self.eval(arg, path) for arg in node.args]
         for kw in node.keywords:
             self.eval(kw.value, path)
-        if name is None:
-            return None
-        if name in self.rules and not (
-            isinstance(node.func, ast.Name) and name == self.fn.name
-        ):
-            self.on_op_call(name, node, path)
-            return None
+        return self.call(self._call_name(node), node, arg_values, path)
+
+    def call(
+        self, name: str | None, node: ast.Call, arg_values: list, path: PathState
+    ) -> tuple | None:
         if name == "_finish_hcall":
             path.finished = True
             return None
@@ -869,12 +592,9 @@ class PathInterp:
         node: ast.Call,
         arg_values: list,
         path: PathState,
-    ) -> tuple | None:
+    ) -> tuple:
         kind = WRITE_CALLS[name]
         table = self._resolve_table(node.args[0], path) if node.args else "?"
-        if self.rule is None:
-            self.on_unmanifested_write(name, table, node)
-            return None
         if kind == "map":
             state = next(
                 (v[1] for v in arg_values if v is not None and v[0] == "attrs"),
@@ -956,3 +676,78 @@ class PathInterp:
             and target.value.attr == "regs"
         ):
             path.wrote_regs = True
+
+
+# ---------------------------------------------------------------------------
+# One function's paths, recorded for the ownership and refinement passes
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Exit:
+    """One non-panic path exit of a recorded function."""
+
+    #: the ``return`` statement, or the function itself for fall-through
+    node: ast.AST
+    #: ``success``, ``error`` or ``maybe``
+    outcome: str
+    #: the page-table writes that took effect on the path
+    writes: tuple[Write, ...]
+    #: whether the path reached ``_finish_hcall``
+    finished: bool
+    #: whether the path stored the return registers
+    wrote_regs: bool
+
+
+@dataclass(frozen=True)
+class OpCall:
+    """A call to a declared op, with the locks its path held there."""
+
+    op: str
+    node: ast.Call
+    held: tuple[str, ...]
+
+
+class PathRecord(PathInterp):
+    """One function's paths under ``assume``, kept for a pass to judge.
+
+    A call to a name in ``ops`` (the declared ops, if the pass has any)
+    is recorded as an :class:`OpCall` and not interpreted further; a
+    function's bare call to itself is not an op call. A page-table write
+    in a function outside ``ops`` is also kept in ``stray_writes`` with
+    the name of its primitive. A record that ``bailed`` after
+    :meth:`run` must not be judged.
+    """
+
+    def __init__(
+        self,
+        filename: str,
+        fn: ast.FunctionDef,
+        class_name: str | None,
+        assume: frozenset,
+        ops: Container[str] = frozenset(),
+    ):
+        super().__init__(filename, fn, class_name, assume)
+        self.ops = ops
+        self.exits: list[Exit] = []
+        self.op_calls: list[OpCall] = []
+        self.stray_writes: list[tuple[str, Write]] = []
+
+    def on_exit(self, node: ast.AST, path: PathState, outcome: str) -> None:
+        applied = tuple(write for write in path.writes if write.happened)
+        self.exits.append(
+            Exit(node, outcome, applied, path.finished, path.wrote_regs)
+        )
+
+    def call(
+        self, name: str | None, node: ast.Call, arg_values: list, path: PathState
+    ) -> tuple | None:
+        if name in self.ops and not (
+            isinstance(node.func, ast.Name) and name == self.fn.name
+        ):
+            self.op_calls.append(OpCall(name, node, path.held))
+            return None
+        value = super().call(name, node, arg_values, path)
+        if name in WRITE_CALLS and self.fn.name not in self.ops:
+            self.stray_writes.append((name, path.writes[-1]))
+        return value

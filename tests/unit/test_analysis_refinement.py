@@ -1,17 +1,23 @@
-"""Tests for the symbolic refinement pass (repro.analysis.refinement)
-and the shared bitvector domain (repro.analysis.symexec)."""
+"""Tests for the symbolic refinement pass (repro.analysis.refinement):
+the tree, the synthetic bugs, the bad fixture, the manifest, the
+concretized traces, the path budget, and the agreement of each paired
+op's declared success effect with its spec."""
 
 import textwrap
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.analysis.refinement import check_refinement, concretize_findings
-from repro.analysis.symexec import MAX_STATES, BitVec, symbolic_decode
-from repro.arch import pte
-from repro.arch.defs import LEAF_LEVEL, U64_MASK, MemType, Perms, Stage
+from repro.analysis.astutil import iter_functions, load_module_ast, read_manifest
+from repro.analysis.refinement import (
+    GHOST_OF,
+    _spec_effects,
+    check_refinement,
+    concretize_findings,
+)
+from repro.analysis.symexec import MAX_STATES
+from repro.ghost.registry import spec_module_paths
+from repro.ghost.spec import OwnershipRule
 
 FIXTURES = Path(__file__).parent.parent / "fixtures" / "analysis"
 
@@ -194,91 +200,23 @@ class TestConcretization:
         assert concretize_findings([orphan]) == []
 
 
-class TestBitVec:
-    def test_const_and_top_knownness(self):
-        assert BitVec.const(0xFF).is_const
-        assert BitVec.top().known == 0
-        assert BitVec.const(0xFF).extract(0xF0, 4) == 0xF
+class TestSuccessEffectsMatchTheirSpecs:
+    """An op that ``REFINEMENT_SPECS`` pairs with a spec states its
+    success effect twice: by hand in ``OWNERSHIP_EDGES``, for the
+    ownership pass, and as the spec's ``g_post`` calls, which the
+    refinement pass reads. The two must name the same ghost mutations."""
 
-    def test_and_with_known_zero_is_known(self):
-        x = BitVec.top()
-        anded = x & BitVec.const(0)
-        assert anded.is_const and anded.value == 0
-
-    def test_or_with_known_one_is_known(self):
-        x = BitVec.top()
-        ored = x | BitVec.const(0b101)
-        assert ored.test(0b101) is True
-        assert ored.test(0b010) is None
-
-    def test_invert_preserves_knownness(self):
-        x = BitVec(value=0b1, known=0b11)
-        inv = ~x
-        assert inv.extract(0b11) == 0b10
-        assert (~BitVec.top()).known == 0
-
-    def test_shifts_make_vacated_bits_known_zero(self):
-        x = BitVec.top()
-        assert x.shl(4).test(0xF) is False
-        assert x.shr(60).extract(U64_MASK & ~0xF) == 0
-
-    def test_eq_is_three_valued(self):
-        assert BitVec.const(5).eq(5) is True
-        assert BitVec.const(5).eq(6) is False
-        assert BitVec(value=0b1, known=0b1).eq(0b11) is None
-        assert BitVec(value=0b0, known=0b10).eq(0b11) is False
-
-
-class TestSymbolicDecodeAgreement:
-    """The refinement pass's soundness anchor: on a fully-known word the
-    symbolic decode equals the concrete codec, field for field."""
-
-    @settings(max_examples=300, deadline=None)
-    @given(
-        word=st.integers(min_value=0, max_value=U64_MASK),
-        level=st.integers(min_value=0, max_value=LEAF_LEVEL),
-        stage=st.sampled_from([Stage.STAGE1, Stage.STAGE2]),
-    )
-    def test_fully_known_words_agree_with_the_concrete_codec(
-        self, word, level, stage
-    ):
-        sym = symbolic_decode(BitVec.const(word), level, stage)
-        try:
-            concrete = pte.decode_descriptor(word, level, stage)
-        except ValueError:
-            # Raw page-state 3: the concrete decode is undefined there,
-            # so the symbolic field must be unknown, never a wrong value.
-            assert sym.page_state is None
-            return
-        assert sym.kind == concrete.kind
-        assert sym.level == concrete.level
-        assert sym.oa == concrete.oa
-        assert sym.perms == concrete.perms
-        assert sym.memtype == concrete.memtype
-        assert sym.page_state == concrete.page_state
-        assert sym.af == concrete.af
-        assert sym.owner_id == concrete.owner_id
-
-    @pytest.mark.parametrize("state", list(pte.PageState))
-    @pytest.mark.parametrize("stage", [Stage.STAGE1, Stage.STAGE2])
-    def test_every_page_state_round_trips(self, state, stage):
-        word = pte.make_page_descriptor(
-            0, stage, Perms.rw(), MemType.NORMAL, state
-        )
-        sym = symbolic_decode(BitVec.const(word), LEAF_LEVEL, stage)
-        assert sym.page_state is state
-
-    def test_partially_known_word_decays_to_unknown_not_wrong(self):
-        # Valid bit unknown: nothing about the entry can be classified.
-        sym = symbolic_decode(BitVec.top(), LEAF_LEVEL, Stage.STAGE2)
-        assert sym.kind is None and sym.page_state is None
-
-    def test_known_invalid_word_pins_every_field(self):
-        sym = symbolic_decode(BitVec.const(0), LEAF_LEVEL, Stage.STAGE2)
-        concrete = pte.decode_descriptor(0, LEAF_LEVEL, Stage.STAGE2)
-        assert sym.kind == concrete.kind == pte.EntryKind.INVALID
-        assert sym.page_state == concrete.page_state
-        assert sym.owner_id == concrete.owner_id
+    @pytest.mark.parametrize("manifest", spec_module_paths(), ids=lambda p: p.stem)
+    def test_declared_success_is_the_paired_specs_effect(self, manifest):
+        module = load_module_ast(manifest)
+        rules = read_manifest(module, "OWNERSHIP_EDGES", "ownership", OwnershipRule)[0]
+        specs = read_manifest(module, "REFINEMENT_SPECS", "refinement", str)[0]
+        spec_fns = {fn.name: fn for fn, _ in iter_functions(module.tree)}
+        paired = sorted(set(rules) & set(specs))
+        assert paired, f"{manifest.name} pairs no op with a spec"
+        for op in paired:
+            declared = {GHOST_OF.get(edge) for edge in rules[op].success.items()}
+            assert declared == _spec_effects(spec_fns[specs[op]]), op
 
 
 class TestPathBudget:
