@@ -16,7 +16,8 @@ Each helper has one home here, so the passes cannot drift apart:
   itself a finding: exclusions must be accountable.
 - **the shared AST loader** — :func:`load_module_ast` parses each source
   file once per (mtime, size) and hands the same
-  :class:`ParsedModule` to every pass. The purity, frame, lockorder,
+  :class:`ParsedModule`, which computes its pragmas and function list at
+  most once, to every pass. The purity, frame, lockorder,
   bitfields, and ownership passes all read overlapping file sets
   (``spec.py`` three times over, the ``repro.pkvm`` modules twice);
   without the cache a full ``python -m repro.analysis`` run re-parses
@@ -55,11 +56,30 @@ from repro.analysis.report import Finding
 
 @dataclass(frozen=True)
 class ParsedModule:
-    """One parsed source file, shared by every pass that reads it."""
+    """One parsed source file, shared by every pass that reads it.
+
+    Its suppression pragmas and its function list are computed on first
+    use and kept with it, so a file is tokenized and walked once however
+    many passes (or differential re-runs) read it. They live exactly as
+    long as the tree: the cache drops all three together when the file
+    changes or :func:`clear_ast_cache` runs.
+    """
 
     path: str
     source: str
     tree: ast.Module
+
+    @functools.cached_property
+    def pragmas(self) -> tuple[tuple[Pragma, ...], tuple[Finding, ...]]:
+        """:func:`scan_pragmas` of the source: the well-formed pragmas,
+        and a finding for each malformed one."""
+        pragmas, bad = scan_pragmas(self.source, self.path)
+        return tuple(pragmas), tuple(bad)
+
+    @functools.cached_property
+    def functions(self) -> tuple[tuple[ast.FunctionDef, str | None], ...]:
+        """:func:`iter_functions` of the tree, in source order."""
+        return tuple(iter_functions(self.tree))
 
 
 #: resolved path -> ((mtime_ns, size), ParsedModule)
@@ -440,25 +460,17 @@ def scan_pragmas(
     return pragmas, findings
 
 
-def apply_pragmas(
-    findings: list[Finding],
-    path: str | Path,
-    source: str | None = None,
-) -> list[Finding]:
-    """Filter ``findings`` through the suppression pragmas of one file.
+def apply_pragmas(findings: list[Finding], module: ParsedModule) -> list[Finding]:
+    """Filter ``findings`` through the suppression pragmas of ``module``.
 
-    Only findings located in ``path`` are eligible; a pragma suppresses a
-    finding when the finding's rule is named and its line is the pragma's
-    own line (trailing comment) or the line below (standalone comment).
-    Malformed pragmas are appended as ``suppression/bad-pragma`` findings.
+    Only findings located in ``module.path`` are eligible; a pragma
+    suppresses a finding when the finding's rule is named and its line is
+    the pragma's own line (trailing comment) or the line below (standalone
+    comment). Malformed pragmas are appended as ``suppression/bad-pragma``
+    findings.
     """
-    path = str(path)
-    if source is None:
-        try:
-            source = Path(path).read_text()
-        except OSError:
-            return findings
-    pragmas, bad = scan_pragmas(source, path)
+    path = module.path
+    pragmas, bad = module.pragmas
     allowed: dict[int, frozenset[str]] = {}
     for pragma in pragmas:
         target = pragma.line + 1 if pragma.standalone else pragma.line

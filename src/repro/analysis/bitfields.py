@@ -45,7 +45,7 @@ import importlib.util
 import itertools
 from pathlib import Path
 
-from repro.analysis.astutil import apply_pragmas, load_module_ast
+from repro.analysis.astutil import ParsedModule, apply_pragmas, load_module_ast
 from repro.analysis.report import Finding
 from repro.arch.defs import LEAF_LEVEL, MemType, Perms, Stage, level_shift
 
@@ -83,14 +83,11 @@ class SymbolicLayout:
 class _Codec:
     """The module under test, with line numbers for its definitions."""
 
-    def __init__(self, module, path: Path, source: str, tree: ast.Module | None = None):
+    def __init__(self, module, parsed: ParsedModule):
         self.module = module
-        self.path = path
-        self.source = source
+        self.parsed = parsed
         self.lines: dict[str, int] = {}
-        if tree is None:
-            tree = ast.parse(source)
-        for node in tree.body:
+        for node in parsed.tree.body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 self.lines[node.name] = node.lineno
             elif isinstance(node, ast.Assign):
@@ -120,8 +117,7 @@ def load_codec(module_path: str | Path | None = None) -> _Codec:
         )
         module = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(module)
-    parsed = load_module_ast(path)
-    return _Codec(module, path, parsed.source, parsed.tree)
+    return _Codec(module, load_module_ast(path))
 
 
 class _Checker:
@@ -135,7 +131,7 @@ class _Checker:
                 analysis="bitfields",
                 rule=rule,
                 message=message,
-                file=str(self.codec.path),
+                file=self.codec.parsed.path,
                 line=self.codec.line(anchor),
                 function=anchor,
             )
@@ -538,4 +534,4 @@ def check_pte_codec(module_path: str | Path | None = None) -> list[Finding]:
     checker.check_oa_masks()
     checker.check_software_bits()
     checker.check_roundtrip()
-    return apply_pragmas(checker.findings, codec.path, codec.source)
+    return apply_pragmas(checker.findings, codec.parsed)

@@ -606,7 +606,7 @@ def _check_frames_one(path: Path) -> list[Finding]:
                 )
     # A broken manifest is not suppressible: its findings bypass the
     # pragmas, as in the ownership and refinement passes.
-    return manifest_findings + apply_pragmas(findings, filename, module.source)
+    return manifest_findings + apply_pragmas(findings, module)
 
 
 # ---------------------------------------------------------------------------
@@ -673,14 +673,17 @@ def cross_validate_frames(
     with the checker's frame hook attached; every observed ghost diff and
     every ``SpecResult.touched`` claim must stay inside the declared
     write frame of the spec that ran."""
+    return _frame_escapes(
+        _collect_observations(suite=suite, random_steps=random_steps, seed=seed)
+    )
+
+
+def _frame_escapes(observations: list[tuple[str, object]]) -> list[Finding]:
+    """The frame rules of :func:`cross_validate_frames` over one replay's
+    observations."""
     from repro.ghost.registry import merged_frame_manifests
 
     FRAME_MANIFESTS = merged_frame_manifests()
-
-    observations = _collect_observations(
-        suite=suite, random_steps=random_steps, seed=seed
-    )
-
     findings: list[Finding] = []
     seen: set[tuple] = set()
 
@@ -748,12 +751,18 @@ def check_cache_equivalence(
     and demands the two :class:`~repro.ghost.checker.FrameObservation`
     streams be identical, observation for observation.
     """
-    with_cache = _collect_observations(
-        suite=suite, random_steps=random_steps, seed=seed, oracle_cache=True
+    replay = dict(suite=suite, random_steps=random_steps, seed=seed)
+    return _cache_divergences(
+        _collect_observations(**replay, oracle_cache=True),
+        _collect_observations(**replay, oracle_cache=False),
     )
-    without_cache = _collect_observations(
-        suite=suite, random_steps=random_steps, seed=seed, oracle_cache=False
-    )
+
+
+def _cache_divergences(
+    with_cache: list[tuple[str, object]], without_cache: list[tuple[str, object]]
+) -> list[Finding]:
+    """The rule of :func:`check_cache_equivalence` over the observations
+    of one replay with the oracle cache on and one with it off."""
     findings: list[Finding] = []
 
     def report(message: str, function: str = "") -> None:
@@ -799,10 +808,18 @@ def run_frame_pass(
 ) -> list[Finding]:
     """The full pass: static inference + (on the real tree) the dynamic
     cross-validation and the cache-equivalence replay, whose random
-    campaign keeps seed 0. ``--spec-module`` targets skip the dynamic
-    half — an unmerged spec file has no machine to replay."""
+    campaign keeps seed 0. Both read the same cache-on replay, so the
+    pass replays twice: once with the oracle cache, once without.
+    ``--spec-module`` targets skip the dynamic half — an unmerged spec
+    file has no machine to replay."""
     findings = check_frames(source_path)
     if dynamic and source_path is None:
-        findings.extend(cross_validate_frames(random_steps=random_steps))
-        findings.extend(check_cache_equivalence(random_steps=random_steps))
+        replay = dict(suite=True, random_steps=random_steps, seed=0)
+        cached = _collect_observations(**replay)
+        findings.extend(_frame_escapes(cached))
+        findings.extend(
+            _cache_divergences(
+                cached, _collect_observations(**replay, oracle_cache=False)
+            )
+        )
     return findings

@@ -40,7 +40,7 @@ from __future__ import annotations
 import ast
 from pathlib import Path
 
-from repro.analysis.astutil import apply_pragmas, iter_functions, load_module_ast
+from repro.analysis.astutil import apply_pragmas, load_module_ast
 from repro.analysis.report import Finding
 from repro.analysis.symexec import (
     LOCK_ORDER,
@@ -70,7 +70,7 @@ def check_lock_discipline(root: str | Path | None = None) -> list[Finding]:
 def check_file(path: Path) -> list[Finding]:
     module = load_module_ast(path)
     findings: list[Finding] = []
-    for fn, class_name in iter_functions(module.tree):
+    for fn, class_name in module.functions:
         if _is_lock_wrapper(fn, class_name):
             continue
         interp = _LockRules(module.path, fn, class_name)
@@ -80,7 +80,7 @@ def check_file(path: Path) -> list[Finding]:
     # Paths re-derive the same violation; findings are value objects, so
     # dedupe structurally.
     deduped = sorted(set(findings), key=Finding.sort_key)
-    return apply_pragmas(deduped, module.path, module.source)
+    return apply_pragmas(deduped, module)
 
 
 def _is_lock_wrapper(fn: ast.FunctionDef, class_name: str | None) -> bool:

@@ -45,12 +45,7 @@ from __future__ import annotations
 import ast
 from pathlib import Path
 
-from repro.analysis.astutil import (
-    apply_pragmas,
-    iter_functions,
-    load_module_ast,
-    read_manifest,
-)
+from repro.analysis.astutil import apply_pragmas, load_module_ast, read_manifest
 from repro.analysis.report import Finding
 from repro.analysis.symexec import Exit, PathRecord, Write, pass_targets
 from repro.ghost.spec import OwnershipRule
@@ -227,12 +222,12 @@ def _check_ownership_files(
     for file_path in files:
         module = load_module_ast(file_path)
         module_findings: list[Finding] = []
-        for fn, class_name in iter_functions(module.tree):
+        for fn, class_name in module.functions:
             record = PathRecord(module.path, fn, class_name, assume, rules)
             record.run()
             module_findings.extend(_judge(record, rules))
         # Paths re-derive the same violation; findings are value objects,
         # so dedupe structurally before pragma filtering.
         deduped = sorted(set(module_findings), key=Finding.sort_key)
-        findings.extend(apply_pragmas(deduped, module.path, module.source))
+        findings.extend(apply_pragmas(deduped, module))
     return findings

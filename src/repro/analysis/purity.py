@@ -145,9 +145,7 @@ def check_spec_purity(
         module = load_module_ast(path)
         linter = _PurityLinter(module.path, constant_allowlist)
         linter.run(module.tree)
-        findings.extend(
-            apply_pragmas(linter.findings, module.path, module.source)
-        )
+        findings.extend(apply_pragmas(linter.findings, module))
     return findings
 
 

@@ -50,7 +50,6 @@ from pathlib import Path
 from repro.analysis.astutil import (
     access_path,
     apply_pragmas,
-    iter_functions,
     load_module_ast,
     read_manifest,
 )
@@ -491,7 +490,7 @@ def _check_refinement_files(
     )
     oom_names = frozenset(oom)
     manifest_findings += oom_findings
-    spec_fns = {fn.name: fn for fn, _ in iter_functions(manifest_module.tree)}
+    spec_fns = {fn.name: fn for fn, _ in manifest_module.functions}
     spec_labeler = _ReturnLabeler(spec_fns, assume)
 
     findings: list[Finding] = []
@@ -500,7 +499,7 @@ def _check_refinement_files(
         module = load_module_ast(file_path)
         handler_fns = {
             fn.name: (fn, class_name)
-            for fn, class_name in iter_functions(module.tree)
+            for fn, class_name in module.functions
         }
         handler_labeler = _ReturnLabeler(
             {name: fn for name, (fn, _cls) in handler_fns.items()}, assume
@@ -529,7 +528,7 @@ def _check_refinement_files(
                 )
             )
         deduped = sorted(set(module_findings), key=Finding.sort_key)
-        findings.extend(apply_pragmas(deduped, module.path, module.source))
+        findings.extend(apply_pragmas(deduped, module))
 
     for handler_name in sorted(specs):
         if specs[handler_name] not in spec_fns:

@@ -451,11 +451,21 @@ def changed_spans(a: Mapping, b: Mapping) -> list[tuple[int, int]]:
 
 def _page_difference(a: Mapping, b: Mapping) -> list[Maplet]:
     """Pages of ``a`` whose target in ``b`` differs (or is absent),
-    re-coalesced into maplets."""
-    result = Mapping()
+    re-coalesced into maplets.
+
+    Range-wise, as :func:`changed_spans`: the maplet edges of ``b`` cut
+    each maplet of ``a`` into pieces on which neither side changes
+    maplet, so one lookup decides a whole piece, and the differing
+    pieces coalesce in address order with :func:`extend_run`.
+    O((n + m) log m), not one lookup per page."""
+    run: list[Maplet] = []
     for m in a:
-        for page in range(m.va, m.end, PAGE_SIZE):
-            ta = m.target_at(page)
-            if b.lookup(page) != ta:
-                result.insert(page, 1, ta)
-    return list(result)
+        cuts = {m.va, m.end}
+        for other in b.maplets_in(m.va, m.end):
+            cuts.update(e for e in (other.va, other.end) if m.va < e < m.end)
+        cuts = sorted(cuts)
+        for lo, hi in zip(cuts, cuts[1:]):
+            target = m.target_at(lo)
+            if b.lookup(lo) != target:
+                extend_run(run, (Maplet(lo, (hi - lo) // PAGE_SIZE, target),))
+    return run

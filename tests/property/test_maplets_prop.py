@@ -153,6 +153,30 @@ def test_diff_roundtrip(op_list):
     assert rebuilt == other
 
 
+def page_difference(a: Mapping, b: Mapping) -> list[Maplet]:
+    """The per-page reference for one side of :meth:`Mapping.diff`: one
+    lookup and one one-page insert per page of ``a``."""
+    result = Mapping()
+    for m in a:
+        for page in range(m.va, m.end, PAGE_SIZE):
+            target = m.target_at(page)
+            if b.lookup(page) != target:
+                result.insert(page, 1, target)
+    return list(result)
+
+
+@given(ops, ops, st.booleans())
+@settings(max_examples=200)
+def test_diff_matches_page_by_page_reference(ops_a, ops_b, related):
+    """The range-wise diff equals the per-page one, maplet for maplet.
+    ``related`` builds ``b`` by editing ``a``, so most pieces agree."""
+    a, _ = apply_ops(ops_a)
+    b, _ = apply_ops(ops_a + ops_b if related else ops_b)
+    removed, added = a.diff(b)
+    assert removed == page_difference(a, b)
+    assert added == page_difference(b, a)
+
+
 @given(PAGES, RUNS, STATES)
 @settings(max_examples=50)
 def test_insert_remove_roundtrip(va_page, nr, state):

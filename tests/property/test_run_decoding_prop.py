@@ -13,6 +13,11 @@ run into the top of the OA field and carry out of bit 47, set the RES0
 bits 20:12 of block descriptors, change owner mid-annotation, and are
 broken by non-zero invalid words, table entries and malformed
 page-state words.
+
+Both traversals read each word's meaning through one memo
+(``abstraction._meaning``). It holds only words that decode, so the
+agreement is checked with the memo cold and warm, and a malformed word
+is reported afresh wherever a traversal meets it.
 """
 
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -35,6 +40,7 @@ from repro.arch.pte import (
     make_page_descriptor,
     make_table_descriptor,
 )
+from repro.ghost import abstraction
 from repro.ghost.abstraction import AbstractionError, Memo, interpret_pgtable
 from repro.ghost.maplets import changed_spans
 
@@ -185,6 +191,52 @@ def test_run_decoding_matches_per_entry_reference(data):
     root = tables.new_table(0, 0)
     reference = outcome(tables.mem, root, tables.stage, None)
     assert outcome(tables.mem, root, tables.stage, Memo()) == reference
+
+
+@given(st.data())
+@SETTINGS
+def test_walks_agree_with_the_word_memo_cold_and_warm(data):
+    tables = Tables(data.draw)
+    root = tables.new_table(0, 0)
+
+    def reference():
+        return outcome(tables.mem, root, tables.stage, None)
+
+    def run_decoded():
+        return outcome(tables.mem, root, tables.stage, Memo())
+
+    walks = []
+    for first, second in ((reference, run_decoded), (run_decoded, reference)):
+        abstraction._meaning.cache_clear()
+        # the first walk decodes cold; the next two find every word warm
+        walks += [first(), second(), first()]
+    assert all(walk == walks[0] for walk in walks)
+
+
+def test_a_malformed_word_is_reported_where_each_walk_meets_it():
+    """The same malformed word, written at two places in turn: every
+    traversal (the reference, a fresh run decode, a rescan) raises the
+    text naming the table page and index where it met the word."""
+    stage = Stage.STAGE2
+    mem = PhysicalMemory(default_memory_map())
+    tables = [TABLE_BASE + i * PAGE_SIZE for i in range(4)]
+    for parent, child in zip(tables, tables[1:]):
+        mem.write64(parent, make_table_descriptor(child))
+    leaf_table = tables[-1]
+    good = make_page_descriptor(0x8000_0000, stage, Perms.rwx())
+    mem.write64(leaf_table, good)
+    bad = good | 0b11 << SW_PAGE_STATE_SHIFT
+    memo = Memo()
+    assert outcome(mem, tables[0], stage, memo)[0] == "ok"
+    for idx in (7, 9):
+        mem.write64(leaf_table + 8 * idx, bad)
+        where = f"malformed descriptor {bad:#x} at {leaf_table:#x}[{idx}] (level 3,"
+        for walk_memo in (None, Memo(), memo):
+            kind, text = outcome(mem, tables[0], stage, walk_memo)
+            assert kind == "error"
+            assert text.startswith(where)
+        mem.write64(leaf_table + 8 * idx, 0)
+    assert outcome(mem, tables[0], stage, memo) == outcome(mem, tables[0], stage, None)
 
 
 @given(st.data())

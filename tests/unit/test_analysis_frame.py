@@ -151,6 +151,53 @@ class TestDynamicCrossValidation:
         assert findings
         assert {f.rule for f in findings} == {"cache-divergent-observation"}
 
+    def test_the_full_pass_replays_the_cached_stream_once(self, monkeypatch):
+        """Both dynamic rules read one cache-on replay: two replays per
+        pass, the cache-on one and the cache-off reference."""
+        import repro.analysis.frame as frame
+        import repro.testing.handwritten as handwritten
+
+        monkeypatch.setattr(handwritten, "ALL_TESTS", handwritten.ALL_TESTS[:2])
+        collect = frame._collect_observations
+        caches = []
+
+        def counting(**kwargs):
+            caches.append(kwargs.get("oracle_cache", True))
+            return collect(**kwargs)
+
+        monkeypatch.setattr(frame, "_collect_observations", counting)
+        assert run_frame_pass(random_steps=20) == []
+        assert caches == [True, False]
+
+    def test_the_full_pass_reports_what_the_separate_checks_report(
+        self, monkeypatch
+    ):
+        """Sharing the cache-on replay changes no finding: a narrowed
+        manifest is caught the same way by the full pass and by the two
+        checks run on their own."""
+        import repro.ghost.spec as spec
+        import repro.testing.handwritten as handwritten
+        from repro.testing.harness import TestCase
+
+        def body(proxy):
+            proxy.share_page(proxy.alloc_page())
+
+        monkeypatch.setattr(
+            handwritten, "ALL_TESTS", [TestCase(name="share-one-page", body=body)]
+        )
+        narrowed = dict(spec.FRAME_MANIFESTS)
+        narrowed["compute_post__pkvm_host_share_hyp"] = spec.Frame(
+            reads=frozenset({"local"}), writes=frozenset({"local"})
+        )
+        monkeypatch.setattr(spec, "FRAME_MANIFESTS", narrowed)
+        dynamic = [
+            f for f in run_frame_pass(random_steps=10) if f.file == "<dynamic>"
+        ]
+        separate = cross_validate_frames(random_steps=10)
+        separate += check_cache_equivalence(random_steps=10)
+        assert dynamic
+        assert dynamic == separate
+
     def test_spec_module_target_skips_the_dynamic_half(self):
         findings = run_frame_pass(FIXTURE, dynamic=True, random_steps=10)
         assert all(f.file != "<dynamic>" for f in findings)

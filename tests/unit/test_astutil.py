@@ -2,8 +2,12 @@
 module-AST cache."""
 
 import ast
+import gc
+import os
+import weakref
 
 from repro.analysis.astutil import (
+    ParsedModule,
     Pragma,
     access_path,
     apply_pragmas,
@@ -115,6 +119,42 @@ class TestModuleAstCache:
         assert load_module_ast(a) is not load_module_ast(b)
         assert ast_cache_stats() == {"parses": 2, "hits": 0}
 
+    def test_a_cleared_module_can_be_collected(self, tmp_path):
+        """A module's pragmas and function list live on the module, so
+        once the cache lets go nothing else pins its tree."""
+        target = tmp_path / "m.py"
+        target.write_text("def f():\n    return 1  # analysis: allow[r] why\n")
+        clear_ast_cache()
+        module = load_module_ast(target)
+        assert [fn.name for fn, _cls in module.functions] == ["f"]
+        assert [p.rules for p in module.pragmas[0]] == [frozenset({"r"})]
+        tree = weakref.ref(module.tree)
+        del module
+        clear_ast_cache()
+        gc.collect()
+        assert tree() is None
+
+    def test_a_pragma_added_to_an_edited_file_takes_effect(self, tmp_path):
+        target = tmp_path / "m.py"
+        target.write_text("x = 1\n")
+        finding = Finding(
+            analysis="demo",
+            rule="noisy",
+            message="m",
+            file=str(target.resolve()),
+            line=1,
+        )
+        clear_ast_cache()
+        first = load_module_ast(target)
+        assert apply_pragmas([finding], first) == [finding]
+        assert first.functions == ()
+        target.write_text("x = 1  # analysis: allow[noisy] reviewed\ndef g(): pass\n")
+        info = target.stat()
+        os.utime(target, ns=(info.st_atime_ns, info.st_mtime_ns + 1_000_000))
+        second = load_module_ast(target)
+        assert apply_pragmas([finding], second) == []
+        assert [fn.name for fn, _cls in second.functions] == ["g"]
+
     def test_syntax_errors_propagate(self, tmp_path):
         import pytest
 
@@ -181,6 +221,10 @@ class TestScanPragmas:
         assert bad[0].column >= 1
 
 
+def parsed(source: str) -> ParsedModule:
+    return ParsedModule(path="f.py", source=source, tree=ast.parse(source))
+
+
 class TestApplyPragmas:
     def _finding(self, rule: str, line: int) -> Finding:
         return Finding(
@@ -191,19 +235,18 @@ class TestApplyPragmas:
         source = "x = 1  # analysis: allow[noisy] known-good pattern\n"
         kept = apply_pragmas(
             [self._finding("noisy", 1), self._finding("other", 1)],
-            "f.py",
-            source,
+            parsed(source),
         )
         assert [f.rule for f in kept] == ["other"]
 
     def test_standalone_suppresses_the_line_below(self):
         source = "# analysis: allow[noisy] justified\nx = 1\n"
-        kept = apply_pragmas([self._finding("noisy", 2)], "f.py", source)
+        kept = apply_pragmas([self._finding("noisy", 2)], parsed(source))
         assert kept == []
 
     def test_bad_pragma_is_appended_not_silently_dropped(self):
         source = "x = 1  # analysis: allow[noisy]\n"
-        kept = apply_pragmas([self._finding("noisy", 1)], "f.py", source)
+        kept = apply_pragmas([self._finding("noisy", 1)], parsed(source))
         assert {f.rule for f in kept} == {"noisy", "bad-pragma"}
 
     def test_other_files_untouched(self):
@@ -211,4 +254,4 @@ class TestApplyPragmas:
         other = Finding(
             analysis="demo", rule="noisy", message="m", file="g.py", line=1
         )
-        assert apply_pragmas([other], "f.py", source) == [other]
+        assert apply_pragmas([other], parsed(source)) == [other]
