@@ -69,6 +69,7 @@ class PhysicalMemory:
                 raise ValueError(f"memory map regions overlap: {a} / {b}")
         self._bases = [r.base for r in self._regions]
         self._ends = [r.end for r in self._regions]
+        self._is_dram = [r.kind is MemType.NORMAL for r in self._regions]
         self._pages: dict[int, list[int]] = {}
         #: Number of reads/writes of device memory, for fault diagnosis.
         self.device_accesses = 0
@@ -100,8 +101,8 @@ class PhysicalMemory:
 
     def is_memory(self, phys: int) -> bool:
         """True when ``phys`` lies in normal DRAM (not device, not a hole)."""
-        region = self.region_of(phys)
-        return region is not None and region.kind is MemType.NORMAL
+        i = bisect_right(self._bases, phys) - 1
+        return i >= 0 and phys < self._ends[i] and self._is_dram[i]
 
     def dram_regions(self) -> list[MemoryRegion]:
         return [r for r in self._regions if r.kind is MemType.NORMAL]
@@ -203,13 +204,30 @@ class PhysicalMemory:
         page[idx] = value
         self._record_write(pfn)
 
+    def write_page(self, pfn: int, words: list[int]) -> None:
+        """Store all 512 words of DRAM page ``pfn`` as one write: one
+        journal record and one epoch bump.
+
+        The skip rule is :meth:`write64`'s: a store that changes no word
+        (every word already equal, or an all-zero store to a page never
+        materialised) touches neither the page map nor the journal.
+        """
+        if not self.is_memory(pfn * PAGE_SIZE):
+            raise BadAddress(f"page store outside DRAM: pfn {pfn:#x}")
+        # An untouched page reads as the shared zero page, so zeroing one
+        # is an identity test, not a 512-word scan.
+        page = self._pages.get(pfn, self._EMPTY_PAGE)
+        if page is words or page == words:
+            return
+        if page is self._EMPTY_PAGE:
+            self._pages[pfn] = list(words)
+        else:
+            page[:] = words
+        self._record_write(pfn)
+
     def zero_page(self, pfn: int) -> None:
         """Zero a whole page, as pKVM does when reclaiming/donating pages."""
-        page = self._pages.get(pfn)
-        if page is None or not any(page):
-            return
-        page[:] = self._EMPTY_PAGE
-        self._record_write(pfn)
+        self.write_page(pfn, self._EMPTY_PAGE)
 
     def zero_range(self, phys: int, size: int) -> None:
         """Zero ``size`` bytes starting at ``phys``: a page at a time where

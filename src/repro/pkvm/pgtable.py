@@ -28,6 +28,8 @@ from typing import Callable
 
 from repro.arch.defs import (
     LEAF_LEVEL,
+    PAGE_SHIFT,
+    PTRS_PER_TABLE,
     START_LEVEL,
     MemType,
     Perms,
@@ -147,11 +149,14 @@ class KvmPgtable:
         shared_access(self._location, write=False)
         return self.mem.read64(table_pa + 8 * index)
 
-    def write_slot(self, table_pa: int, index: int, raw: int, old_raw: int) -> None:
+    def _check_footprint(self, table_pa: int) -> None:
         if table_pa not in self.table_pages:
             raise AssertionError(
                 f"{self.name}: write outside table footprint at {table_pa:#x}"
             )
+
+    def write_slot(self, table_pa: int, index: int, raw: int, old_raw: int) -> None:
+        self._check_footprint(table_pa)
         shared_access(self._location, write=True)
         if old_raw & 1:
             # Break-before-make: invalidate, then (conceptually) TLBI.
@@ -164,6 +169,22 @@ class KvmPgtable:
             - int(old_raw != 0)
             + int(raw != 0)
         )
+
+    def fill_table(self, table_pa: int, words: list[int]) -> None:
+        """Store all 512 entries of a fresh, all-zero table page as one
+        page write: a split's child, which no other CPU can reach until
+        its parent entry is installed.
+
+        The scheduler and race detector still see what 512
+        :meth:`write_slot` calls would show them: one shared write and
+        one ``pte:`` yield point per entry, after the store.
+        """
+        self._check_footprint(table_pa)
+        self.mem.write_page(table_pa >> PAGE_SHIFT, words)
+        self._children[table_pa] = PTRS_PER_TABLE - words.count(0)
+        for _ in range(PTRS_PER_TABLE):
+            shared_access(self._location, write=True)
+            yield_point(self._pte_tag)
 
     def adopt_table(
         self, phys: int, parent: tuple[int, int] | None = None
@@ -359,35 +380,35 @@ def _split_block(ctx: WalkContext) -> int:
     """
     block = ctx.pte
     assert block.kind is EntryKind.BLOCK
-    try:
-        child = ctx.pgt.mm_ops.alloc_table()
-    except OutOfMemory:
-        return -ENOMEM
-    ctx.pgt.adopt_table(child, parent=(ctx.table_pa, ctx.index))
     sub_level = ctx.level + 1
     sub_size = level_block_size(sub_level)
     attrs = MapAttrs(block.perms, block.memtype, block.page_state)
-    for i in range(512):
-        raw = _make_leaf(ctx.pgt.stage, sub_level, block.oa + i * sub_size, attrs)
-        ctx.pgt.write_slot(child, i, raw, 0)
-    ctx.install(make_table_descriptor(child))
-    return 0
+    first = _make_leaf(ctx.pgt.stage, sub_level, block.oa, attrs)
+    # The sub-entries differ only in their output address, whose field
+    # lies above every attribute bit and cannot carry out of bit 47
+    # inside an aligned block: entry i is the first plus i sub-entries.
+    end = first + PTRS_PER_TABLE * sub_size
+    return _split_into(ctx, list(range(first, end, sub_size)))
 
 
 def _split_annotation(ctx: WalkContext) -> int:
     """Dissolve a coarse owner annotation into a table of page-level
     annotations, preserving the ownership information for the pages not
     being changed (the annotated analogue of a block split)."""
-    owner = ctx.pte.owner_id
     assert ctx.pte.kind is EntryKind.INVALID_ANNOTATED
+    return _split_into(
+        ctx, [make_invalid_annotated(ctx.pte.owner_id)] * PTRS_PER_TABLE
+    )
+
+
+def _split_into(ctx: WalkContext, words: list[int]) -> int:
+    """Replace ``ctx``'s entry by a fresh table holding ``words``."""
     try:
         child = ctx.pgt.mm_ops.alloc_table()
     except OutOfMemory:
         return -ENOMEM
     ctx.pgt.adopt_table(child, parent=(ctx.table_pa, ctx.index))
-    raw = make_invalid_annotated(owner)
-    for i in range(512):
-        ctx.pgt.write_slot(child, i, raw, 0)
+    ctx.pgt.fill_table(child, words)
     ctx.install(make_table_descriptor(child))
     return 0
 

@@ -6,8 +6,8 @@ script, strict replay re-executes the script, and the shrinker minimises
 the script alongside the trace. These tests pin the full loop: discovery
 within budget from a pinned seed, deterministic replay of the shipped
 schedule, schedule shrinking to <=50% of the original decision count,
-checkpoint round-trips of the interleaving-window coverage, and zero
-findings on a clean tree.
+checkpoint round-trips of the interleaving-window coverage, zero
+findings on a clean tree, and the schedule lengths the yield model gives.
 """
 
 import json
@@ -15,11 +15,18 @@ import json
 import pytest
 
 from repro.obs.trace import make_trace_id
+from repro.sim.explore import run_schedule
+from repro.sim.sched import Scheduler
 from repro.testing.campaign.cli import main
 from repro.testing.campaign.engine import (
     CampaignConfig,
     CampaignEngine,
     run_campaign,
+)
+from repro.testing.campaign.concurrency import (
+    CONCURRENCY_SCENARIOS,
+    calibrate,
+    vcpu_race_trace,
 )
 from repro.testing.campaign.shrink import reproduces_schedule
 from repro.testing.campaign.worker import BatchTask, run_batch
@@ -103,6 +110,47 @@ class TestRacyTagFeedback:
         assert any("hyp_s1" in tag for tag in engine.racy_tags)
         task = engine._next_task()
         assert task.priority_tags == tuple(sorted(engine.racy_tags))
+
+
+#: Why the pins below hold: a split stores its private child table as
+#: one page but keeps one yield per entry, so schedules, E15's
+#: calibration and every saved script stay as they were.
+YIELD_MODEL_MOVED = (
+    "the scheduler's yield model changed. Dropping the per-entry yields of "
+    "a split's private child table is the second half of the ROADMAP item "
+    "'Yield only where another CPU can look'; it must restate E15 "
+    "(benchmarks/bench_sched.py) from a measurement on the new model "
+    "before these pins move"
+)
+
+#: Decision-log length of schedule seed 0 of each scenario (two CPUs,
+#: no bugs), under uniform random and under PCT calibrated as E15 does.
+SEED0_DECISIONS = {
+    "vcpu-race": {"random": 1027, "pct": 1027},
+    "host-fault": {"random": 6, "pct": 5},
+    "mixed": {"random": 574, "pct": 561},
+}
+
+
+class TestYieldModel:
+    def test_e15_calibration(self):
+        trace = vcpu_race_trace()
+        trace.bug_names = ("vcpu_load_race",)
+        rare = ("lock:hyp_pool", "unlock:hyp_pool", "vcpu_init_fields",
+                "vcpu_published_uninit")
+        assert calibrate(trace) == (1030, rare), YIELD_MODEL_MOVED
+
+    @pytest.mark.parametrize("scenario", sorted(CONCURRENCY_SCENARIOS))
+    def test_seeded_schedule_lengths(self, scenario):
+        build = CONCURRENCY_SCENARIOS[scenario]
+        k, rare = calibrate(build())
+        lengths = {}
+        for policy, tags in (("random", ()), ("pct", rare)):
+            scheduler = Scheduler(
+                policy=policy, seed=0, pct_steps=k, priority_tags=tags
+            )
+            lengths[policy] = run_schedule(build().spawn, scheduler).decisions
+        assert lengths == SEED0_DECISIONS[scenario], YIELD_MODEL_MOVED
 
 
 class TestObservability:

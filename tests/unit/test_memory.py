@@ -157,6 +157,40 @@ class TestPageOps:
         with pytest.raises(BadAddress):
             mem.zero_range(end - 4096, 2 * 4096)
 
+    def test_page_store_is_one_record_and_one_bump(self, mem):
+        pfn = DRAM >> 12
+        mem.write64(DRAM, 1)  # materialised, one word already equal
+        mem.write64(DRAM + 9 * 4096, 1)  # the journal's tail is elsewhere
+        e0, n0 = mem.epoch, mem.journal_length
+        words = list(range(1, 513))
+        mem.write_page(pfn, words)
+        assert mem.epoch == e0 + 1
+        assert mem.journal_length == n0 + 1
+        assert mem.writes_since(e0) == {pfn}
+        assert mem.page_words(pfn) == words
+        words[0] = 7  # the page keeps its own copy
+        assert mem.read64(DRAM) == 1
+
+    def test_page_store_of_equal_words_skips_journal(self, mem):
+        mem.write_page(DRAM >> 12, [5] * 512)
+        e0, n0 = mem.epoch, mem.journal_length
+        mem.write_page(DRAM >> 12, [5] * 512)
+        assert (mem.epoch, mem.journal_length) == (e0, n0)
+
+    def test_zero_page_store_to_untouched_page_materialises_nothing(self, mem):
+        e0, pages0 = mem.epoch, mem.materialised_pages()
+        mem.write_page((DRAM >> 12) + 17, [0] * 512)
+        assert mem.epoch == e0
+        assert mem.materialised_pages() == pages0
+
+    def test_page_store_refuses_pages_outside_dram(self, mem):
+        for phys in (0x0900_0000, 0x2000_0000):  # a device page, a hole
+            with pytest.raises(BadAddress):
+                mem.write_page(phys >> 12, [1] * 512)
+            with pytest.raises(BadAddress):
+                mem.zero_page(phys >> 12)
+        assert mem.device_accesses == 0
+
     def test_page_words(self, mem):
         mem.write64(DRAM + 16, 9)
         words = mem.page_words(DRAM >> 12)

@@ -267,6 +267,11 @@ class TestGenericWalker:
         with pytest.raises(AssertionError):
             pgt.write_slot(0x4000_0000, 0, 1, 0)
 
+    def test_footprint_fills_enforced(self, pgt):
+        with pytest.raises(AssertionError):
+            pgt.fill_table(0x4000_0000, [1] * 512)
+        assert pgt.mem.page_words(0x4000_0000 >> 12) == [0] * 512
+
 
 class TestIterLeaves:
     def test_iterates_pages_blocks_and_annotations(self, pgt):
